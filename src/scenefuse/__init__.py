@@ -30,18 +30,9 @@ from .dataio import (
 )
 from .evaluation import EvaluationReport, evaluate, render_confusion, render_report
 from .features import (
-    CepstraBundle,
     EXTRACTOR_NAMES,
     FeatureConfig,
-    extract_all,
-    extract_by_name,
-    extract_cepscom,
-    extract_mfcc,
-    extract_plp,
-    extract_pncc,
-    extract_rcgcc,
     extract_selected,
-    extract_spcc,
     subspace_project,
     subspace_rank,
 )

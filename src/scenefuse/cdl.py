@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dataio import FeatureStoreError, _Reader, fnv1a64, pack_u32, pack_u64
+from .dataio import pack_floats, pack_u32, read_container, write_container
 
 CDL_MODEL_MAGIC = b"SFC1"
 CDL_MODEL_VERSION = 1
@@ -65,7 +65,8 @@ class CdlProjection:
     train_labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.projection = np.asarray(self.projection, dtype=np.float64)
+        # C order, so a fitted model scores exactly as the same model loaded from file
+        self.projection = np.ascontiguousarray(self.projection, dtype=np.float64)
         self.class_centroids = np.asarray(self.class_centroids, dtype=np.float64)
         self.train_mean = np.asarray(self.train_mean, dtype=np.float64)
         d_vec = half_vec_length(self.dim)
@@ -252,34 +253,18 @@ def classify_cdl(
 
 def save_cdl_model(path, proj: CdlProjection) -> None:
     """Write projection, centroids, and mean; stored samples stay in memory."""
-    body = bytearray()
-    body += pack_u32(CDL_MODEL_VERSION)
-    body += pack_u32(proj.dim)
-    body += pack_u32(proj.d_out)
-    body += pack_u32(proj.n_classes)
-    body += np.ascontiguousarray(proj.projection, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(proj.class_centroids, dtype="<f8").tobytes()
-    body += proj.train_mean.astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CDL_MODEL_MAGIC)
-        fh.write(bytes(body))
-        fh.write(pack_u64(fnv1a64(bytes(body))))
+    parts = [
+        pack_u32(proj.dim),
+        pack_u32(proj.d_out),
+        pack_u32(proj.n_classes),
+        pack_floats(proj.projection),
+        pack_floats(proj.class_centroids),
+        pack_floats(proj.train_mean),
+    ]
+    write_container(path, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, parts)
 
 
-def load_cdl_model(path) -> CdlProjection:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CDL_MODEL_MAGIC:
-        raise FeatureStoreError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 4 + 8 + 8:
-        raise FeatureStoreError(f"{path}: truncated file")
-    body, stored = blob[4:-8], int.from_bytes(blob[-8:], "little")
-    if fnv1a64(body) != stored:
-        raise FeatureStoreError(f"{path}: checksum mismatch")
-    reader = _Reader(body, str(path))
-    version = reader.u32()
-    if version != CDL_MODEL_VERSION:
-        raise FeatureStoreError(f"{path}: unsupported version {version}")
+def _parse_model(reader) -> CdlProjection:
     dim = reader.u32()
     d_out = reader.u32()
     n_classes = reader.u32()
@@ -287,7 +272,10 @@ def load_cdl_model(path) -> CdlProjection:
     projection = reader.floats(d_out * d_vec).reshape(d_out, d_vec)
     centroids = reader.floats(n_classes * d_out).reshape(n_classes, d_out)
     mean = reader.floats(d_vec)
-    reader.expect_end()
     return CdlProjection(
         projection=projection, class_centroids=centroids, train_mean=mean, dim=dim
     )
+
+
+def load_cdl_model(path) -> CdlProjection:
+    return read_container(path, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, _parse_model)

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from . import cdl as cdl_mod
-from . import gmm as gmm_mod
 from .dataio import load_features, load_manifest, save_features
 from .evaluation import evaluate, save_report
 from .features import EXTRACTOR_NAMES, FeatureConfig
@@ -24,13 +23,14 @@ from .fusion import (
 )
 from .pipeline import (
     ALL_SYSTEMS,
-    SYSTEM_EXTRACTORS,
+    WEIGHT_METHODS,
+    PipelineConfig,
     PipelineError,
-    SystemModel,
     TrainOptions,
     estimate_weights,
     extract_for_manifest,
     fit_system,
+    load_system_model,
     run_pipeline,
     save_system_model,
     score_system,
@@ -50,14 +50,11 @@ def _parse_names(raw: str, universe, what: str) -> list:
     return names
 
 
-def _train_options(args) -> TrainOptions:
-    mixtures = getattr(args, "mixtures", None)
-    return TrainOptions(
-        mixtures_cepstral=mixtures if mixtures is not None else 64,
-        mixtures_plp=mixtures if mixtures is not None else 4,
-        gmm_seed=args.gmm_seed,
-        cdl_mode=args.cdl_mode,
-    )
+def _mixture_counts(args) -> dict:
+    """``--mixtures`` sets both counts; unset, TrainOptions' defaults hold."""
+    if args.mixtures is None:
+        return {}
+    return {"mixtures_cepstral": args.mixtures, "mixtures_plp": args.mixtures}
 
 
 def _cmd_extract(args) -> None:
@@ -72,7 +69,8 @@ def _cmd_extract(args) -> None:
 def _cmd_train(args) -> None:
     store = load_features(args.features)
     manifest = load_manifest(args.manifest)
-    model = fit_system(args.system, store, manifest, _train_options(args))
+    opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
+    model = fit_system(args.system, store, manifest, opts)
     save_system_model(args.out, model)
     print(f"trained {args.system} on {len(manifest)} clips; model written to {args.out}")
 
@@ -81,11 +79,14 @@ def _cmd_weights(args) -> None:
     store = load_features(args.features)
     manifest = load_manifest(args.manifest)
     systems = _parse_names(args.systems, ALL_SYSTEMS, "system")
+    opts = TrainOptions(
+        gmm_seed=args.gmm_seed, cdl_mode=args.cdl_mode, **_mixture_counts(args)
+    )
     weights = estimate_weights(
         store,
         manifest,
         systems,
-        _train_options(args),
+        opts,
         method=args.method,
         folds=args.folds,
         seed=args.seed,
@@ -94,48 +95,11 @@ def _cmd_weights(args) -> None:
     print(f"estimated weights for {len(systems)} systems; written to {args.out}")
 
 
-def _load_model_file(path: str, system_id: str, extractor: str | None, class_names):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if extractor is None:
-        extractor = SYSTEM_EXTRACTORS.get(system_id)
-        if extractor is None:
-            raise ValueError(
-                f"cannot infer the feature family from system id {system_id!r}; "
-                "pass --extractor or name the model after a built-in system"
-            )
-    if magic == gmm_mod.GMM_BANK_MAGIC:
-        bank = gmm_mod.load_gmm_bank(path)
-        if bank.n_classes != len(class_names):
-            raise ValueError(
-                f"model has {bank.n_classes} classes but manifest has {len(class_names)}"
-            )
-        return SystemModel(
-            system_id=system_id,
-            extractor=extractor,
-            class_names=list(class_names),
-            gmm_bank=bank,
-        )
-    if magic == cdl_mod.CDL_MODEL_MAGIC:
-        proj = cdl_mod.load_cdl_model(path)
-        if proj.n_classes != len(class_names):
-            raise ValueError(
-                f"model has {proj.n_classes} classes but manifest has {len(class_names)}"
-            )
-        return SystemModel(
-            system_id=system_id,
-            extractor=extractor,
-            class_names=list(class_names),
-            cdl_model=proj,
-        )
-    raise ValueError(f"{path}: unrecognized model magic {magic!r}")
-
-
 def _cmd_classify(args) -> None:
     manifest = load_manifest(args.manifest)
     store = load_features(args.features)
     system_id = args.system_id or Path(args.model).stem
-    model = _load_model_file(args.model, system_id, args.extractor, manifest.class_names)
+    model = load_system_model(args.model, system_id, manifest.class_names, args.extractor)
     scores = score_system(model, store, manifest, args.cdl_mode)
     save_score_csv(args.out, scores)
     print(f"scored {scores.n_clips} clips with {system_id}; written to {args.out}")
@@ -219,14 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
         "per-class mixtures, covariance descriptors, and weighted score fusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mixtures_help = (
+        "override the mixture count of every system (default "
+        f"{TrainOptions.mixtures_cepstral}, plp {TrainOptions.mixtures_plp})"
+    )
 
     p = sub.add_parser("extract", help="decode clips and write a feature file")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", default="all",
                    help="comma-separated extractor names, or 'all'")
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-len", type=int, default=2048)
-    p.add_argument("--hop", type=int, default=1024)
+    p.add_argument("--frame-len", type=int, default=FeatureConfig.frame_len)
+    p.add_argument("--hop", type=int, default=FeatureConfig.hop)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train one system on a (training) manifest")
@@ -234,10 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--system", required=True, choices=ALL_SYSTEMS)
     p.add_argument("--out", required=True)
-    p.add_argument("--mixtures", type=int, default=None,
-                   help="override the mixture count (default 64, plp 4)")
-    p.add_argument("--gmm-seed", type=int, default=23)
-    p.add_argument("--cdl-mode", default="centroid", choices=cdl_mod.CLASSIFY_MODES)
+    p.add_argument("--mixtures", type=int, default=None, help=mixtures_help)
+    p.add_argument("--gmm-seed", type=int, default=TrainOptions.gmm_seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("weights", help="estimate fusion weights on training data")
@@ -245,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--systems", required=True,
                    help="comma-separated system ids, or 'all'")
-    p.add_argument("--folds", type=int, default=4)
-    p.add_argument("--seed", type=int, default=29)
-    p.add_argument("--method", default="cv", choices=("cv", "resub"))
+    p.add_argument("--folds", type=int, default=PipelineConfig.weights_folds)
+    p.add_argument("--seed", type=int, default=PipelineConfig.weights_seed)
+    p.add_argument("--method", default=PipelineConfig.weights_method, choices=WEIGHT_METHODS)
     p.add_argument("--out", required=True)
-    p.add_argument("--mixtures", type=int, default=None)
-    p.add_argument("--gmm-seed", type=int, default=23)
-    p.add_argument("--cdl-mode", default="centroid", choices=cdl_mod.CLASSIFY_MODES)
+    p.add_argument("--mixtures", type=int, default=None, help=mixtures_help)
+    p.add_argument("--gmm-seed", type=int, default=TrainOptions.gmm_seed)
+    p.add_argument("--cdl-mode", default=TrainOptions.cdl_mode, choices=cdl_mod.CLASSIFY_MODES)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("classify", help="score a manifest's clips with one model")
@@ -263,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system-id", default=None,
                    help="system id for the score rows (default: model file stem)")
     p.add_argument("--extractor", default=None, choices=EXTRACTOR_NAMES)
-    p.add_argument("--cdl-mode", default="centroid", choices=cdl_mod.CLASSIFY_MODES)
+    p.add_argument("--cdl-mode", default=TrainOptions.cdl_mode, choices=cdl_mod.CLASSIFY_MODES)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("fuse", help="weighted fusion of per-system score files")

@@ -2,13 +2,15 @@
 
 WAV decoding is delegated to :mod:`scipy.io.wavfile`; every decoded clip is
 reduced to a mono float64 signal in [-1, 1].  Manifests are plain
-tab-separated text (``relative/path<TAB>label``), and feature matrices are
-stored in a small checksummed binary container (magic ``SFS1``).
+tab-separated text (``relative/path<TAB>label``).  Feature stores and the
+model files share one checksummed binary framing, written and read by
+:func:`write_container` and :func:`read_container`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +19,8 @@ import numpy as np
 from scipy.io import wavfile
 
 FEATURE_STORE_MAGIC = b"SFS1"
-FEATURE_STORE_VERSION = 1
+#: version 2 checksums the whole body; version 1 checksummed each record
+FEATURE_STORE_VERSION = 2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -58,6 +61,8 @@ class AudioClip:
             raise ValueError("clip must hold a nonempty 1-D sample sequence")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError(f"clip {self.source_id!r} has non-finite samples")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -224,19 +229,18 @@ def split_dataset(
 class FeatureStore:
     """In-memory map from (source_id, extractor name) to a feature matrix."""
 
-    records: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
-    format_version: int = FEATURE_STORE_VERSION
+    records: dict[tuple[str, str], np.ndarray] = field(default_factory=dict, init=False)
+    _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, source_id: str, extractor: str, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("feature matrix must be 2-D (frames x dims)")
-        for (_, name), existing in self.records.items():
-            if name == extractor and existing.shape[1] != values.shape[1]:
-                raise ValueError(
-                    f"extractor {extractor!r} dimension mismatch: "
-                    f"{existing.shape[1]} vs {values.shape[1]}"
-                )
+        dim = self._dims.setdefault(extractor, values.shape[1])
+        if dim != values.shape[1]:
+            raise ValueError(
+                f"extractor {extractor!r} dimension mismatch: {dim} vs {values.shape[1]}"
+            )
         self.records[(source_id, extractor)] = values
 
     def get(self, source_id: str, extractor: str) -> np.ndarray:
@@ -250,21 +254,13 @@ class FeatureStore:
 
     def source_ids(self) -> list[str]:
         """Distinct source ids in insertion order."""
-        out: list[str] = []
-        for source_id, _ in self.records:
-            if source_id not in out:
-                out.append(source_id)
-        return out
+        return list(dict.fromkeys(source_id for source_id, _ in self.records))
 
     def extractors(self) -> list[str]:
-        out: list[str] = []
-        for _, name in self.records:
-            if name not in out:
-                out.append(name)
-        return out
+        return list(dict.fromkeys(name for _, name in self.records))
 
 
-# --- binary packing helpers (shared with the model-file writers) ---
+# --- the binary container shared by feature stores and model files ---
 
 def pack_u32(value: int) -> bytes:
     return struct.pack("<I", value)
@@ -279,15 +275,20 @@ def pack_str(text: str) -> bytes:
     return pack_u32(len(raw)) + raw
 
 
+def pack_floats(values: np.ndarray) -> np.ndarray:
+    """Little-endian float64 bytes of an array; no copy if it already is one."""
+    return np.ascontiguousarray(values, dtype="<f8").reshape(-1).view(np.uint8)
+
+
 class _Reader:
     """Cursor over a byte buffer; raises FeatureStoreError on truncation."""
 
-    def __init__(self, data: bytes, context: str):
+    def __init__(self, data: memoryview, context: str):
         self.data = data
         self.pos = 0
         self.context = context
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FeatureStoreError(f"{self.context}: truncated file")
         chunk = self.data[self.pos : self.pos + n]
@@ -297,57 +298,84 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return str(self.take(self.u32()), "utf-8")
 
     def floats(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(count * 8), dtype="<f8").copy()
 
-    def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise FeatureStoreError(f"{self.context}: trailing bytes after payload")
+
+def write_container(path: str | Path, magic: bytes, version: int, parts) -> None:
+    """Write ``magic | u32 version | parts | u64 FNV-1a``.
+
+    The checksum covers everything after the magic: the version field and
+    the payload.
+    """
+    body = b"".join([pack_u32(version), *parts])
+    checksum = fnv1a64(body)
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(body)
+        fh.write(pack_u64(checksum))
+
+
+def read_container(path: str | Path, magic: bytes, version: int, parse):
+    """Check a container written by :func:`write_container` and parse its payload.
+
+    Magic, size and version are checked before the checksum, so a file of
+    another format version is reported as such.  ``parse`` receives a reader
+    over the payload and must consume all of it.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        found = fh.read(4)
+        if found != magic:
+            raise FeatureStoreError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        if size < 4 + 4 + 8:
+            raise FeatureStoreError(f"{path}: truncated file")
+        # the checksummed span is read as one object: hashing it needs no
+        # copy, and the payload is parsed through views of it
+        body = fh.read(size - 4 - 8)
+        stored = int.from_bytes(fh.read(8), "little")
+    found_version = struct.unpack_from("<I", body)[0]
+    if found_version != version:
+        raise FeatureStoreError(
+            f"{path}: format version {found_version} does not match expected {version}"
+        )
+    if fnv1a64(body) != stored:
+        raise ChecksumError(f"{path}: checksum mismatch")
+    reader = _Reader(memoryview(body)[4:], str(path))
+    result = parse(reader)
+    if reader.pos != len(reader.data):
+        raise FeatureStoreError(f"{path}: trailing bytes after payload")
+    return result
 
 
 def save_features(store: FeatureStore, path: str | Path) -> None:
     """Write the store to its binary container (bit-exact round-trip)."""
-    parts = [FEATURE_STORE_MAGIC, pack_u32(store.format_version), pack_u32(len(store.records))]
+    parts = [pack_u32(len(store.records))]
     for (source_id, extractor), values in store.records.items():
-        payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
-        parts.append(pack_str(source_id))
-        parts.append(pack_str(extractor))
-        parts.append(pack_u32(values.shape[0]))
-        parts.append(pack_u32(values.shape[1]))
-        parts.append(payload)
-        parts.append(pack_u64(fnv1a64(payload)))
-    Path(path).write_bytes(b"".join(parts))
+        parts += [
+            pack_str(source_id),
+            pack_str(extractor),
+            pack_u32(values.shape[0]),
+            pack_u32(values.shape[1]),
+            pack_floats(values),
+        ]
+    write_container(path, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION, parts)
 
 
-def load_features(path: str | Path, expected_version: int = FEATURE_STORE_VERSION) -> FeatureStore:
-    """Read a feature container, verifying magic, version, and checksums."""
-    path = Path(path)
-    reader = _Reader(path.read_bytes(), str(path))
-    if reader.take(4) != FEATURE_STORE_MAGIC:
-        raise FeatureStoreError(f"{path}: not a feature store (bad magic)")
-    version = reader.u32()
-    if version != expected_version:
-        raise FeatureStoreError(
-            f"{path}: format version {version} does not match expected {expected_version}"
-        )
-    count = reader.u32()
-    store = FeatureStore(format_version=version)
-    for _ in range(count):
+def _parse_features(reader: _Reader) -> FeatureStore:
+    store = FeatureStore()
+    for _ in range(reader.u32()):
         source_id = reader.string()
         extractor = reader.string()
         rows = reader.u32()
         cols = reader.u32()
-        raw = reader.take(rows * cols * 8)
-        stored_sum = reader.u64()
-        if fnv1a64(raw) != stored_sum:
-            raise ChecksumError(f"{path}: checksum mismatch for ({source_id!r}, {extractor!r})")
-        values = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
-        store.add(source_id, extractor, values)
-    reader.expect_end()
+        store.add(source_id, extractor, reader.floats(rows * cols).reshape(rows, cols))
     return store
+
+
+def load_features(path: str | Path) -> FeatureStore:
+    """Read a feature container, verifying magic, version, and checksum."""
+    return read_container(path, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION, _parse_features)

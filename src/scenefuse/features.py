@@ -101,26 +101,6 @@ class FeatureConfig:
             )
 
 
-@dataclass
-class CepstraBundle:
-    """All six feature matrices for one clip; frame counts agree."""
-
-    mfcc: FeatureMatrix
-    plp: FeatureMatrix
-    pncc: FeatureMatrix
-    rcgcc: FeatureMatrix
-    spcc: FeatureMatrix
-    cepscom: FeatureMatrix
-
-    def __post_init__(self) -> None:
-        counts = {m.n_frames for m in self.as_dict().values()}
-        if len(counts) != 1:
-            raise ValueError(f"frame counts disagree across extractors: {sorted(counts)}")
-
-    def as_dict(self) -> dict[str, FeatureMatrix]:
-        return {name: getattr(self, name) for name in EXTRACTOR_NAMES}
-
-
 def expected_dim(extractor: str, cfg: FeatureConfig) -> int:
     if extractor == "plp":
         return 3 * (cfg.plp_model_order + 1)
@@ -137,11 +117,6 @@ def _bank(kind: str, n_channels: int, n_fft: int, sample_rate: int) -> Filterban
     return make_filterbank(kind, n_channels, n_fft, sample_rate)
 
 
-def _prepare(clip: AudioClip, cfg: FeatureConfig) -> tuple[FrameSequence, Spectrogram]:
-    frames = frame_signal(clip, cfg.frame_len, cfg.hop)
-    return frames, power_spectrum(frames)
-
-
 # --- mfcc ---
 
 def _mfcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
@@ -149,12 +124,6 @@ def _mfcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
     subband = apply_filterbank(spec, bank)
     static = cepstral_dct(np.log(np.maximum(subband, LOG_FLOOR)), cfg.n_static)
     return append_deltas(FeatureMatrix(static, "mfcc"), cfg.delta_window)
-
-
-def extract_mfcc(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
-    cfg = cfg or FeatureConfig()
-    _, spec = _prepare(clip, cfg)
-    return _mfcc_from_spec(spec, cfg)
 
 
 # --- plp ---
@@ -233,12 +202,6 @@ def _plp_from_spec(
     return append_deltas(FeatureMatrix(static, "plp"), cfg.delta_window)
 
 
-def extract_plp(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
-    cfg = cfg or FeatureConfig()
-    frames, spec = _prepare(clip, cfg)
-    return _plp_from_spec(frames, spec, cfg)
-
-
 # --- pncc ---
 
 class PnccStages(NamedTuple):
@@ -281,12 +244,6 @@ def _pncc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
     return append_deltas(FeatureMatrix(static, "pncc"), cfg.delta_window)
 
 
-def extract_pncc(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
-    cfg = cfg or FeatureConfig()
-    _, spec = _prepare(clip, cfg)
-    return _pncc_from_spec(spec, cfg)
-
-
 # --- rcgcc ---
 
 def rcgcc_gains(subband: np.ndarray, smoothing: float) -> np.ndarray:
@@ -317,12 +274,6 @@ def _rcgcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
     gains = rcgcc_gains(subband, cfg.rcgcc_smoothing)
     static = cepstral_dct(np.cbrt(gains * subband), cfg.n_static)
     return append_deltas(FeatureMatrix(static, "rcgcc"), cfg.delta_window)
-
-
-def extract_rcgcc(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
-    cfg = cfg or FeatureConfig()
-    _, spec = _prepare(clip, cfg)
-    return _rcgcc_from_spec(spec, cfg)
 
 
 # --- spcc ---
@@ -373,40 +324,16 @@ def _spcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
     return append_deltas(FeatureMatrix(static, "spcc"), cfg.delta_window)
 
 
-def extract_spcc(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
-    cfg = cfg or FeatureConfig()
-    _, spec = _prepare(clip, cfg)
-    return _spcc_from_spec(spec, cfg)
-
-
-# --- cepscom and bundles ---
-
-def extract_cepscom(clip: AudioClip, cfg: FeatureConfig | None = None) -> FeatureMatrix:
-    """Frame-wise concatenation [mfcc | pncc | rcgcc | spcc]; plp stays out."""
-    cfg = cfg or FeatureConfig()
-    _, spec = _prepare(clip, cfg)
-    return _cepscom_from_parts(
-        _mfcc_from_spec(spec, cfg),
-        _pncc_from_spec(spec, cfg),
-        _rcgcc_from_spec(spec, cfg),
-        _spcc_from_spec(spec, cfg),
-    )
-
-
-def _cepscom_from_parts(
-    mfcc: FeatureMatrix,
-    pncc: FeatureMatrix,
-    rcgcc: FeatureMatrix,
-    spcc: FeatureMatrix,
-) -> FeatureMatrix:
-    values = np.hstack([mfcc.values, pncc.values, rcgcc.values, spcc.values])
-    return FeatureMatrix(values, "cepscom")
-
+# --- the extraction entry point ---
 
 def extract_selected(
     clip: AudioClip, names, cfg: FeatureConfig | None = None
 ) -> dict[str, FeatureMatrix]:
-    """Requested families only, all from one shared framing and spectrum."""
+    """Requested families only, all from one shared framing and spectrum.
+
+    ``cepscom`` is the frame-wise concatenation [mfcc | pncc | rcgcc | spcc];
+    plp stays out of it.  The result follows ``EXTRACTOR_NAMES`` order.
+    """
     cfg = cfg or FeatureConfig()
     wanted = set(names)
     unknown = wanted - set(EXTRACTOR_NAMES)
@@ -417,7 +344,8 @@ def extract_selected(
     compute = set(wanted)
     if "cepscom" in wanted:
         compute |= {"mfcc", "pncc", "rcgcc", "spcc"}
-    frames, spec = _prepare(clip, cfg)
+    frames = frame_signal(clip, cfg.frame_len, cfg.hop)
+    spec = power_spectrum(frames)
     parts: dict[str, FeatureMatrix] = {}
     if "mfcc" in compute:
         parts["mfcc"] = _mfcc_from_spec(spec, cfg)
@@ -430,35 +358,6 @@ def extract_selected(
     if "spcc" in compute:
         parts["spcc"] = _spcc_from_spec(spec, cfg)
     if "cepscom" in wanted:
-        parts["cepscom"] = _cepscom_from_parts(
-            parts["mfcc"], parts["pncc"], parts["rcgcc"], parts["spcc"]
-        )
+        blocks = [parts[name].values for name in ("mfcc", "pncc", "rcgcc", "spcc")]
+        parts["cepscom"] = FeatureMatrix(np.hstack(blocks), "cepscom")
     return {name: parts[name] for name in EXTRACTOR_NAMES if name in wanted}
-
-
-def extract_all(clip: AudioClip, cfg: FeatureConfig | None = None) -> CepstraBundle:
-    """Every family from one shared framing and power spectrum."""
-    parts = extract_selected(clip, EXTRACTOR_NAMES, cfg)
-    return CepstraBundle(**parts)
-
-
-_EXTRACTORS = {
-    "mfcc": extract_mfcc,
-    "plp": extract_plp,
-    "pncc": extract_pncc,
-    "rcgcc": extract_rcgcc,
-    "spcc": extract_spcc,
-    "cepscom": extract_cepscom,
-}
-
-
-def extract_by_name(
-    name: str, clip: AudioClip, cfg: FeatureConfig | None = None
-) -> FeatureMatrix:
-    try:
-        fn = _EXTRACTORS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown extractor {name!r}; expected one of {EXTRACTOR_NAMES}"
-        ) from None
-    return fn(clip, cfg)

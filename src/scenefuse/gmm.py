@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import (
-    FeatureStoreError,
-    _Reader,
-    fnv1a64,
-    pack_u32,
-    pack_u64,
-)
+from .dataio import pack_floats, pack_u32, read_container, write_container
 
 GMM_BANK_MAGIC = b"SFG1"
 GMM_BANK_VERSION = 1
@@ -227,50 +221,31 @@ def classify_gmm(bank: GmmBank, features: np.ndarray) -> np.ndarray:
     return np.array([log_likelihood(model, features) for model in bank.models])
 
 
-def predict_index(scores: np.ndarray) -> int:
-    """Argmax with lowest-index tie-break."""
-    return int(np.argmax(scores))
-
-
 def save_gmm_bank(path, bank: GmmBank) -> None:
-    """Write a bank with a trailing checksum over everything after the magic."""
-    body = bytearray()
-    body += pack_u32(GMM_BANK_VERSION)
-    body += pack_u32(bank.n_classes)
+    """Write a bank to its checksummed container (bit-exact round-trip)."""
+    parts = [pack_u32(bank.n_classes)]
     for model in bank.models:
-        body += pack_u32(model.n_components)
-        body += pack_u32(model.dim)
-        body += model.weights.astype("<f8").tobytes()
-        body += np.ascontiguousarray(model.means, dtype="<f8").tobytes()
-        body += np.ascontiguousarray(model.variances, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(GMM_BANK_MAGIC)
-        fh.write(bytes(body))
-        fh.write(pack_u64(fnv1a64(bytes(body))))
+        parts += [
+            pack_u32(model.n_components),
+            pack_u32(model.dim),
+            pack_floats(model.weights),
+            pack_floats(model.means),
+            pack_floats(model.variances),
+        ]
+    write_container(path, GMM_BANK_MAGIC, GMM_BANK_VERSION, parts)
 
 
-def load_gmm_bank(path) -> GmmBank:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != GMM_BANK_MAGIC:
-        raise FeatureStoreError(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 4 + 8 + 8:
-        raise FeatureStoreError(f"{path}: truncated file")
-    body, stored = blob[4:-8], int.from_bytes(blob[-8:], "little")
-    if fnv1a64(body) != stored:
-        raise FeatureStoreError(f"{path}: checksum mismatch")
-    reader = _Reader(body, str(path))
-    version = reader.u32()
-    if version != GMM_BANK_VERSION:
-        raise FeatureStoreError(f"{path}: unsupported version {version}")
-    n_classes = reader.u32()
+def _parse_bank(reader) -> GmmBank:
     models = []
-    for _ in range(n_classes):
+    for _ in range(reader.u32()):
         k = reader.u32()
         dim = reader.u32()
         weights = reader.floats(k)
         means = reader.floats(k * dim).reshape(k, dim)
         variances = reader.floats(k * dim).reshape(k, dim)
         models.append(GmmModel(weights, means, variances))
-    reader.expect_end()
     return GmmBank(models)
+
+
+def load_gmm_bank(path) -> GmmBank:
+    return read_container(path, GMM_BANK_MAGIC, GMM_BANK_VERSION, _parse_bank)

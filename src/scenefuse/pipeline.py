@@ -10,6 +10,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .dataio import (
     split_dataset,
 )
 from .evaluation import EvaluationReport, evaluate, save_report
-from .features import FeatureConfig, extract_selected
+from .features import EXTRACTOR_NAMES, FeatureConfig, extract_selected
 from .fusion import (
     FusionDecision,
     FusionWeights,
@@ -39,18 +40,23 @@ from .fusion import (
     save_weights_csv,
 )
 
-#: system id -> feature family it consumes, in canonical order
-SYSTEM_EXTRACTORS = {
-    "mfcc-gmm": "mfcc",
-    "pncc-gmm": "pncc",
-    "rcgcc-gmm": "rcgcc",
-    "spcc-gmm": "spcc",
-    "cepscom-gmm": "cepscom",
-    "plp-gmm": "plp",
-    "cepscom-cdl": "cepscom",
+class SystemSpec(NamedTuple):
+    family: str  # the feature family the system consumes
+    backend: str  # "gmm" or "cdl"
+
+
+#: system id -> what it is built from, in canonical order
+SYSTEMS = {
+    "mfcc-gmm": SystemSpec("mfcc", "gmm"),
+    "pncc-gmm": SystemSpec("pncc", "gmm"),
+    "rcgcc-gmm": SystemSpec("rcgcc", "gmm"),
+    "spcc-gmm": SystemSpec("spcc", "gmm"),
+    "cepscom-gmm": SystemSpec("cepscom", "gmm"),
+    "plp-gmm": SystemSpec("plp", "gmm"),
+    "cepscom-cdl": SystemSpec("cepscom", "cdl"),
 }
 
-ALL_SYSTEMS = tuple(SYSTEM_EXTRACTORS)
+ALL_SYSTEMS = tuple(SYSTEMS)
 DEFAULT_FUSED = ("cepscom-gmm", "cepscom-cdl", "plp-gmm")
 
 WEIGHT_METHODS = ("cv", "resub")
@@ -70,25 +76,44 @@ def _stage(name: str):
         raise PipelineError(f"[{name}] {exc}") from exc
 
 
+@dataclass(kw_only=True)
+class TrainOptions:
+    """Knobs shared by system training inside and outside full runs.
+
+    Their defaults are declared here only; :class:`PipelineConfig` inherits
+    them and the CLI reads them off this class.
+    """
+
+    mixtures_cepstral: int = 64
+    mixtures_plp: int = 4
+    gmm_seed: int = 23
+    cdl_mode: str = "centroid"
+
+    def __post_init__(self) -> None:
+        if self.cdl_mode not in cdl_mod.CLASSIFY_MODES:
+            raise ValueError(
+                f"cdl_mode must be one of {cdl_mod.CLASSIFY_MODES}, got {self.cdl_mode!r}"
+            )
+        if self.mixtures_cepstral < 1 or self.mixtures_plp < 1:
+            raise ValueError("mixture counts must be positive")
+
+
 @dataclass
-class PipelineConfig:
-    """Run parameters; paths are resolved by the config parser."""
+class PipelineConfig(TrainOptions):
+    """Run parameters: the training options plus paths, split, weights and
+    framing; paths are resolved by the config parser."""
 
     manifest: Path
     out_dir: Path
     train_fraction: float = 0.25
     split_seed: int = 17
-    gmm_seed: int = 23
     weights_folds: int = 4
     weights_seed: int = 29
     weights_method: str = "cv"
-    mixtures_cepstral: int = 64
-    mixtures_plp: int = 4
-    frame_len: int = 2048
-    hop: int = 1024
+    frame_len: int = FeatureConfig.frame_len
+    hop: int = FeatureConfig.hop
     systems: tuple = ALL_SYSTEMS
     fused: tuple = DEFAULT_FUSED
-    cdl_mode: str = "centroid"
 
     def __post_init__(self) -> None:
         self.manifest = Path(self.manifest)
@@ -98,7 +123,7 @@ class PipelineConfig:
         if not self.systems:
             raise ValueError("no systems configured")
         for name in self.systems:
-            if name not in SYSTEM_EXTRACTORS:
+            if name not in SYSTEMS:
                 raise ValueError(
                     f"unknown system {name!r}; expected a subset of {ALL_SYSTEMS}"
                 )
@@ -115,35 +140,12 @@ class PipelineConfig:
             raise ValueError(
                 f"weights_method must be one of {WEIGHT_METHODS}, got {self.weights_method!r}"
             )
-        if self.cdl_mode not in cdl_mod.CLASSIFY_MODES:
-            raise ValueError(
-                f"cdl_mode must be one of {cdl_mod.CLASSIFY_MODES}, got {self.cdl_mode!r}"
-            )
         if self.weights_folds < 2:
             raise ValueError("weights_folds must be at least 2")
-        if self.mixtures_cepstral < 1 or self.mixtures_plp < 1:
-            raise ValueError("mixture counts must be positive")
+        super().__post_init__()
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(frame_len=self.frame_len, hop=self.hop)
-
-    def train_options(self) -> "TrainOptions":
-        return TrainOptions(
-            mixtures_cepstral=self.mixtures_cepstral,
-            mixtures_plp=self.mixtures_plp,
-            gmm_seed=self.gmm_seed,
-            cdl_mode=self.cdl_mode,
-        )
-
-
-@dataclass(frozen=True)
-class TrainOptions:
-    """Knobs shared by system training inside and outside full runs."""
-
-    mixtures_cepstral: int = 64
-    mixtures_plp: int = 4
-    gmm_seed: int = 23
-    cdl_mode: str = "centroid"
 
 
 _CONFIG_INT_KEYS = {
@@ -206,9 +208,8 @@ class SystemModel:
 
 
 def required_extractors(system_ids) -> list:
-    names = {SYSTEM_EXTRACTORS[s] for s in system_ids}
-    order = ("mfcc", "plp", "pncc", "rcgcc", "spcc", "cepscom")
-    return [n for n in order if n in names]
+    names = {SYSTEMS[s].family for s in system_ids}
+    return [n for n in EXTRACTOR_NAMES if n in names]
 
 
 def extract_for_manifest(
@@ -236,12 +237,12 @@ def fit_system(
     system_id: str,
     store: FeatureStore,
     train: DatasetManifest,
-    opts: TrainOptions = TrainOptions(),
+    opts: TrainOptions,
 ) -> SystemModel:
     """Train one system on the given manifest's clips."""
-    extractor = SYSTEM_EXTRACTORS[system_id]
+    extractor, backend = SYSTEMS[system_id]
     labels = train.label_indices()
-    if system_id.endswith("-cdl"):
+    if backend == "cdl":
         descriptors = [
             cdl_mod.covariance_descriptor(
                 store.get(entry_path, extractor), source_id=entry_path
@@ -294,7 +295,7 @@ def score_system(
     model: SystemModel,
     store: FeatureStore,
     clips: DatasetManifest,
-    cdl_mode: str = "centroid",
+    cdl_mode: str = TrainOptions.cdl_mode,
 ) -> ScoreMatrix:
     """Raw per-class scores for every clip in the manifest."""
     rows = [
@@ -334,10 +335,11 @@ def estimate_weights(
     store: FeatureStore,
     train: DatasetManifest,
     system_ids,
-    opts: TrainOptions = TrainOptions(),
-    method: str = "cv",
-    folds: int = 4,
-    seed: int = 29,
+    opts: TrainOptions,
+    *,
+    method: str,
+    folds: int,
+    seed: int,
 ) -> FusionWeights:
     """Reliability weights for the given systems from training-set confusions."""
     if method not in WEIGHT_METHODS:
@@ -371,7 +373,7 @@ class RunResult:
 
 
 def _model_path(out_dir: Path, system_id: str) -> Path:
-    suffix = ".sfc" if system_id.endswith("-cdl") else ".sfg"
+    suffix = {"gmm": ".sfg", "cdl": ".sfc"}[SYSTEMS[system_id].backend]
     return out_dir / "models" / f"{system_id}{suffix}"
 
 
@@ -380,6 +382,39 @@ def save_system_model(path: str | Path, model: SystemModel) -> None:
         gmm_mod.save_gmm_bank(path, model.gmm_bank)
     else:
         cdl_mod.save_cdl_model(path, model.cdl_model)
+
+
+def load_system_model(
+    path: str | Path, system_id: str, class_names, extractor: str | None = None
+) -> SystemModel:
+    """Read a model written by :func:`save_system_model`.
+
+    The back-end is read off the file's magic.  ``extractor`` defaults to the
+    family of the built-in system named ``system_id``.
+    """
+    if extractor is None:
+        if system_id not in SYSTEMS:
+            raise ValueError(
+                f"cannot infer the feature family from system id {system_id!r}; "
+                "pass --extractor or name the model after a built-in system"
+            )
+        extractor = SYSTEMS[system_id].family
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+    model = SystemModel(system_id=system_id, extractor=extractor, class_names=list(class_names))
+    if magic == gmm_mod.GMM_BANK_MAGIC:
+        model.gmm_bank = gmm_mod.load_gmm_bank(path)
+        n_classes = model.gmm_bank.n_classes
+    elif magic == cdl_mod.CDL_MODEL_MAGIC:
+        model.cdl_model = cdl_mod.load_cdl_model(path)
+        n_classes = model.cdl_model.n_classes
+    else:
+        raise ValueError(f"{path}: unrecognized model magic {magic!r}")
+    if n_classes != len(class_names):
+        raise ValueError(
+            f"model has {n_classes} classes but manifest has {len(class_names)}"
+        )
+    return model
 
 
 def _write_summary(path: Path, result: RunResult, train_count: int, test_count: int) -> None:
@@ -426,7 +461,7 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             store,
             train,
             config.fused,
-            config.train_options(),
+            config,
             method=config.weights_method,
             folds=config.weights_folds,
             seed=config.weights_seed,
@@ -436,9 +471,8 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
 
     with _stage("train"):
         models = {}
-        opts = config.train_options()
         for system_id in config.systems:
-            model = fit_system(system_id, store, train, opts)
+            model = fit_system(system_id, store, train, config)
             save_system_model(_model_path(out, system_id), model)
             models[system_id] = model
 

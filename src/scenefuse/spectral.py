@@ -1,8 +1,9 @@
 """Shared DSP primitives: framing, windowed power spectra, auditory
 filterbanks, the cepstral DCT, and delta/acceleration appending.
 
-All operations are pure functions over immutable inputs.  Frames default to
-2048 samples with a 1024-sample hop and a periodic Hamming window.
+All operations are pure functions over immutable inputs.  Frames are
+windowed with a periodic Hamming window; their length and hop come from
+:class:`scenefuse.features.FeatureConfig`.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def frame_count(signal_len: int, frame_len: int, hop: int) -> int:
     return (signal_len - frame_len) // hop + 1
 
 
-def frame_signal(clip: AudioClip, frame_len: int = 2048, hop: int = 1024) -> FrameSequence:
+def frame_signal(clip: AudioClip, frame_len: int, hop: int) -> FrameSequence:
     """Cut a clip into overlapping frames without padding."""
     if frame_len <= 0 or hop <= 0 or hop > frame_len:
         raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")

@@ -18,7 +18,6 @@ from scenefuse.cdl import (
     project_descriptor,
     save_cdl_model,
 )
-from scenefuse.dataio import FeatureStoreError
 
 
 def random_descriptor(rng, dim, frames=None):
@@ -384,22 +383,3 @@ class TestModelFile:
         back = load_cdl_model(path)
         with pytest.raises(ValueError, match="stored samples"):
             classify_cdl(back, descs[0], mode="1-nearest-sample")
-
-    def test_corruption_detected(self, tmp_path):
-        proj, _ = self.build()
-        path = tmp_path / "model.sfc"
-        save_cdl_model(path, proj)
-        blob = bytearray(path.read_bytes())
-        blob[25] ^= 0x10
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FeatureStoreError, match="checksum"):
-            load_cdl_model(path)
-
-    def test_bad_magic_and_truncation(self, tmp_path):
-        path = tmp_path / "model.sfc"
-        path.write_bytes(b"WHAT" + b"\x00" * 30)
-        with pytest.raises(FeatureStoreError, match="bad magic"):
-            load_cdl_model(path)
-        path.write_bytes(b"SFC1\x00")
-        with pytest.raises(FeatureStoreError, match="truncated"):
-            load_cdl_model(path)

@@ -1,5 +1,7 @@
 """Command-line interface, exercised end to end through main()."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,54 @@ def test_run_subcommand(work, mini_dataset, capsys):
     out = capsys.readouterr().out
     assert "clips: 24 (train 12, test 12)" in out
     assert (work / "run-out" / "summary.txt").is_file()
+
+
+def test_stepwise_chain_reproduces_run(mini_dataset, tmp_path):
+    systems = "cepscom-gmm, cepscom-cdl, plp-gmm"
+    run_dir, step = tmp_path / "run", tmp_path / "step"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"manifest = {mini_dataset}\n"
+        f"out_dir = {run_dir}\n"
+        "train_fraction = 0.5\n"
+        "weights_folds = 2\n"
+        "mixtures_cepstral = 2\n"
+        "mixtures_plp = 2\n"
+        f"systems = {systems}\n"
+        f"fused = {systems}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+
+    (step / "models").mkdir(parents=True)
+    (step / "scores").mkdir()
+    feats = str(step / "feats.sfs")
+    train = str(run_dir / "train_manifest.tsv")
+    test = str(run_dir / "test_manifest.tsv")
+    chain = [["extract", "--manifest", str(mini_dataset), "--out", feats]]
+    models = sorted(p.name for p in (run_dir / "models").iterdir())
+    assert len(models) == 3
+    for name in models:
+        system = Path(name).stem
+        chain += [
+            ["train", "--features", feats, "--manifest", train, "--system", system,
+             "--mixtures", "2", "--out", str(step / "models" / name)],
+            ["classify", "--model", str(step / "models" / name), "--features", feats,
+             "--manifest", test, "--out", str(step / "scores" / f"{system}.csv")],
+        ]
+    chain += [
+        ["weights", "--features", feats, "--manifest", train,
+         "--systems", systems.replace(" ", ""), "--folds", "2", "--mixtures", "2",
+         "--out", str(step / "weights.csv")],
+        ["fuse", "--weights", str(step / "weights.csv"), "--out", str(step / "scores" / "fusion.csv"),
+         "--scores", *(str(step / "scores" / f"{Path(n).stem}.csv") for n in models)],
+    ]
+    for argv in chain:
+        assert main(argv) == 0, argv[0]
+
+    compared = [f"models/{name}" for name in models] + ["weights.csv"]
+    compared += [f"scores/{Path(n).stem}.csv" for n in models] + ["scores/fusion.csv"]
+    for rel in compared:
+        assert (step / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
 
 
 def test_classify_with_explicit_system_id(work, capsys):

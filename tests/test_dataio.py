@@ -1,4 +1,4 @@
-"""Audio IO, manifests, splits, and the binary feature container."""
+"""Audio IO, manifests, splits, and the binary containers."""
 
 from pathlib import Path
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from scenefuse.cdl import covariance_descriptor, fit_cdl, load_cdl_model, save_cdl_model
 from scenefuse.dataio import (
     AudioClip,
     ChecksumError,
@@ -15,6 +16,9 @@ from scenefuse.dataio import (
     fnv1a64,
     load_features,
     load_manifest,
+    pack_str,
+    pack_u32,
+    pack_u64,
     read_wav,
     resolve_clip_path,
     save_features,
@@ -22,6 +26,7 @@ from scenefuse.dataio import (
     split_dataset,
     write_wav,
 )
+from scenefuse.gmm import fit_gmm_bank, load_gmm_bank, save_gmm_bank
 
 
 class TestFnv1a64:
@@ -59,6 +64,13 @@ class TestAudioClip:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioClip(np.zeros(10), 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        samples = np.zeros(10)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="'x'.*non-finite"):
+            AudioClip(samples, 16000, "x")
 
 
 class TestWavRoundTrip:
@@ -101,6 +113,13 @@ class TestWavRoundTrip:
         assert back.samples[1] == 0.0
         assert back.samples[0] == -1.0
         assert back.samples[2] == pytest.approx(127 / 128)
+
+    def test_nan_sample_names_the_file(self, tmp_path):
+        data = np.linspace(-0.5, 0.5, 400, dtype=np.float32)
+        data[123] = np.nan
+        wavfile.write(str(tmp_path / "bad.wav"), 16000, data)
+        with pytest.raises(ValueError, match="bad.wav.*non-finite"):
+            read_wav(tmp_path / "bad.wav")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -280,69 +299,120 @@ class TestFeatureStore:
         assert store.extractors() == ["mfcc", "pncc"]
 
 
-class TestFeatureFile:
-    def build_store(self):
-        rng = np.random.default_rng(9)
-        store = FeatureStore()
-        store.add("one.wav", "mfcc", rng.standard_normal((7, 6)))
-        store.add("two.wav", "mfcc", rng.standard_normal((3, 6)))
-        store.add("one.wav", "plp", rng.standard_normal((7, 5)))
-        return store
+def feature_store():
+    rng = np.random.default_rng(9)
+    store = FeatureStore()
+    store.add("one.wav", "mfcc", rng.standard_normal((7, 6)))
+    store.add("two.wav", "mfcc", rng.standard_normal((3, 6)))
+    store.add("one.wav", "plp", rng.standard_normal((7, 5)))
+    return store
 
+
+class TestFeatureFile:
     def test_round_trip_bit_exact(self, tmp_path):
-        store = self.build_store()
-        path = tmp_path / "f.sff"
+        store = feature_store()
+        path = tmp_path / "f.sfs"
         save_features(store, path)
         back = load_features(path)
         assert set(back.records) == set(store.records)
         for key, values in store.records.items():
             assert np.array_equal(back.records[key], values)
         # a second save of the loaded store writes identical bytes
-        path2 = tmp_path / "g.sff"
+        path2 = tmp_path / "g.sfs"
         save_features(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_checksum_detects_corruption(self, tmp_path):
-        store = self.build_store()
-        path = tmp_path / "f.sff"
-        save_features(store, path)
-        blob = bytearray(path.read_bytes())
-        blob[40] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumError):
-            load_features(path)
-
-    def test_truncation_detected(self, tmp_path):
-        store = self.build_store()
-        path = tmp_path / "f.sff"
-        save_features(store, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) - 5])
-        with pytest.raises(FeatureStoreError):
-            load_features(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "f.sff"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(FeatureStoreError, match="bad magic"):
-            load_features(path)
-
-    def test_version_mismatch(self, tmp_path):
-        store = self.build_store()
-        path = tmp_path / "f.sff"
-        save_features(store, path)
-        with pytest.raises(FeatureStoreError, match="version"):
-            load_features(path, expected_version=2)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        store = self.build_store()
-        path = tmp_path / "f.sff"
-        save_features(store, path)
-        path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(FeatureStoreError, match="trailing"):
-            load_features(path)
-
     def test_empty_store_round_trip(self, tmp_path):
-        path = tmp_path / "e.sff"
+        path = tmp_path / "e.sfs"
         save_features(FeatureStore(), path)
         assert len(load_features(path)) == 0
+
+    def test_version_mismatch(self, tmp_path):
+        # version 1 layout: magic, version, count, then per record its
+        # header, payload and an FNV-1a checksum of the payload
+        values = np.arange(6, dtype="<f8").tobytes()
+        blob = b"SFS1" + pack_u32(1) + pack_u32(1)
+        blob += pack_str("one.wav") + pack_str("mfcc") + pack_u32(2) + pack_u32(3)
+        blob += values + pack_u64(fnv1a64(values))
+        path = tmp_path / "old.sfs"
+        path.write_bytes(blob)
+        with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 2"):
+            load_features(path)
+
+
+def _cdl_model():
+    rng = np.random.default_rng(21)
+    descriptors = [
+        covariance_descriptor(rng.standard_normal((50, 3)) * scale)
+        for scale in ([1, 1, 1], [3, 1, 1]) for _ in range(3)
+    ]
+    return fit_cdl(descriptors, [0, 0, 0, 1, 1, 1])
+
+
+def _gmm_bank():
+    rng = np.random.default_rng(11)
+    feats = [rng.standard_normal((100, 4)), rng.standard_normal((100, 4)) + 2]
+    return fit_gmm_bank(feats, 3, seeds=[5, 6])
+
+
+#: format -> (write a sample file, read it back)
+CONTAINERS = {
+    "sfs": (lambda path: save_features(feature_store(), path), load_features),
+    "sfg": (lambda path: save_gmm_bank(path, _gmm_bank()), load_gmm_bank),
+    "sfc": (lambda path: save_cdl_model(path, _cdl_model()), load_cdl_model),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+class TestContainer:
+    """The framing every binary file shares: magic, version, payload, checksum."""
+
+    def written(self, fmt, tmp_path):
+        write, read = CONTAINERS[fmt]
+        path = tmp_path / f"file.{fmt}"
+        write(path)
+        read(path)
+        return path, bytearray(path.read_bytes()), read
+
+    @staticmethod
+    def reframe(blob):
+        """Recompute the checksum, so only the edit under test is wrong."""
+        blob[-8:] = pack_u64(fnv1a64(bytes(blob[4:-8])))
+        return bytes(blob)
+
+    def test_bad_magic(self, fmt, tmp_path):
+        path, blob, read = self.written(fmt, tmp_path)
+        path.write_bytes(b"NOPE" + blob[4:])
+        with pytest.raises(FeatureStoreError, match="bad magic"):
+            read(path)
+
+    def test_truncation_detected(self, fmt, tmp_path):
+        path, blob, read = self.written(fmt, tmp_path)
+        for cut in (blob[:10], self.reframe(blob[:-16] + blob[-8:])):
+            path.write_bytes(cut)
+            with pytest.raises(FeatureStoreError, match="truncated"):
+                read(path)
+        path.write_bytes(blob[:-5])
+        with pytest.raises(ChecksumError):
+            read(path)
+
+    def test_corruption_detected(self, fmt, tmp_path):
+        path, blob, read = self.written(fmt, tmp_path)
+        blob[30] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ChecksumError):
+            read(path)
+
+    def test_trailing_bytes_rejected(self, fmt, tmp_path):
+        path, blob, read = self.written(fmt, tmp_path)
+        path.write_bytes(self.reframe(blob[:-8] + b"x" + blob[-8:]))
+        with pytest.raises(FeatureStoreError, match="trailing"):
+            read(path)
+
+    def test_version_mismatch(self, fmt, tmp_path):
+        path, blob, read = self.written(fmt, tmp_path)
+        version = int.from_bytes(blob[4:8], "little")
+        blob[4:8] = pack_u32(version + 1)
+        path.write_bytes(self.reframe(blob))
+        with pytest.raises(FeatureStoreError, match=f"version {version + 1} does not match"):
+            read(path)

@@ -13,15 +13,7 @@ from scenefuse.features import (
     FeatureConfig,
     equal_loudness,
     expected_dim,
-    extract_all,
-    extract_by_name,
-    extract_cepscom,
-    extract_mfcc,
-    extract_plp,
-    extract_pncc,
-    extract_rcgcc,
     extract_selected,
-    extract_spcc,
     levinson_durbin,
     lpc_to_cepstrum,
     medium_time_power,
@@ -38,6 +30,11 @@ from scenefuse.spectral import (
     make_filterbank,
     power_spectrum,
 )
+
+
+def extract(name, clip, cfg=None):
+    """One family through the extraction entry point."""
+    return extract_selected(clip, [name], cfg)[name]
 
 
 def comb_clip(seconds=3.0, sample_rate=44100, seed=5):
@@ -92,28 +89,29 @@ class TestConfig:
 
 @pytest.fixture(scope="module")
 def bundle():
-    return extract_all(make_noise_clip(2.0, 44100, seed=1))
+    return extract_selected(make_noise_clip(2.0, 44100, seed=1), EXTRACTOR_NAMES)
 
 
 class TestDimensions:
     def test_all_dims(self, bundle):
         cfg = FeatureConfig()
+        assert list(bundle) == list(EXTRACTOR_NAMES)
         for name in EXTRACTOR_NAMES:
-            mat = getattr(bundle, name)
+            mat = bundle[name]
             assert mat.dim == expected_dim(name, cfg)
             assert np.all(np.isfinite(mat.values))
 
     def test_frame_counts_agree(self, bundle):
         n = frame_count(2 * 44100, 2048, 1024)
         for name in EXTRACTOR_NAMES:
-            assert getattr(bundle, name).n_frames == n
+            assert bundle[name].n_frames == n
 
     def test_deterministic(self):
         clip = make_noise_clip(1.0, 16000, seed=2)
-        a = extract_all(clip)
-        b = extract_all(clip)
+        a = extract_selected(clip, EXTRACTOR_NAMES)
+        b = extract_selected(clip, EXTRACTOR_NAMES)
         for name in EXTRACTOR_NAMES:
-            assert np.array_equal(getattr(a, name).values, getattr(b, name).values)
+            assert np.array_equal(a[name].values, b[name].values)
 
 
 class TestSelection:
@@ -133,19 +131,11 @@ class TestSelection:
         with pytest.raises(ValueError):
             extract_selected(clip, ["mfcc", "lpcc"])
 
-    def test_extract_by_name(self):
-        clip = make_noise_clip(1.0, 16000, seed=4)
-        direct = extract_mfcc(clip)
-        named = extract_by_name("mfcc", clip)
-        assert np.array_equal(direct.values, named.values)
-        with pytest.raises(ValueError):
-            extract_by_name("unknown", clip)
-
 
 class TestMfcc:
     def test_silence(self):
         clip = AudioClip(np.zeros(44100), 44100, "silence")
-        mat = extract_mfcc(clip).values
+        mat = extract("mfcc", clip).values
         want_c0 = np.log(LOG_FLOOR) * np.sqrt(40)
         assert np.allclose(mat[:, 0], want_c0, atol=1e-9)
         assert np.abs(mat[:, 1:20]).max() < 1e-9
@@ -155,8 +145,8 @@ class TestMfcc:
     def test_amplitude_scaling_shifts_only_c0(self):
         clip = make_noise_clip(1.5, 44100, seed=6, amplitude=0.4)
         scaled = AudioClip(0.5 * clip.samples, clip.sample_rate, "scaled")
-        a = extract_mfcc(clip).values
-        b = extract_mfcc(scaled).values
+        a = extract("mfcc", clip).values
+        b = extract("mfcc", scaled).values
         shift = np.sqrt(40) * np.log(0.25)
         assert np.allclose(b[:, 0] - a[:, 0], shift, atol=1e-9)
         assert np.abs(b[:, 1:20] - a[:, 1:20]).max() < 1e-9
@@ -166,14 +156,14 @@ class TestMfcc:
         bank = make_filterbank("mel-triangular", 40, 2048, sr)
         for f0 in (1000.0, 5000.0):
             clip = make_tone_clip(f0, 1.0, sr)
-            sub = apply_filterbank(power_spectrum(frame_signal(clip)), bank)
+            sub = apply_filterbank(power_spectrum(frame_signal(clip, 2048, 1024)), bank)
             got = int(np.argmax(sub.mean(axis=0)))
             want = int(np.argmin(np.abs(bank.center_freqs - f0)))
             assert abs(got - want) <= 1
 
     def test_distinct_tones_distinct_cepstra(self):
-        a = extract_mfcc(make_tone_clip(500.0, 1.0, 44100)).values
-        b = extract_mfcc(make_tone_clip(4000.0, 1.0, 44100)).values
+        a = extract("mfcc", make_tone_clip(500.0, 1.0, 44100)).values
+        b = extract("mfcc", make_tone_clip(4000.0, 1.0, 44100)).values
         assert np.abs(a[:, 1:20].mean(0) - b[:, 1:20].mean(0)).max() > 1.0
 
 
@@ -269,12 +259,12 @@ class TestLpcToCepstrum:
 
 class TestPlp:
     def test_dim(self):
-        mat = extract_plp(make_noise_clip(1.0, 44100, seed=17))
+        mat = extract("plp", make_noise_clip(1.0, 44100, seed=17))
         assert mat.dim == 39
 
     def test_silence(self):
         clip = AudioClip(np.zeros(44100), 44100, "silence")
-        mat = extract_plp(clip).values
+        mat = extract("plp", clip).values
         assert np.abs(mat[:, :12]).max() < 1e-12
         assert np.allclose(mat[:, 12], np.log(LOG_FLOOR))
         assert np.abs(mat[:, 13:]).max() < 1e-9
@@ -283,18 +273,18 @@ class TestPlp:
         clip = make_noise_clip(1.0, 44100, seed=18)
         frames = frame_signal(clip, 2048, 1024)
         want = np.log(np.maximum((frames.frames**2).sum(axis=1), LOG_FLOOR))
-        mat = extract_plp(clip).values
+        mat = extract("plp", clip).values
         assert np.allclose(mat[:, 12], want, atol=1e-12)
 
     def test_model_order_sets_dim(self):
         cfg = FeatureConfig(plp_model_order=8)
-        mat = extract_plp(make_noise_clip(1.0, 16000, seed=19), cfg)
+        mat = extract("plp", make_noise_clip(1.0, 16000, seed=19), cfg)
         assert mat.dim == 3 * (8 + 1)
 
 
 class TestPncc:
     def test_dim(self):
-        assert extract_pncc(make_noise_clip(1.0, 44100, seed=20)).dim == 60
+        assert extract("pncc", make_noise_clip(1.0, 44100, seed=20)).dim == 60
 
     def test_medium_time_power_oracle(self):
         rng = np.random.default_rng(21)
@@ -338,7 +328,7 @@ class TestPncc:
         stages = pncc_power_stages(sub, FeatureConfig())
         # a clip with no temporal structure loses essentially all its power
         assert stages.subtracted.mean() <= 0.15 * stages.medium.mean()
-        assert np.abs(extract_pncc(clip).values).max() < 1e-8
+        assert np.abs(extract("pncc", clip).values).max() < 1e-8
 
     def test_power_law_fixed_points(self):
         exponent = FeatureConfig().pncc_power_exponent
@@ -348,7 +338,7 @@ class TestPncc:
 
 class TestRcgcc:
     def test_dim(self):
-        assert extract_rcgcc(make_noise_clip(1.0, 44100, seed=24)).dim == 60
+        assert extract("rcgcc", make_noise_clip(1.0, 44100, seed=24)).dim == 60
 
     def test_constant_input_settles_at_floor(self):
         sub = np.full((200, 5), 7.0)
@@ -442,25 +432,26 @@ class TestSpcc:
             subspace_project(np.ones((1, 5)), 0.9)
         clip = AudioClip(np.random.default_rng(30).standard_normal(2048), 44100)
         with pytest.raises(ValueError, match="at least 2 rows"):
-            extract_spcc(clip)
+            extract("spcc", clip)
 
     def test_dim(self):
-        assert extract_spcc(make_noise_clip(1.0, 44100, seed=31)).dim == 60
+        assert extract("spcc", make_noise_clip(1.0, 44100, seed=31)).dim == 60
 
 
 class TestCepscom:
     def test_concatenation_order(self):
         clip = make_noise_clip(1.5, 44100, seed=32)
-        combined = extract_cepscom(clip).values
+        combined = extract("cepscom", clip).values
         assert combined.shape[1] == 240
-        blocks = [extract_mfcc, extract_pncc, extract_rcgcc, extract_spcc]
-        for i, fn in enumerate(blocks):
-            assert np.array_equal(combined[:, 60 * i : 60 * (i + 1)], fn(clip).values)
+        for i, name in enumerate(["mfcc", "pncc", "rcgcc", "spcc"]):
+            assert np.array_equal(
+                combined[:, 60 * i : 60 * (i + 1)], extract(name, clip).values
+            )
 
     def test_bundle_consistency(self):
         clip = make_noise_clip(1.0, 44100, seed=33)
-        bundle = extract_all(clip)
+        bundle = extract_selected(clip, EXTRACTOR_NAMES)
         assert np.array_equal(
-            bundle.cepscom.values[:, :60], bundle.mfcc.values
+            bundle["cepscom"].values[:, :60], bundle["mfcc"].values
         )
-        assert bundle.cepscom.dim == 4 * bundle.mfcc.dim
+        assert bundle["cepscom"].dim == 4 * bundle["mfcc"].dim

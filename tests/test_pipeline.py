@@ -11,7 +11,6 @@ from scenefuse.pipeline import (
     DEFAULT_FUSED,
     PipelineConfig,
     PipelineError,
-    SYSTEM_EXTRACTORS,
     TrainOptions,
     estimate_weights,
     extract_for_manifest,
@@ -187,7 +186,9 @@ class TestExtractAndFit:
             assert weights.values.shape == (1, 3)
             assert np.all((weights.values >= 0.0) & (weights.values <= 1.0))
         with pytest.raises(ValueError, match="method must be one of"):
-            estimate_weights(store, train, ["mfcc-gmm"], opts, method="jackknife")
+            estimate_weights(
+                store, train, ["mfcc-gmm"], opts, method="jackknife", folds=2, seed=0
+            )
 
 
 MINI_SYSTEMS = ("cepscom-gmm", "plp-gmm", "cepscom-cdl")
