@@ -9,6 +9,8 @@ nearest stored training sample).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 import scipy.linalg
@@ -37,11 +39,11 @@ class CovarianceDescriptor:
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("descriptor matrix must be square")
+            raise ValueError(f"descriptor {self.source_id!r}: matrix must be square")
         if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("descriptor matrix contains non-finite values")
+            raise ValueError(f"descriptor {self.source_id!r}: matrix contains non-finite values")
         if np.abs(self.matrix - self.matrix.T).max() > 1e-10:
-            raise ValueError("descriptor matrix is not symmetric")
+            raise ValueError(f"descriptor {self.source_id!r}: matrix is not symmetric")
 
     @property
     def dim(self) -> int:
@@ -88,6 +90,24 @@ def half_vec_length(dim: int) -> int:
     return dim * (dim + 1) // 2
 
 
+def half_vec_dim(length: int) -> int:
+    """Matrix dim whose :func:`half_vec` has the given length."""
+    dim = (isqrt(8 * length + 1) - 1) // 2
+    if half_vec_length(dim) != length:
+        raise ValueError(f"length {length} is not dim*(dim+1)/2 for any dim")
+    return dim
+
+
+@lru_cache(maxsize=16)
+def _half_vec_layout(dim: int) -> tuple:
+    """Upper-triangle rows, columns and sqrt(2) off-diagonal scale; read-only."""
+    rows, cols = np.triu_indices(dim)
+    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    for arr in (rows, cols, scale):
+        arr.setflags(write=False)
+    return rows, cols, scale
+
+
 def half_vec(matrix: np.ndarray) -> np.ndarray:
     """Row-major upper triangle with off-diagonals scaled by sqrt(2).
 
@@ -95,9 +115,7 @@ def half_vec(matrix: np.ndarray) -> np.ndarray:
     inner products of the symmetric matrices they encode.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    dim = matrix.shape[0]
-    rows, cols = np.triu_indices(dim)
-    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    rows, cols, scale = _half_vec_layout(matrix.shape[0])
     return matrix[rows, cols] * scale
 
 
@@ -106,8 +124,7 @@ def half_vec_inverse(vec: np.ndarray, dim: int) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.float64)
     if vec.shape != (half_vec_length(dim),):
         raise ValueError(f"expected length {half_vec_length(dim)} for dim {dim}")
-    rows, cols = np.triu_indices(dim)
-    scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    rows, cols, scale = _half_vec_layout(dim)
     out = np.zeros((dim, dim))
     out[rows, cols] = vec / scale
     return out + np.triu(out, 1).T
@@ -119,9 +136,12 @@ def covariance_descriptor(
     """Sample covariance over frames plus a trace-scaled identity ridge."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 2:
-        raise ValueError("covariance needs a matrix with at least 2 frames")
+        raise ValueError(
+            f"descriptor {source_id!r}: covariance needs a matrix with at least "
+            f"2 frames, got shape {features.shape}"
+        )
     if not np.all(np.isfinite(features)):
-        raise ValueError("features contain non-finite values")
+        raise ValueError(f"descriptor {source_id!r}: features contain non-finite values")
     centered = features - features.mean(axis=0)
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
@@ -151,20 +171,20 @@ def _class_partitions(labels: np.ndarray, n_classes: int) -> list:
 
 
 def fit_cdl(
-    descriptors: list,
+    embeddings,
     labels,
     n_classes: int | None = None,
     store_samples: bool = True,
 ) -> CdlProjection:
-    """Fisher discriminant over centered log embeddings.
+    """Fisher discriminant over centered log embeddings (see :func:`log_embed`).
 
     The scatter matrices are never materialized at full size: all
     generalized eigenvectors of interest live in the span of the training
     embeddings, so the problem is solved in that span and mapped back.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if len(descriptors) != labels.shape[0]:
-        raise ValueError("need one label per descriptor")
+    if len(embeddings) != labels.shape[0]:
+        raise ValueError("need one label per embedding")
     if n_classes is None:
         n_classes = int(labels.max()) + 1 if labels.size else 0
     if n_classes < 2:
@@ -174,16 +194,17 @@ def fit_cdl(
     parts = _class_partitions(labels, n_classes)
     for c, idx in enumerate(parts):
         if idx.size < 2:
-            raise ValueError(f"class {c} has {idx.size} descriptors, need at least 2")
-    dims = {d.dim for d in descriptors}
+            raise ValueError(f"class {c} has {idx.size} embeddings, need at least 2")
+    dims = {half_vec_dim(len(e)) for e in embeddings}
     if len(dims) != 1:
-        raise ValueError(f"descriptors disagree on dim: {sorted(dims)}")
+        raise ValueError(f"embeddings disagree on dim: {sorted(dims)}")
     dim = dims.pop()
 
-    embeddings = np.stack([log_embed(d) for d in descriptors])
-    d_vec = embeddings.shape[1]
-    train_mean = embeddings.mean(axis=0)
-    centered = embeddings - train_mean
+    # a fresh stack, centered in place: the callers' embeddings stay as they are
+    centered = np.array(embeddings, dtype=np.float64)
+    d_vec = centered.shape[1]
+    train_mean = centered.mean(axis=0)
+    centered -= train_mean
 
     # basis of the span of the centered embeddings
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
@@ -225,19 +246,23 @@ def fit_cdl(
     )
 
 
-def project_descriptor(proj: CdlProjection, desc: CovarianceDescriptor) -> np.ndarray:
-    if desc.dim != proj.dim:
-        raise ValueError(f"descriptor dim {desc.dim} does not match model dim {proj.dim}")
-    return proj.projection @ (log_embed(desc) - proj.train_mean)
+def project_embedding(proj: CdlProjection, embedding: np.ndarray) -> np.ndarray:
+    embedding = np.asarray(embedding, dtype=np.float64)
+    if embedding.shape != proj.train_mean.shape:
+        raise ValueError(
+            f"embedding of shape {embedding.shape} does not match model dim {proj.dim}"
+        )
+    return proj.projection @ (embedding - proj.train_mean)
 
 
 def classify_cdl(
-    proj: CdlProjection, query: CovarianceDescriptor, mode: str = "centroid"
+    proj: CdlProjection, query: np.ndarray, mode: str = "centroid"
 ) -> np.ndarray:
-    """Raw per-class scores: negated distances in the projected space."""
+    """Raw per-class scores of a query's log embedding: negated distances in
+    the projected space."""
     if mode not in CLASSIFY_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {CLASSIFY_MODES}")
-    point = project_descriptor(proj, query)
+    point = project_embedding(proj, query)
     if mode == "centroid":
         dists = np.linalg.norm(proj.class_centroids - point[None, :], axis=1)
     else:

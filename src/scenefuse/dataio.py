@@ -231,6 +231,11 @@ class FeatureStore:
 
     records: dict[tuple[str, str], np.ndarray] = field(default_factory=dict, init=False)
     _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: per-record values a later stage derives once and keeps (the pipeline's
+    #: CDL log-embeddings of training clips); replacing a record drops its entry
+    _derived: dict[tuple[str, str], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add(self, source_id: str, extractor: str, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -242,6 +247,7 @@ class FeatureStore:
                 f"extractor {extractor!r} dimension mismatch: {dim} vs {values.shape[1]}"
             )
         self.records[(source_id, extractor)] = values
+        self._derived.pop((source_id, extractor), None)
 
     def get(self, source_id: str, extractor: str) -> np.ndarray:
         return self.records[(source_id, extractor)]

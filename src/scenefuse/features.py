@@ -345,6 +345,13 @@ def extract_selected(
     if "cepscom" in wanted:
         compute |= {"mfcc", "pncc", "rcgcc", "spcc"}
     frames = frame_signal(clip, cfg.frame_len, cfg.hop)
+    if "spcc" in compute and frames.n_frames < 2:
+        # the subspace projection estimates a covariance over frames
+        raise ValueError(
+            f"clip {clip.source_id!r} has {len(clip)} samples, which frame to "
+            f"{frames.n_frames} frame; spcc and cepscom need at least 2 frames "
+            f"({cfg.frame_len + cfg.hop} samples)"
+        )
     spec = power_spectrum(frames)
     parts: dict[str, FeatureMatrix] = {}
     if "mfcc" in compute:

@@ -8,6 +8,7 @@ deterministic for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,22 @@ class GmmModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
+    @cached_property
+    def _scoring_terms(self) -> tuple:
+        """1/var, mean/var, sum(mean^2/var) and log w + log-normaliser, per
+        component; built on first use and kept, so a scored model's arrays
+        must not change."""
+        inv_var = 1.0 / self.variances
+        log_norm = -0.5 * (
+            self.dim * np.log(2.0 * np.pi) + np.log(self.variances).sum(axis=1)
+        )
+        return (
+            inv_var,
+            self.means * inv_var,
+            (self.means**2 * inv_var).sum(axis=1),
+            np.log(self.weights) + log_norm,
+        )
+
 
 @dataclass
 class GmmBank:
@@ -80,19 +97,18 @@ class GmmBank:
         return self.models[0].dim
 
 
-def _component_log_likelihoods(model: GmmModel, features: np.ndarray) -> np.ndarray:
-    """log(w_k * N(x_t)) as a frames x components matrix."""
-    inv_var = 1.0 / model.variances
+def _component_log_likelihoods(
+    model: GmmModel, features: np.ndarray, sq: np.ndarray
+) -> np.ndarray:
+    """log(w_k * N(x_t)) as a frames x components matrix; ``sq`` is features**2."""
+    inv_var, mean_inv_var, mean_sq_inv_var, log_const = model._scoring_terms
     # expand the quadratic form so everything is a frames x K matmul
     quad = (
-        features**2 @ inv_var.T
-        - 2.0 * (features @ (model.means * inv_var).T)
-        + (model.means**2 * inv_var).sum(axis=1)[None, :]
+        sq @ inv_var.T
+        - 2.0 * (features @ mean_inv_var.T)
+        + mean_sq_inv_var[None, :]
     )
-    log_norm = -0.5 * (
-        model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
-    )
-    return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * quad
+    return log_const[None, :] - 0.5 * quad
 
 
 def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
@@ -103,7 +119,7 @@ def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
 def frame_log_likelihoods(model: GmmModel, features: np.ndarray) -> np.ndarray:
     """Per-frame mixture log-density."""
     features = _check_features(features, model.dim)
-    return _logsumexp_rows(_component_log_likelihoods(model, features))
+    return _logsumexp_rows(_component_log_likelihoods(model, features, features**2))
 
 
 def log_likelihood(model: GmmModel, features: np.ndarray) -> float:
@@ -169,7 +185,7 @@ def fit_gmm(
     prev_ll = -np.inf
     sq = features**2
     for _ in range(max_iters):
-        comp_ll = _component_log_likelihoods(model, features)
+        comp_ll = _component_log_likelihoods(model, features, sq)
         frame_ll = _logsumexp_rows(comp_ll)
         ll = float(frame_ll.sum())
         trace.append(ll)
@@ -218,7 +234,11 @@ def classify_gmm(bank: GmmBank, features: np.ndarray) -> np.ndarray:
     if not bank.models:
         raise ValueError("cannot classify with an empty bank")
     features = _check_features(features, bank.dim)
-    return np.array([log_likelihood(model, features) for model in bank.models])
+    sq = features**2
+    return np.array([
+        float(_logsumexp_rows(_component_log_likelihoods(model, features, sq)).sum())
+        for model in bank.models
+    ])
 
 
 def save_gmm_bank(path, bank: GmmBank) -> None:

@@ -233,6 +233,24 @@ def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
     return (base * 1000003 + system_index * 101 + class_index) & 0x7FFFFFFF
 
 
+def _clip_embedding(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
+    """A clip's CDL log-embedding: the kept one if a training pass kept it."""
+    embedding = store._derived.get((entry_path, family))
+    if embedding is None:
+        embedding = cdl_mod.log_embed(
+            cdl_mod.covariance_descriptor(store.get(entry_path, family), source_id=entry_path)
+        )
+    return embedding
+
+
+def _training_embedding(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
+    """:func:`_clip_embedding`, kept on the store: the CV folds and the final
+    fit see each training clip several times, test clips are scored once."""
+    embedding = _clip_embedding(store, entry_path, family)
+    store._derived[(entry_path, family)] = embedding
+    return embedding
+
+
 def fit_system(
     system_id: str,
     store: FeatureStore,
@@ -243,13 +261,11 @@ def fit_system(
     extractor, backend = SYSTEMS[system_id]
     labels = train.label_indices()
     if backend == "cdl":
-        descriptors = [
-            cdl_mod.covariance_descriptor(
-                store.get(entry_path, extractor), source_id=entry_path
-            )
+        embeddings = [
+            _training_embedding(store, entry_path, extractor)
             for entry_path, _ in train.entries
         ]
-        model = cdl_mod.fit_cdl(descriptors, labels, n_classes=len(train.class_names))
+        model = cdl_mod.fit_cdl(embeddings, labels, n_classes=len(train.class_names))
         return SystemModel(
             system_id=system_id,
             extractor=extractor,
@@ -284,11 +300,13 @@ def fit_system(
     )
 
 
-def _clip_scores(model: SystemModel, values: np.ndarray, cdl_mode: str) -> np.ndarray:
+def _clip_scores(
+    model: SystemModel, store: FeatureStore, entry_path: str, cdl_mode: str
+) -> np.ndarray:
     if model.kind == "gmm":
-        return gmm_mod.classify_gmm(model.gmm_bank, values)
-    desc = cdl_mod.covariance_descriptor(values)
-    return cdl_mod.classify_cdl(model.cdl_model, desc, mode=cdl_mode)
+        return gmm_mod.classify_gmm(model.gmm_bank, store.get(entry_path, model.extractor))
+    embedding = _clip_embedding(store, entry_path, model.extractor)
+    return cdl_mod.classify_cdl(model.cdl_model, embedding, mode=cdl_mode)
 
 
 def score_system(
@@ -299,8 +317,7 @@ def score_system(
 ) -> ScoreMatrix:
     """Raw per-class scores for every clip in the manifest."""
     rows = [
-        _clip_scores(model, store.get(entry_path, model.extractor), cdl_mode)
-        for entry_path, _ in clips.entries
+        _clip_scores(model, store, entry_path, cdl_mode) for entry_path, _ in clips.entries
     ]
     return ScoreMatrix(
         system_id=model.system_id,
@@ -322,9 +339,10 @@ def _fold_runner(
         predictions = []
         for i in test_idx:
             entry_path = train.entries[i][0]
-            scores = _clip_scores(
-                model, store.get(entry_path, model.extractor), opts.cdl_mode
-            )
+            if model.kind == "cdl":
+                # held out of this fold, but a training clip of the run
+                _training_embedding(store, entry_path, model.extractor)
+            scores = _clip_scores(model, store, entry_path, opts.cdl_mode)
             predictions.append(int(np.argmax(scores)))
         return predictions
 
@@ -346,6 +364,13 @@ def estimate_weights(
         raise ValueError(f"method must be one of {WEIGHT_METHODS}, got {method!r}")
     labels = train.label_indices()
     n_classes = len(train.class_names)
+    if method == "cv":
+        counts = np.bincount(labels, minlength=n_classes)
+        for class_name, count in zip(train.class_names, counts):
+            if count < folds:
+                raise ValueError(
+                    f"class {class_name!r} has {count} training clips, fewer than {folds} folds"
+                )
     confusions = []
     for system_id in system_ids:
         runner = _fold_runner(system_id, store, train, opts)

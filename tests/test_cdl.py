@@ -15,7 +15,7 @@ from scenefuse.cdl import (
     half_vec_length,
     load_cdl_model,
     log_embed,
-    project_descriptor,
+    project_embedding,
     save_cdl_model,
 )
 
@@ -23,6 +23,10 @@ from scenefuse.cdl import (
 def random_descriptor(rng, dim, frames=None):
     frames = frames or (dim + 10)
     return covariance_descriptor(rng.standard_normal((frames, dim)))
+
+
+def embed(descriptors):
+    return [log_embed(d) for d in descriptors]
 
 
 def class_descriptors(rng, scales, count, frames=200):
@@ -106,6 +110,15 @@ class TestCovarianceDescriptor:
         with pytest.raises(ValueError, match="at least 2 frames"):
             covariance_descriptor(np.ones((1, 3)))
 
+    @pytest.mark.parametrize(
+        "feats",
+        [np.ones((1, 3)), np.array([[np.inf, 0.0], [1.0, 1.0]])],
+        ids=["one-frame", "non-finite"],
+    )
+    def test_errors_name_the_clip(self, feats):
+        with pytest.raises(ValueError, match="descriptor 'beach/a.wav'"):
+            covariance_descriptor(feats, source_id="beach/a.wav")
+
     def test_nonfinite_rejected(self):
         feats = np.ones((5, 2))
         feats[0, 0] = np.inf
@@ -172,7 +185,7 @@ class TestFitCdl:
                     CovarianceDescriptor(np.diag([np.exp(a), np.exp(b)]))
                 )
                 labels.append(cls)
-        proj = fit_cdl(descriptors, labels)
+        proj = fit_cdl(embed(descriptors), labels)
         assert proj.d_out == 1
         direction = proj.projection[0] / np.linalg.norm(proj.projection[0])
         # embedding component 0 carries the class separation; the
@@ -187,7 +200,7 @@ class TestFitCdl:
             for _ in range(3):
                 descriptors.append(random_descriptor(rng, 5))
                 labels.append(cls)
-        proj = fit_cdl(descriptors, labels)
+        proj = fit_cdl(embed(descriptors), labels)
         assert proj.d_out == 14
         assert proj.class_centroids.shape == (15, 14)
         assert proj.projection.shape == (14, half_vec_length(5))
@@ -196,10 +209,10 @@ class TestFitCdl:
         rng = np.random.default_rng(9)
         descriptors = [random_descriptor(rng, 4) for _ in range(8)]
         labels = [0, 0, 0, 0, 1, 1, 1, 1]
-        proj = fit_cdl(descriptors, labels)
+        proj = fit_cdl(embed(descriptors), labels)
         mean_matrix = scipy.linalg.expm(half_vec_inverse(proj.train_mean, 4))
         query = CovarianceDescriptor(0.5 * (mean_matrix + mean_matrix.T))
-        point = project_descriptor(proj, query)
+        point = project_embedding(proj, log_embed(query))
         scale = np.abs(proj.train_points).max()
         assert np.abs(point).max() < 1e-8 * scale
 
@@ -213,9 +226,9 @@ class TestFitCdl:
             train_labels += [cls] * 9
             test_desc += descs[9:]
             test_labels += [cls] * 3
-        proj = fit_cdl(train_desc, train_labels)
+        proj = fit_cdl(embed(train_desc), train_labels)
         hits = sum(
-            int(np.argmax(classify_cdl(proj, d)) == want)
+            int(np.argmax(classify_cdl(proj, log_embed(d))) == want)
             for d, want in zip(test_desc, test_labels)
         )
         assert hits == len(test_desc)
@@ -228,43 +241,43 @@ class TestFitCdl:
             descriptors += class_descriptors(rng, scales, 4)
             labels += [cls] * 4
         perm = [2, 0, 1]
-        base = fit_cdl(descriptors, labels)
-        swapped = fit_cdl(descriptors, [perm[c] for c in labels])
+        base = fit_cdl(embed(descriptors), labels)
+        swapped = fit_cdl(embed(descriptors), [perm[c] for c in labels])
         queries = [class_descriptors(rng, p, 1)[0] for p in patterns]
         for q in queries:
-            want = int(np.argmax(classify_cdl(base, q)))
-            got = int(np.argmax(classify_cdl(swapped, q)))
+            want = int(np.argmax(classify_cdl(base, log_embed(q))))
+            got = int(np.argmax(classify_cdl(swapped, log_embed(q))))
             assert got == perm[want]
 
     def test_rejects_single_class(self):
         rng = np.random.default_rng(12)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
         with pytest.raises(ValueError, match="at least 2 classes"):
-            fit_cdl(descs, [0, 0, 0, 0])
+            fit_cdl(embed(descs), [0, 0, 0, 0])
 
     def test_rejects_small_class(self):
         rng = np.random.default_rng(13)
         descs = [random_descriptor(rng, 3) for _ in range(3)]
         with pytest.raises(ValueError, match="at least 2"):
-            fit_cdl(descs, [0, 0, 1])
+            fit_cdl(embed(descs), [0, 0, 1])
 
     def test_rejects_label_count_mismatch(self):
         rng = np.random.default_rng(14)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
-        with pytest.raises(ValueError, match="one label per descriptor"):
-            fit_cdl(descs, [0, 0, 1])
+        with pytest.raises(ValueError, match="one label per embedding"):
+            fit_cdl(embed(descs), [0, 0, 1])
 
     def test_rejects_mixed_dims(self):
         rng = np.random.default_rng(15)
         descs = [random_descriptor(rng, 3), random_descriptor(rng, 3),
                  random_descriptor(rng, 4), random_descriptor(rng, 4)]
         with pytest.raises(ValueError, match="disagree on dim"):
-            fit_cdl(descs, [0, 0, 1, 1])
+            fit_cdl(embed(descs), [0, 0, 1, 1])
 
     def test_rejects_identical_embeddings(self):
         desc = CovarianceDescriptor(np.eye(3))
         with pytest.raises(ValueError, match="degenerate"):
-            fit_cdl([desc, desc, desc, desc], [0, 0, 1, 1])
+            fit_cdl(embed([desc, desc, desc, desc]), [0, 0, 1, 1])
 
 
 class TestClassify:
@@ -272,8 +285,8 @@ class TestClassify:
         rng = np.random.default_rng(16)
         shared = random_descriptor(rng, 3)
         descs = [shared, shared, random_descriptor(rng, 3), random_descriptor(rng, 3)]
-        proj = fit_cdl(descs, [0, 0, 1, 1])
-        scores = classify_cdl(proj, shared)
+        proj = fit_cdl(embed(descs), [0, 0, 1, 1])
+        scores = classify_cdl(proj, log_embed(shared))
         # the class-0 centroid sits exactly on the query's projection
         assert scores[0] == pytest.approx(0.0, abs=1e-8)
         assert scores[1] < scores[0]
@@ -286,7 +299,7 @@ class TestClassify:
             train_mean=np.array([0.0]),
             dim=1,
         )
-        scores = classify_cdl(proj, CovarianceDescriptor(np.array([[1.0]])))
+        scores = classify_cdl(proj, log_embed(CovarianceDescriptor(np.array([[1.0]]))))
         assert scores[0] == scores[1] == -1.0
         assert int(np.argmax(scores)) == 0
 
@@ -297,10 +310,10 @@ class TestClassify:
         for cls, scales in enumerate(patterns):
             descriptors += class_descriptors(rng, scales, 3)
             labels += [cls] * 3
-        proj = fit_cdl(descriptors, labels)
+        proj = fit_cdl(embed(descriptors), labels)
         for _ in range(5):
             q = random_descriptor(rng, 3)
-            scores = classify_cdl(proj, q)
+            scores = classify_cdl(proj, log_embed(q))
             transformed = 3.0 * scores - 7.0
             assert int(np.argmax(scores)) == int(np.argmax(transformed))
 
@@ -311,10 +324,10 @@ class TestClassify:
         for cls, scales in enumerate(patterns):
             descriptors += class_descriptors(rng, scales, 4)
             labels += [cls] * 4
-        proj = fit_cdl(descriptors, labels)
+        proj = fit_cdl(embed(descriptors), labels)
         q = random_descriptor(rng, 3)
-        scores = classify_cdl(proj, q, mode="1-nearest-sample")
-        point = project_descriptor(proj, q)
+        scores = classify_cdl(proj, log_embed(q), mode="1-nearest-sample")
+        point = project_embedding(proj, log_embed(q))
         for cls in range(2):
             dists = np.linalg.norm(
                 proj.train_points[proj.train_labels == cls] - point, axis=1
@@ -329,22 +342,22 @@ class TestClassify:
             dim=1,
         )
         with pytest.raises(ValueError, match="unknown mode"):
-            classify_cdl(proj, CovarianceDescriptor(np.array([[1.0]])), mode="7-nn")
+            classify_cdl(proj, log_embed(CovarianceDescriptor(np.array([[1.0]]))), mode="7-nn")
 
     def test_nearest_sample_needs_stored_points(self):
         rng = np.random.default_rng(19)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
-        proj = fit_cdl(descs, [0, 0, 1, 1], store_samples=False)
+        proj = fit_cdl(embed(descs), [0, 0, 1, 1], store_samples=False)
         assert proj.train_points is None
         with pytest.raises(ValueError, match="stored samples"):
-            classify_cdl(proj, descs[0], mode="1-nearest-sample")
+            classify_cdl(proj, log_embed(descs[0]), mode="1-nearest-sample")
 
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(20)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
-        proj = fit_cdl(descs, [0, 0, 1, 1])
+        proj = fit_cdl(embed(descs), [0, 0, 1, 1])
         with pytest.raises(ValueError, match="does not match model dim"):
-            project_descriptor(proj, random_descriptor(rng, 4))
+            project_embedding(proj, log_embed(random_descriptor(rng, 4)))
 
 
 class TestModelFile:
@@ -355,7 +368,7 @@ class TestModelFile:
         for cls, scales in enumerate(patterns):
             descriptors += class_descriptors(rng, scales, 4)
             labels += [cls] * 4
-        return fit_cdl(descriptors, labels), descriptors
+        return fit_cdl(embed(descriptors), labels), descriptors
 
     def test_round_trip(self, tmp_path):
         proj, descs = self.build()
@@ -370,7 +383,7 @@ class TestModelFile:
         assert back.train_points is None
         for d in descs[:3]:
             assert np.allclose(
-                classify_cdl(back, d), classify_cdl(proj, d), atol=1e-12
+                classify_cdl(back, log_embed(d)), classify_cdl(proj, log_embed(d)), atol=1e-12
             )
         path2 = tmp_path / "model2.sfc"
         save_cdl_model(path2, back)
@@ -382,4 +395,4 @@ class TestModelFile:
         save_cdl_model(path, proj)
         back = load_cdl_model(path)
         with pytest.raises(ValueError, match="stored samples"):
-            classify_cdl(back, descs[0], mode="1-nearest-sample")
+            classify_cdl(back, log_embed(descs[0]), mode="1-nearest-sample")

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from scenefuse.cdl import covariance_descriptor, fit_cdl, load_cdl_model, save_cdl_model
+from scenefuse.cdl import (
+    covariance_descriptor,
+    fit_cdl,
+    load_cdl_model,
+    log_embed,
+    save_cdl_model,
+)
 from scenefuse.dataio import (
     AudioClip,
     ChecksumError,
@@ -342,11 +348,11 @@ class TestFeatureFile:
 
 def _cdl_model():
     rng = np.random.default_rng(21)
-    descriptors = [
-        covariance_descriptor(rng.standard_normal((50, 3)) * scale)
+    embeddings = [
+        log_embed(covariance_descriptor(rng.standard_normal((50, 3)) * scale))
         for scale in ([1, 1, 1], [3, 1, 1]) for _ in range(3)
     ]
-    return fit_cdl(descriptors, [0, 0, 0, 1, 1, 1])
+    return fit_cdl(embeddings, [0, 0, 0, 1, 1, 1])
 
 
 def _gmm_bank():

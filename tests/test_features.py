@@ -430,9 +430,22 @@ class TestSpcc:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2 rows"):
             subspace_project(np.ones((1, 5)), 0.9)
-        clip = AudioClip(np.random.default_rng(30).standard_normal(2048), 44100)
-        with pytest.raises(ValueError, match="at least 2 rows"):
-            extract("spcc", clip)
+
+    @pytest.mark.parametrize("n_samples", [2048, 2048 + 1023])
+    def test_one_frame_clip_is_named(self, n_samples):
+        # frame_len to frame_len + hop - 1 samples make exactly one frame
+        rng = np.random.default_rng(30)
+        clip = AudioClip(rng.standard_normal(n_samples), 44100, "park/short.wav")
+        for name in ("spcc", "cepscom"):
+            with pytest.raises(
+                ValueError,
+                match=rf"clip 'park/short.wav' has {n_samples} samples.*"
+                r"at least 2 frames \(3072 samples\)",
+            ):
+                extract(name, clip)
+        # the families that do not estimate a covariance over frames still work
+        for name in ("mfcc", "plp", "pncc", "rcgcc"):
+            assert extract(name, clip).n_frames == 1
 
     def test_dim(self):
         assert extract("spcc", make_noise_clip(1.0, 44100, seed=31)).dim == 60

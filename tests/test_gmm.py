@@ -34,6 +34,27 @@ def naive_log_likelihood(model, features):
     return total
 
 
+def inline_formula_scores(bank, features):
+    """classify_gmm as it read when every model term was rebuilt on each
+    call; kept as the bit-for-bit oracle for the kept scoring terms."""
+    out = []
+    for model in bank.models:
+        inv_var = 1.0 / model.variances
+        quad = (
+            features**2 @ inv_var.T
+            - 2.0 * (features @ (model.means * inv_var).T)
+            + (model.means**2 * inv_var).sum(axis=1)[None, :]
+        )
+        log_norm = -0.5 * (
+            model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
+        )
+        comp = np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * quad
+        peak = comp.max(axis=1)
+        frame = peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))
+        out.append(float(frame.sum()))
+    return np.array(out)
+
+
 def two_blobs(rng, separation=100.0, n=200, dim=3):
     a = rng.standard_normal((n, dim))
     b = rng.standard_normal((n, dim)) + separation
@@ -247,3 +268,17 @@ class TestBankFile:
         back = load_gmm_bank(path)
         clip = np.random.default_rng(12).standard_normal((20, 4))
         assert np.array_equal(classify_gmm(bank, clip), classify_gmm(back, clip))
+
+    def test_scores_equal_inline_formula_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(13)
+        feats = [rng.standard_normal((400, 24)) + shift for shift in (0.0, 0.5, 1.0)]
+        bank = fit_gmm_bank(feats, 8, seeds=[1, 2, 3])
+        path = tmp_path / "bank.sfg"
+        save_gmm_bank(path, bank)
+        back = load_gmm_bank(path)
+        for trial in range(3):
+            clip = rng.standard_normal((40 + trial, 24)) + 0.5
+            want = inline_formula_scores(bank, clip)
+            # a second call reads the terms the first one kept
+            for scored in (bank, back, bank, back):
+                assert np.array_equal(classify_gmm(scored, clip), want)

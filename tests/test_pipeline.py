@@ -1,9 +1,12 @@
 """Config parsing, per-system training glue, and the full run."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from scenefuse.dataio import load_manifest, split_dataset
+from scenefuse import cdl as cdl_mod
+from scenefuse.dataio import DatasetManifest, FeatureStore, load_manifest, split_dataset
 from scenefuse.features import FeatureConfig
 from scenefuse.fusion import load_score_csv, load_weights_csv
 from scenefuse.pipeline import (
@@ -191,6 +194,90 @@ class TestExtractAndFit:
             )
 
 
+def embedding_store(rng, n_per_class=4, frames=30):
+    """Random 'cepscom' records: two classes told apart by their covariance."""
+    store = FeatureStore()
+    entries = []
+    for label, scale in (("park", [1.0, 1.0, 1.0, 1.0]), ("bus", [3.0, 1.0, 1.0, 1.0])):
+        for j in range(n_per_class):
+            path = f"{label}/{j}.wav"
+            store.add(path, "cepscom", rng.standard_normal((frames, 4)) * scale)
+            entries.append((path, label))
+    return store, DatasetManifest(entries=entries, class_names=["park", "bus"])
+
+
+def fresh_embedding(values, source_id=""):
+    return cdl_mod.log_embed(cdl_mod.covariance_descriptor(values, source_id=source_id))
+
+
+class TestComputeOnce:
+    def test_run_embeds_each_clip_once(self, mini_dataset, tmp_path, monkeypatch):
+        embedded = Counter()
+        original = cdl_mod.log_embed
+
+        def counting(desc):
+            embedded[desc.source_id] += 1
+            return original(desc)
+
+        monkeypatch.setattr(cdl_mod, "log_embed", counting)
+        config = PipelineConfig(
+            manifest=mini_dataset,
+            out_dir=tmp_path / "o",
+            train_fraction=0.5,
+            weights_folds=2,
+            mixtures_plp=2,
+            systems=("plp-gmm", "cepscom-cdl"),
+            fused=("plp-gmm", "cepscom-cdl"),
+        )
+        run_pipeline(config)
+        # training clips through the CV folds and the final fit, test clips once
+        paths = [entry_path for entry_path, _ in load_manifest(mini_dataset).entries]
+        assert embedded == Counter(paths)
+
+    def test_kept_embeddings_fit_the_same_model(self, tmp_path):
+        store, train = embedding_store(np.random.default_rng(40))
+        opts = TrainOptions()
+        first = fit_system("cepscom-cdl", store, train, opts)
+        # the second fit reads the embeddings the first kept; centring the
+        # stacked copy in place must have left them as they were
+        second = fit_system("cepscom-cdl", store, train, opts)
+        fresh = cdl_mod.fit_cdl(
+            [fresh_embedding(store.get(p, "cepscom")) for p, _ in train.entries],
+            train.label_indices(),
+            n_classes=2,
+        )
+        blobs = []
+        for i, model in enumerate((first.cdl_model, second.cdl_model, fresh)):
+            cdl_mod.save_cdl_model(tmp_path / f"{i}.sfc", model)
+            blobs.append((tmp_path / f"{i}.sfc").read_bytes())
+            assert np.array_equal(model.train_points, fresh.train_points)
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_replacing_a_record_drops_its_embedding(self):
+        rng = np.random.default_rng(41)
+        store, train = embedding_store(rng)
+        model = fit_system("cepscom-cdl", store, train, TrainOptions())
+        path = train.entries[0][0]
+        kept = fresh_embedding(store.get(path, "cepscom"))
+        replacement = rng.standard_normal((30, 4)) * [1.0, 1.0, 5.0, 1.0]
+        store.add(path, "cepscom", replacement)
+        clip = DatasetManifest(entries=[train.entries[0]], class_names=train.class_names)
+        got = score_system(model, store, clip).values[0]
+        want = cdl_mod.classify_cdl(model.cdl_model, fresh_embedding(replacement))
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, cdl_mod.classify_cdl(model.cdl_model, kept))
+
+    def test_scoring_error_names_the_clip(self):
+        store, train = embedding_store(np.random.default_rng(42))
+        model = fit_system("cepscom-cdl", store, train, TrainOptions())
+        bad = np.ones((30, 4))
+        bad[3, 1] = np.nan
+        store.add("bus/broken.wav", "cepscom", bad)
+        clips = DatasetManifest(entries=[("bus/broken.wav", "bus")], class_names=["park", "bus"])
+        with pytest.raises(ValueError, match="'bus/broken.wav'.*non-finite"):
+            score_system(model, store, clips)
+
+
 MINI_SYSTEMS = ("cepscom-gmm", "plp-gmm", "cepscom-cdl")
 
 
@@ -316,5 +403,8 @@ class TestStageTags:
             fused=("mfcc-gmm",),
             mixtures_cepstral=2,
         )
-        with pytest.raises(PipelineError, match=r"\[weights\]"):
+        with pytest.raises(
+            PipelineError,
+            match=r"\[weights\] class 'rumble' has 4 training clips, fewer than 13 folds",
+        ):
             run_pipeline(config)
