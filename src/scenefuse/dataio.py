@@ -25,21 +25,80 @@ FEATURE_STORE_VERSION = 2
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+#: bytes hashed per numpy step; bounds the temporaries to about 1 MB
+_FNV_BLOCK = 1 << 16
+#: P^B, P^(B-1), ..., P^1 mod 2^64 for the block size B; a block of n bytes
+#: uses the last n entries
+_FNV_POWERS = np.cumprod(np.full(_FNV_BLOCK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
+_FNV_POWERS.setflags(write=False)
+_FNV_PRIME_LOW = _FNV_PRIME & 0xFF
 
 
 class FeatureStoreError(ValueError):
-    """Malformed, truncated, or incompatible feature/model file."""
+    """Malformed, truncated, or incompatible feature/model file, or a
+    feature record the store does not hold."""
 
 
 class ChecksumError(FeatureStoreError):
     """Stored checksum does not match the payload."""
 
 
+def _prefix_xor(e: np.ndarray) -> None:
+    """Replace ``e[k]`` by ``e[0] ^ ... ^ e[k]`` in place (size a multiple of 8)."""
+    words = e.view("<u8")
+    words ^= words << 8
+    words ^= words << 16
+    words ^= words << 32
+    # each word's top byte now holds the XOR of its 8 bytes; spread the XOR
+    # of all earlier words' totals over every byte of the word
+    words[1:] ^= np.bitwise_xor.accumulate(words[:-1] >> 56) * 0x0101010101010101
+
+
+def _xored_low_bytes(block: np.ndarray, low: int) -> np.ndarray:
+    """``y[k]``: the state's low byte just after XOR-ing in ``block[k]``.
+
+    ``y[k] = (y[k-1] * 0xB3 mod 256) ^ block[k]``, starting from ``low``.
+    Writing ``y[k] = y[k-1] ^ e[k]`` with ``e[k] = block[k] ^ (y[k-1] * 0xB3
+    mod 256) ^ y[k-1]``, bit j of ``e[k]`` depends only on bits below j of
+    ``y[k-1]``, because 0xB3 is odd.  So each prefix-XOR pass fixes one more
+    bit of ``y``, and eight passes fix all of it.
+    """
+    n = block.size
+    y = np.zeros(-(-n // 8) * 8, dtype=np.uint8)
+    e = np.zeros_like(y)
+    for _ in range(8):
+        np.multiply(y[: n - 1], _FNV_PRIME_LOW, out=e[1:n])
+        e[1:n] ^= y[: n - 1]
+        e[1:n] ^= block[1:]
+        e[0] = block[0] ^ low
+        _prefix_xor(e)
+        y, e = e, y
+    return y[:n]
+
+
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
+    """64-bit FNV-1a hash of a byte string.
+
+    Computed exactly, a block at a time with numpy.  XOR with a byte
+    changes only the state's low byte ``l``, so ``h ^ b == h + d`` with
+    ``d = (l ^ b) - l``.  Hence after ``n`` bytes ``h = h0 * P^n + sum d_k *
+    P^(n-k) mod 2^64`` (``k`` from 0), one wrapping ``uint64`` dot product
+    with a table of prime powers.  The low bytes evolve on their own, as
+    ``(l * 0xB3 mod 256) ^ b``; :func:`_xored_low_bytes` computes them bit
+    plane by bit plane with prefix XORs.
+    """
     h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _U64_MASK
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, buf.size, _FNV_BLOCK):
+        block = buf[start : start + _FNV_BLOCK]
+        low = h & 0xFF
+        xored = _xored_low_bytes(block, low)
+        # d_k: the low byte after the XOR minus the low byte before it
+        d = xored.astype(np.int64)
+        d[0] -= low
+        d[1:] -= xored[:-1] * _FNV_PRIME_LOW
+        powers = _FNV_POWERS[_FNV_BLOCK - block.size :]
+        h = (h * int(powers[0]) + int(np.dot(d.view(np.uint64), powers))) & _U64_MASK
     return h
 
 
@@ -250,7 +309,14 @@ class FeatureStore:
         self._derived.pop((source_id, extractor), None)
 
     def get(self, source_id: str, extractor: str) -> np.ndarray:
-        return self.records[(source_id, extractor)]
+        try:
+            return self.records[(source_id, extractor)]
+        except KeyError:
+            held = ", ".join(self.extractors()) or "none"
+            raise FeatureStoreError(
+                f"no {extractor!r} features for clip {source_id!r}; "
+                f"the feature store holds: {held}"
+            ) from None
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self.records

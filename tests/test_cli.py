@@ -201,6 +201,30 @@ def test_error_exit_codes(work, capsys, tmp_path):
     assert "cannot infer" in capsys.readouterr().err
 
 
+def test_missing_feature_family_is_named(work, capsys, tmp_path):
+    # feats.sfs holds mfcc only; a plp system has no records to read
+    manifest = str(work / "data" / "manifest.tsv")
+    rc = main([
+        "train", "--features", str(work / "feats.sfs"), "--manifest", manifest,
+        "--system", "plp-gmm", "--out", str(tmp_path / "plp-gmm.sfg"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: no 'plp' features for clip '" in err
+    assert "holds: mfcc" in err
+
+    model = tmp_path / "plp-gmm.sfg"
+    model.write_bytes((work / "mfcc-gmm.sfg").read_bytes())
+    rc = main([
+        "classify", "--model", str(model), "--features", str(work / "feats.sfs"),
+        "--manifest", manifest, "--out", str(tmp_path / "plp.csv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: no 'plp' features for clip '" in err
+    assert "holds: mfcc" in err
+
+
 def test_bad_subcommand_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["train", "--system", "made-up"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from scenefuse import dataio
 from scenefuse.cdl import (
     covariance_descriptor,
     fit_cdl,
@@ -35,6 +36,14 @@ from scenefuse.dataio import (
 from scenefuse.gmm import fit_gmm_bank, load_gmm_bank, save_gmm_bank
 
 
+def reference_fnv1a64(data) -> int:
+    """The per-byte FNV-1a loop, the oracle for the block-wise numpy version."""
+    h = 0xCBF29CE484222325
+    for b in bytes(data):
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 class TestFnv1a64:
     def test_known_vectors(self):
         # published FNV-1a 64-bit values
@@ -50,6 +59,23 @@ class TestFnv1a64:
         for _ in range(20):
             data = rng.integers(0, 256, size=rng.integers(0, 300)).astype(np.uint8)
             assert 0 <= fnv1a64(data.tobytes()) < 2**64
+
+    def test_matches_reference_at_block_edges(self):
+        block = dataio._FNV_BLOCK
+        lengths = [*range(18), 8191, 8192, 8193, block - 1, block, block + 1, 2 * block + 7]
+        rng = np.random.default_rng(5)
+        for n in lengths:
+            data = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+            assert fnv1a64(data) == reference_fnv1a64(data), n
+
+    def test_matches_reference_on_float_payload(self):
+        data = np.random.default_rng(6).standard_normal(37_500).tobytes()
+        assert fnv1a64(data) == reference_fnv1a64(data)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_accepts_buffer_types(self, kind):
+        data = np.random.default_rng(7).integers(0, 256, size=1000, dtype=np.uint8).tobytes()
+        assert fnv1a64(kind(data)) == reference_fnv1a64(data)
 
 
 class TestAudioClip:
@@ -296,6 +322,15 @@ class TestFeatureStore:
         # a different extractor may use its own width
         store.add("c1", "plp", np.zeros((2, 5)))
 
+    def test_missing_record_names_clip_and_families(self):
+        store = FeatureStore()
+        store.add("c1", "mfcc", np.zeros((2, 4)))
+        store.add("c1", "pncc", np.zeros((2, 3)))
+        with pytest.raises(
+            FeatureStoreError, match="no 'plp' features for clip 'c1'.*holds: mfcc, pncc"
+        ):
+            store.get("c1", "plp")
+
     def test_insertion_order(self):
         store = FeatureStore()
         store.add("b", "mfcc", np.zeros((1, 2)))
@@ -385,6 +420,10 @@ class TestContainer:
         """Recompute the checksum, so only the edit under test is wrong."""
         blob[-8:] = pack_u64(fnv1a64(bytes(blob[4:-8])))
         return bytes(blob)
+
+    def test_stored_checksum_is_fnv1a_of_version_and_payload(self, fmt, tmp_path):
+        _, blob, _ = self.written(fmt, tmp_path)
+        assert int.from_bytes(blob[-8:], "little") == reference_fnv1a64(blob[4:-8])
 
     def test_bad_magic(self, fmt, tmp_path):
         path, blob, read = self.written(fmt, tmp_path)
