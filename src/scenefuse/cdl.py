@@ -2,8 +2,8 @@
 
 A clip becomes a regularized covariance matrix over its frame features,
 mapped to a flat vector through the matrix logarithm, projected by a
-Fisher discriminant, and labeled by distance to class centroids (or to the
-nearest stored training sample).
+Fisher discriminant, and labeled by distance to the class centroids in the
+projected space (Wang et al., "Covariance Discriminative Learning", CVPR 2012).
 """
 
 from __future__ import annotations
@@ -15,18 +15,23 @@ from math import isqrt
 import numpy as np
 import scipy.linalg
 
-from .dataio import pack_floats, pack_u32, read_container, write_container
+from .dataio import (
+    pack_floats,
+    pack_model_header,
+    pack_u32,
+    read_container,
+    read_model_header,
+    write_container,
+)
 
 CDL_MODEL_MAGIC = b"SFC1"
-CDL_MODEL_VERSION = 1
+CDL_MODEL_VERSION = 2
 
 #: identity scale used when features are constant and the trace vanishes
 CONSTANT_FEATURE_EPS = 1e-6
 
 #: relative shrinkage added to the within-class scatter
 SHRINKAGE_SCALE = 1e-2
-
-CLASSIFY_MODES = ("centroid", "1-nearest-sample")
 
 
 @dataclass
@@ -54,17 +59,14 @@ class CovarianceDescriptor:
 class CdlProjection:
     """Discriminant projection plus per-class centroids in projected space.
 
-    ``train_points``/``train_labels`` hold the projected training set when
-    the model was fit with ``store_samples``; the nearest-sample classify
-    mode needs them and they are not written to model files.
+    A fitted model holds exactly what its model file holds; centroid rows
+    are index-aligned with the training class order.
     """
 
     projection: np.ndarray
     class_centroids: np.ndarray
     train_mean: np.ndarray
     dim: int
-    train_points: np.ndarray | None = None
-    train_labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         # C order, so a fitted model scores exactly as the same model loaded from file
@@ -170,12 +172,7 @@ def _class_partitions(labels: np.ndarray, n_classes: int) -> list:
     return [np.flatnonzero(labels == c) for c in range(n_classes)]
 
 
-def fit_cdl(
-    embeddings,
-    labels,
-    n_classes: int | None = None,
-    store_samples: bool = True,
-) -> CdlProjection:
+def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     """Fisher discriminant over centered log embeddings (see :func:`log_embed`).
 
     The scatter matrices are never materialized at full size: all
@@ -237,12 +234,7 @@ def fit_cdl(
     projected = centered @ projection.T
     centroids = np.stack([projected[idx].mean(axis=0) for idx in parts])
     return CdlProjection(
-        projection=projection,
-        class_centroids=centroids,
-        train_mean=train_mean,
-        dim=dim,
-        train_points=projected if store_samples else None,
-        train_labels=labels.copy() if store_samples else None,
+        projection=projection, class_centroids=centroids, train_mean=train_mean, dim=dim
     )
 
 
@@ -255,30 +247,18 @@ def project_embedding(proj: CdlProjection, embedding: np.ndarray) -> np.ndarray:
     return proj.projection @ (embedding - proj.train_mean)
 
 
-def classify_cdl(
-    proj: CdlProjection, query: np.ndarray, mode: str = "centroid"
-) -> np.ndarray:
-    """Raw per-class scores of a query's log embedding: negated distances in
-    the projected space."""
-    if mode not in CLASSIFY_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {CLASSIFY_MODES}")
+def classify_cdl(proj: CdlProjection, query: np.ndarray) -> np.ndarray:
+    """Raw per-class scores of a query's log embedding: negated distances to
+    the class centroids in the projected space."""
     point = project_embedding(proj, query)
-    if mode == "centroid":
-        dists = np.linalg.norm(proj.class_centroids - point[None, :], axis=1)
-    else:
-        if proj.train_points is None or proj.train_labels is None:
-            raise ValueError("model was fit without stored samples; refit to use "
-                             "the nearest-sample mode")
-        all_d = np.linalg.norm(proj.train_points - point[None, :], axis=1)
-        dists = np.array(
-            [all_d[proj.train_labels == c].min() for c in range(proj.n_classes)]
-        )
-    return -dists
+    return -np.linalg.norm(proj.class_centroids - point[None, :], axis=1)
 
 
-def save_cdl_model(path, proj: CdlProjection) -> None:
-    """Write projection, centroids, and mean; stored samples stay in memory."""
+def save_cdl_model(path, proj: CdlProjection, family: str, class_names) -> None:
+    """Write the feature family and class names (one per centroid row, in
+    row order), then the projection, centroids and mean (bit-exact round-trip)."""
     parts = [
+        pack_model_header(family, class_names, proj.n_classes),
         pack_u32(proj.dim),
         pack_u32(proj.d_out),
         pack_u32(proj.n_classes),
@@ -289,7 +269,8 @@ def save_cdl_model(path, proj: CdlProjection) -> None:
     write_container(path, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, parts)
 
 
-def _parse_model(reader) -> CdlProjection:
+def _parse_model(reader) -> tuple:
+    family, class_names = read_model_header(reader)
     dim = reader.u32()
     d_out = reader.u32()
     n_classes = reader.u32()
@@ -297,10 +278,11 @@ def _parse_model(reader) -> CdlProjection:
     projection = reader.floats(d_out * d_vec).reshape(d_out, d_vec)
     centroids = reader.floats(n_classes * d_out).reshape(n_classes, d_out)
     mean = reader.floats(d_vec)
-    return CdlProjection(
+    return family, class_names, CdlProjection(
         projection=projection, class_centroids=centroids, train_mean=mean, dim=dim
     )
 
 
-def load_cdl_model(path) -> CdlProjection:
+def load_cdl_model(path) -> tuple:
+    """``(family, class_names, projection)`` from a file of :func:`save_cdl_model`."""
     return read_container(path, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, _parse_model)

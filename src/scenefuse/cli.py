@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cdl as cdl_mod
 from .dataio import load_features, load_manifest, save_features
 from .evaluation import evaluate, save_report
 from .features import EXTRACTOR_NAMES, FeatureConfig
@@ -79,9 +78,7 @@ def _cmd_weights(args) -> None:
     store = load_features(args.features)
     manifest = load_manifest(args.manifest)
     systems = _parse_names(args.systems, ALL_SYSTEMS, "system")
-    opts = TrainOptions(
-        gmm_seed=args.gmm_seed, cdl_mode=args.cdl_mode, **_mixture_counts(args)
-    )
+    opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
     weights = estimate_weights(
         store,
         manifest,
@@ -99,8 +96,8 @@ def _cmd_classify(args) -> None:
     manifest = load_manifest(args.manifest)
     store = load_features(args.features)
     system_id = args.system_id or Path(args.model).stem
-    model = load_system_model(args.model, system_id, manifest.class_names, args.extractor)
-    scores = score_system(model, store, manifest, args.cdl_mode)
+    model = load_system_model(args.model, system_id, manifest.class_names)
+    scores = score_system(model, store, manifest)
     save_score_csv(args.out, scores)
     print(f"scored {scores.n_clips} clips with {system_id}; written to {args.out}")
 
@@ -217,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mixtures", type=int, default=None, help=mixtures_help)
     p.add_argument("--gmm-seed", type=int, default=TrainOptions.gmm_seed)
-    p.add_argument("--cdl-mode", default=TrainOptions.cdl_mode, choices=cdl_mod.CLASSIFY_MODES)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("classify", help="score a manifest's clips with one model")
@@ -228,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--system-id", default=None,
                    help="system id for the score rows (default: model file stem)")
-    p.add_argument("--extractor", default=None, choices=EXTRACTOR_NAMES)
-    p.add_argument("--cdl-mode", default=TrainOptions.cdl_mode, choices=cdl_mod.CLASSIFY_MODES)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("fuse", help="weighted fusion of per-system score files")
@@ -265,10 +259,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

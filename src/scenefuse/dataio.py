@@ -377,6 +377,20 @@ class _Reader:
         return np.frombuffer(self.take(count * 8), dtype="<f8").copy()
 
 
+def pack_model_header(family: str, class_names, n_classes: int) -> bytes:
+    """The block that opens every model payload: the feature family the model
+    reads, then its class names in the model's class order."""
+    if len(class_names) != n_classes:
+        raise ValueError(f"{len(class_names)} class names for a {n_classes}-class model")
+    return b"".join([pack_str(family), pack_u32(n_classes), *map(pack_str, class_names)])
+
+
+def read_model_header(reader: _Reader) -> tuple[str, list[str]]:
+    """``(family, class_names)`` from a block written by :func:`pack_model_header`."""
+    family = reader.string()
+    return family, [reader.string() for _ in range(reader.u32())]
+
+
 def write_container(path: str | Path, magic: bytes, version: int, parts) -> None:
     """Write ``magic | u32 version | parts | u64 FNV-1a``.
 

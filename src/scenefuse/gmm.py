@@ -12,10 +12,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataio import pack_floats, pack_u32, read_container, write_container
+from .dataio import (
+    pack_floats,
+    pack_model_header,
+    pack_u32,
+    read_container,
+    read_model_header,
+    write_container,
+)
 
 GMM_BANK_MAGIC = b"SFG1"
-GMM_BANK_VERSION = 1
+GMM_BANK_VERSION = 2
 
 #: responsibility mass below which a component counts as empty
 EMPTY_COMPONENT_MASS = 1e-8
@@ -77,7 +84,7 @@ class GmmModel:
 
 @dataclass
 class GmmBank:
-    """One model per class, index-aligned with the manifest class order."""
+    """One model per class, index-aligned with the training class order."""
 
     models: list
 
@@ -241,9 +248,10 @@ def classify_gmm(bank: GmmBank, features: np.ndarray) -> np.ndarray:
     ])
 
 
-def save_gmm_bank(path, bank: GmmBank) -> None:
-    """Write a bank to its checksummed container (bit-exact round-trip)."""
-    parts = [pack_u32(bank.n_classes)]
+def save_gmm_bank(path, bank: GmmBank, family: str, class_names) -> None:
+    """Write the feature family and class names (one per model, in bank
+    order), then the bank, to its checksummed container (bit-exact round-trip)."""
+    parts = [pack_model_header(family, class_names, bank.n_classes), pack_u32(bank.n_classes)]
     for model in bank.models:
         parts += [
             pack_u32(model.n_components),
@@ -255,7 +263,8 @@ def save_gmm_bank(path, bank: GmmBank) -> None:
     write_container(path, GMM_BANK_MAGIC, GMM_BANK_VERSION, parts)
 
 
-def _parse_bank(reader) -> GmmBank:
+def _parse_bank(reader) -> tuple:
+    family, class_names = read_model_header(reader)
     models = []
     for _ in range(reader.u32()):
         k = reader.u32()
@@ -264,8 +273,9 @@ def _parse_bank(reader) -> GmmBank:
         means = reader.floats(k * dim).reshape(k, dim)
         variances = reader.floats(k * dim).reshape(k, dim)
         models.append(GmmModel(weights, means, variances))
-    return GmmBank(models)
+    return family, class_names, GmmBank(models)
 
 
-def load_gmm_bank(path) -> GmmBank:
+def load_gmm_bank(path) -> tuple:
+    """``(family, class_names, bank)`` from a file of :func:`save_gmm_bank`."""
     return read_container(path, GMM_BANK_MAGIC, GMM_BANK_VERSION, _parse_bank)

@@ -87,13 +87,8 @@ class TrainOptions:
     mixtures_cepstral: int = 64
     mixtures_plp: int = 4
     gmm_seed: int = 23
-    cdl_mode: str = "centroid"
 
     def __post_init__(self) -> None:
-        if self.cdl_mode not in cdl_mod.CLASSIFY_MODES:
-            raise ValueError(
-                f"cdl_mode must be one of {cdl_mod.CLASSIFY_MODES}, got {self.cdl_mode!r}"
-            )
         if self.mixtures_cepstral < 1 or self.mixtures_plp < 1:
             raise ValueError("mixture counts must be positive")
 
@@ -155,7 +150,7 @@ _CONFIG_INT_KEYS = {
 _CONFIG_FLOAT_KEYS = {"train_fraction"}
 _CONFIG_LIST_KEYS = {"systems", "fused"}
 _CONFIG_PATH_KEYS = {"manifest", "out_dir"}
-_CONFIG_STR_KEYS = {"weights_method", "cdl_mode"}
+_CONFIG_STR_KEYS = {"weights_method"}
 
 
 def parse_config(path: str | Path) -> PipelineConfig:
@@ -300,25 +295,16 @@ def fit_system(
     )
 
 
-def _clip_scores(
-    model: SystemModel, store: FeatureStore, entry_path: str, cdl_mode: str
-) -> np.ndarray:
+def _clip_scores(model: SystemModel, store: FeatureStore, entry_path: str) -> np.ndarray:
     if model.kind == "gmm":
         return gmm_mod.classify_gmm(model.gmm_bank, store.get(entry_path, model.extractor))
     embedding = _clip_embedding(store, entry_path, model.extractor)
-    return cdl_mod.classify_cdl(model.cdl_model, embedding, mode=cdl_mode)
+    return cdl_mod.classify_cdl(model.cdl_model, embedding)
 
 
-def score_system(
-    model: SystemModel,
-    store: FeatureStore,
-    clips: DatasetManifest,
-    cdl_mode: str = TrainOptions.cdl_mode,
-) -> ScoreMatrix:
+def score_system(model: SystemModel, store: FeatureStore, clips: DatasetManifest) -> ScoreMatrix:
     """Raw per-class scores for every clip in the manifest."""
-    rows = [
-        _clip_scores(model, store, entry_path, cdl_mode) for entry_path, _ in clips.entries
-    ]
+    rows = [_clip_scores(model, store, entry_path) for entry_path, _ in clips.entries]
     return ScoreMatrix(
         system_id=model.system_id,
         clip_ids=[entry_path for entry_path, _ in clips.entries],
@@ -342,7 +328,7 @@ def _fold_runner(
             if model.kind == "cdl":
                 # held out of this fold, but a training clip of the run
                 _training_embedding(store, entry_path, model.extractor)
-            scores = _clip_scores(model, store, entry_path, opts.cdl_mode)
+            scores = _clip_scores(model, store, entry_path)
             predictions.append(int(np.argmax(scores)))
         return predictions
 
@@ -404,41 +390,40 @@ def _model_path(out_dir: Path, system_id: str) -> Path:
 
 def save_system_model(path: str | Path, model: SystemModel) -> None:
     if model.kind == "gmm":
-        gmm_mod.save_gmm_bank(path, model.gmm_bank)
+        gmm_mod.save_gmm_bank(path, model.gmm_bank, model.extractor, model.class_names)
     else:
-        cdl_mod.save_cdl_model(path, model.cdl_model)
+        cdl_mod.save_cdl_model(path, model.cdl_model, model.extractor, model.class_names)
 
 
-def load_system_model(
-    path: str | Path, system_id: str, class_names, extractor: str | None = None
-) -> SystemModel:
-    """Read a model written by :func:`save_system_model`.
+def load_system_model(path: str | Path, system_id: str, class_names) -> SystemModel:
+    """Read a model written by :func:`save_system_model`, its classes put in
+    ``class_names`` order.
 
-    The back-end is read off the file's magic.  ``extractor`` defaults to the
-    family of the built-in system named ``system_id``.
+    The back-end is read off the file's magic, the feature family and the
+    model's class names off its header.  The classes are matched by name, so
+    ``class_names`` must hold the model's classes, in any order.
     """
-    if extractor is None:
-        if system_id not in SYSTEMS:
-            raise ValueError(
-                f"cannot infer the feature family from system id {system_id!r}; "
-                "pass --extractor or name the model after a built-in system"
-            )
-        extractor = SYSTEMS[system_id].family
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    model = SystemModel(system_id=system_id, extractor=extractor, class_names=list(class_names))
     if magic == gmm_mod.GMM_BANK_MAGIC:
-        model.gmm_bank = gmm_mod.load_gmm_bank(path)
-        n_classes = model.gmm_bank.n_classes
+        family, model_names, bank = gmm_mod.load_gmm_bank(path)
     elif magic == cdl_mod.CDL_MODEL_MAGIC:
-        model.cdl_model = cdl_mod.load_cdl_model(path)
-        n_classes = model.cdl_model.n_classes
+        family, model_names, proj = cdl_mod.load_cdl_model(path)
     else:
         raise ValueError(f"{path}: unrecognized model magic {magic!r}")
-    if n_classes != len(class_names):
+    class_names = list(class_names)
+    if set(class_names) != set(model_names):
         raise ValueError(
-            f"model has {n_classes} classes but manifest has {len(class_names)}"
+            f"{path}: the model's classes do not match the manifest's; only in the "
+            f"manifest: {[n for n in class_names if n not in model_names]}, only in "
+            f"the model: {[n for n in model_names if n not in class_names]}"
         )
+    order = [model_names.index(name) for name in class_names]
+    model = SystemModel(system_id=system_id, extractor=family, class_names=class_names)
+    if magic == gmm_mod.GMM_BANK_MAGIC:
+        model.gmm_bank = gmm_mod.GmmBank([bank.models[i] for i in order])
+    else:
+        model.cdl_model = replace(proj, class_centroids=proj.class_centroids[order])
     return model
 
 
@@ -505,7 +490,7 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
         (out / "scores").mkdir(exist_ok=True)
         raw_scores = {}
         for system_id in config.systems:
-            scores = score_system(models[system_id], store, test, config.cdl_mode)
+            scores = score_system(models[system_id], store, test)
             save_score_csv(out / "scores" / f"{system_id}.csv", scores)
             raw_scores[system_id] = scores
 

@@ -209,11 +209,12 @@ class TestFitCdl:
         rng = np.random.default_rng(9)
         descriptors = [random_descriptor(rng, 4) for _ in range(8)]
         labels = [0, 0, 0, 0, 1, 1, 1, 1]
-        proj = fit_cdl(embed(descriptors), labels)
+        embeddings = embed(descriptors)
+        proj = fit_cdl(embeddings, labels)
         mean_matrix = scipy.linalg.expm(half_vec_inverse(proj.train_mean, 4))
         query = CovarianceDescriptor(0.5 * (mean_matrix + mean_matrix.T))
         point = project_embedding(proj, log_embed(query))
-        scale = np.abs(proj.train_points).max()
+        scale = max(np.abs(project_embedding(proj, e)).max() for e in embeddings)
         assert np.abs(point).max() < 1e-8 * scale
 
     def test_three_class_accuracy(self):
@@ -317,41 +318,6 @@ class TestClassify:
             transformed = 3.0 * scores - 7.0
             assert int(np.argmax(scores)) == int(np.argmax(transformed))
 
-    def test_nearest_sample_mode(self):
-        rng = np.random.default_rng(18)
-        patterns = [(1, 1, 1), (4, 1, 1)]
-        descriptors, labels = [], []
-        for cls, scales in enumerate(patterns):
-            descriptors += class_descriptors(rng, scales, 4)
-            labels += [cls] * 4
-        proj = fit_cdl(embed(descriptors), labels)
-        q = random_descriptor(rng, 3)
-        scores = classify_cdl(proj, log_embed(q), mode="1-nearest-sample")
-        point = project_embedding(proj, log_embed(q))
-        for cls in range(2):
-            dists = np.linalg.norm(
-                proj.train_points[proj.train_labels == cls] - point, axis=1
-            )
-            assert scores[cls] == pytest.approx(-dists.min(), rel=1e-12)
-
-    def test_unknown_mode_rejected(self):
-        proj = CdlProjection(
-            projection=np.array([[1.0]]),
-            class_centroids=np.array([[1.0], [-1.0]]),
-            train_mean=np.array([0.0]),
-            dim=1,
-        )
-        with pytest.raises(ValueError, match="unknown mode"):
-            classify_cdl(proj, log_embed(CovarianceDescriptor(np.array([[1.0]]))), mode="7-nn")
-
-    def test_nearest_sample_needs_stored_points(self):
-        rng = np.random.default_rng(19)
-        descs = [random_descriptor(rng, 3) for _ in range(4)]
-        proj = fit_cdl(embed(descs), [0, 0, 1, 1], store_samples=False)
-        assert proj.train_points is None
-        with pytest.raises(ValueError, match="stored samples"):
-            classify_cdl(proj, log_embed(descs[0]), mode="1-nearest-sample")
-
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(20)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
@@ -373,26 +339,20 @@ class TestModelFile:
     def test_round_trip(self, tmp_path):
         proj, descs = self.build()
         path = tmp_path / "model.sfc"
-        save_cdl_model(path, proj)
-        back = load_cdl_model(path)
+        save_cdl_model(path, proj, "cepscom", ["a", "b", "c"])
+        family, class_names, back = load_cdl_model(path)
+        assert (family, class_names) == ("cepscom", ["a", "b", "c"])
         assert back.dim == proj.dim and back.d_out == proj.d_out
         assert np.array_equal(back.projection, proj.projection)
         assert np.array_equal(back.class_centroids, proj.class_centroids)
         assert np.array_equal(back.train_mean, proj.train_mean)
-        # stored samples never leave the process
-        assert back.train_points is None
         for d in descs[:3]:
-            assert np.allclose(
-                classify_cdl(back, log_embed(d)), classify_cdl(proj, log_embed(d)), atol=1e-12
-            )
+            assert np.array_equal(classify_cdl(back, log_embed(d)), classify_cdl(proj, log_embed(d)))
         path2 = tmp_path / "model2.sfc"
-        save_cdl_model(path2, back)
+        save_cdl_model(path2, back, family, class_names)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_loaded_model_rejects_nearest_sample(self, tmp_path):
-        proj, descs = self.build()
-        path = tmp_path / "model.sfc"
-        save_cdl_model(path, proj)
-        back = load_cdl_model(path)
-        with pytest.raises(ValueError, match="stored samples"):
-            classify_cdl(back, log_embed(descs[0]), mode="1-nearest-sample")
+    def test_class_names_must_match_centroids(self, tmp_path):
+        proj, _ = self.build()
+        with pytest.raises(ValueError, match="2 class names for a 3-class model"):
+            save_cdl_model(tmp_path / "model.sfc", proj, "cepscom", ["a", "b"])

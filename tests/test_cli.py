@@ -167,7 +167,7 @@ def test_classify_with_explicit_system_id(work, capsys):
         "classify", "--model", str(work / "mfcc-gmm.sfg"),
         "--features", str(work / "feats.sfs"),
         "--manifest", str(work / "data" / "manifest.tsv"),
-        "--system-id", "renamed", "--extractor", "mfcc",
+        "--system-id", "renamed",
         "--out", str(work / "renamed.csv"),
     ])
     assert rc == 0
@@ -188,7 +188,7 @@ def test_error_exit_codes(work, capsys, tmp_path):
     assert rc == 1
     assert "unknown extractor 'bogus'" in capsys.readouterr().err
 
-    # a model file whose stem names no built-in system needs --extractor
+    # the file names its own feature family, whatever the file is called
     opaque = tmp_path / "mystery.bin"
     opaque.write_bytes((work / "mfcc-gmm.sfg").read_bytes())
     rc = main([
@@ -197,8 +197,8 @@ def test_error_exit_codes(work, capsys, tmp_path):
         "--manifest", str(work / "data" / "manifest.tsv"),
         "--out", str(tmp_path / "y.csv"),
     ])
-    assert rc == 1
-    assert "cannot infer" in capsys.readouterr().err
+    assert rc == 0
+    assert "scored 15 clips with mystery" in capsys.readouterr().out
 
 
 def test_missing_feature_family_is_named(work, capsys, tmp_path):
@@ -213,8 +213,17 @@ def test_missing_feature_family_is_named(work, capsys, tmp_path):
     assert "error: no 'plp' features for clip '" in err
     assert "holds: mfcc" in err
 
+    # a real plp model, trained on a plp store, then pointed at the mfcc one
     model = tmp_path / "plp-gmm.sfg"
-    model.write_bytes((work / "mfcc-gmm.sfg").read_bytes())
+    plp_feats = str(tmp_path / "plp.sfs")
+    for argv in (
+        ["extract", "--manifest", manifest, "--features", "plp",
+         "--frame-len", "512", "--hop", "256", "--out", plp_feats],
+        ["train", "--features", plp_feats, "--manifest", manifest,
+         "--system", "plp-gmm", "--mixtures", "2", "--out", str(model)],
+    ):
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
     rc = main([
         "classify", "--model", str(model), "--features", str(work / "feats.sfs"),
         "--manifest", manifest, "--out", str(tmp_path / "plp.csv"),
@@ -225,8 +234,60 @@ def test_missing_feature_family_is_named(work, capsys, tmp_path):
     assert "holds: mfcc" in err
 
 
+def _classify(work, manifest, out):
+    return main([
+        "classify", "--model", str(work / "mfcc-gmm.sfg"),
+        "--features", str(work / "feats.sfs"), "--manifest", str(manifest), "--out", str(out),
+    ])
+
+
+def test_classify_matches_classes_by_name(work, capsys):
+    # the same clips, listed by label, so classes first appear in another order
+    lines = (work / "data" / "manifest.tsv").read_text().splitlines()
+    by_label = work / "data" / "by_label.tsv"
+    by_label.write_text("\n".join(sorted(lines, key=lambda l: (l.split("\t")[1], l))) + "\n")
+    accuracies = []
+    for manifest, out in ((work / "data" / "manifest.tsv", work / "listed.csv"),
+                          (by_label, work / "by_label.csv")):
+        assert _classify(work, manifest, out) == 0
+        assert main(["evaluate", "--pred", str(out), "--manifest", str(manifest),
+                     "--report", str(out.with_suffix(".txt"))]) == 0
+        accuracies.append(capsys.readouterr().out.split("average accuracy ")[1].split("%")[0])
+    assert accuracies[0] == accuracies[1]
+    assert float(accuracies[0]) > 50.0
+
+    (listed,) = load_score_csv(work / "listed.csv")
+    (sorted_,) = load_score_csv(work / "by_label.csv")
+    assert sorted_.class_names == load_manifest(by_label).class_names != listed.class_names
+    rows = [listed.clip_ids.index(clip) for clip in sorted_.clip_ids]
+    cols = [listed.class_names.index(name) for name in sorted_.class_names]
+    assert np.array_equal(sorted_.values, listed.values[rows][:, cols])
+
+
+def test_classify_names_a_class_the_model_lacks(work, capsys):
+    manifest = load_manifest(work / "data" / "manifest.tsv")
+    old = manifest.class_names[0]
+    renamed = work / "data" / "renamed.tsv"
+    renamed.write_text("".join(
+        f"{path}\t{'gone-' + label if label == old else label}\n"
+        for path, label in manifest.entries
+    ))
+    assert _classify(work, renamed, work / "renamed-class.csv") == 1
+    err = capsys.readouterr().err
+    assert f"only in the manifest: ['gone-{old}']" in err
+    assert f"only in the model: ['{old}']" in err
+
+
 def test_bad_subcommand_arguments_exit_two(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["train", "--system", "made-up"])
-    assert err.value.code == 2
+    for argv in (
+        ["train", "--system", "made-up"],
+        # one CDL scoring rule, and the model file names its feature family
+        ["weights", "--manifest", "m.tsv", "--features", "f.sfs", "--systems", "all",
+         "--out", "w.csv", "--cdl-mode", "centroid"],
+        ["classify", "--model", "m.sfg", "--features", "f.sfs", "--manifest", "m.tsv",
+         "--out", "s.csv", "--extractor", "mfcc"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
     capsys.readouterr()

@@ -23,6 +23,7 @@ from scenefuse.dataio import (
     fnv1a64,
     load_features,
     load_manifest,
+    pack_model_header,
     pack_str,
     pack_u32,
     pack_u64,
@@ -399,8 +400,8 @@ def _gmm_bank():
 #: format -> (write a sample file, read it back)
 CONTAINERS = {
     "sfs": (lambda path: save_features(feature_store(), path), load_features),
-    "sfg": (lambda path: save_gmm_bank(path, _gmm_bank()), load_gmm_bank),
-    "sfc": (lambda path: save_cdl_model(path, _cdl_model()), load_cdl_model),
+    "sfg": (lambda path: save_gmm_bank(path, _gmm_bank(), "mfcc", ["a", "b"]), load_gmm_bank),
+    "sfc": (lambda path: save_cdl_model(path, _cdl_model(), "cepscom", ["a", "b"]), load_cdl_model),
 }
 
 
@@ -461,3 +462,18 @@ class TestContainer:
         path.write_bytes(self.reframe(blob))
         with pytest.raises(FeatureStoreError, match=f"version {version + 1} does not match"):
             read(path)
+
+
+@pytest.mark.parametrize("fmt, family", [("sfg", "mfcc"), ("sfc", "cepscom")])
+def test_version_1_model_file_rejected(fmt, family, tmp_path):
+    # version 1 stored the same payload without the leading names block
+    write, read = CONTAINERS[fmt]
+    path = tmp_path / f"old.{fmt}"
+    write(path)
+    blob = path.read_bytes()
+    header = pack_model_header(family, ["a", "b"], 2)
+    assert blob[8 : 8 + len(header)] == header
+    body = pack_u32(1) + blob[8 + len(header) : -8]
+    path.write_bytes(blob[:4] + body + pack_u64(fnv1a64(body)))
+    with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 2"):
+        read(path)

@@ -250,22 +250,23 @@ class TestBankFile:
     def test_round_trip_bit_exact(self, tmp_path):
         bank = self.build_bank()
         path = tmp_path / "bank.sfg"
-        save_gmm_bank(path, bank)
-        back = load_gmm_bank(path)
+        save_gmm_bank(path, bank, "mfcc", ["hum", "rain"])
+        family, class_names, back = load_gmm_bank(path)
+        assert (family, class_names) == ("mfcc", ["hum", "rain"])
         assert back.n_classes == bank.n_classes
         for got, want in zip(back.models, bank.models):
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.means, want.means)
             assert np.array_equal(got.variances, want.variances)
         path2 = tmp_path / "again.sfg"
-        save_gmm_bank(path2, back)
+        save_gmm_bank(path2, back, family, class_names)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_scores_survive_round_trip(self, tmp_path):
         bank = self.build_bank()
         path = tmp_path / "bank.sfg"
-        save_gmm_bank(path, bank)
-        back = load_gmm_bank(path)
+        save_gmm_bank(path, bank, "mfcc", ["hum", "rain"])
+        _, _, back = load_gmm_bank(path)
         clip = np.random.default_rng(12).standard_normal((20, 4))
         assert np.array_equal(classify_gmm(bank, clip), classify_gmm(back, clip))
 
@@ -274,8 +275,8 @@ class TestBankFile:
         feats = [rng.standard_normal((400, 24)) + shift for shift in (0.0, 0.5, 1.0)]
         bank = fit_gmm_bank(feats, 8, seeds=[1, 2, 3])
         path = tmp_path / "bank.sfg"
-        save_gmm_bank(path, bank)
-        back = load_gmm_bank(path)
+        save_gmm_bank(path, bank, "cepscom", ["a", "b", "c"])
+        _, _, back = load_gmm_bank(path)
         for trial in range(3):
             clip = rng.standard_normal((40 + trial, 24)) + 0.5
             want = inline_formula_scores(bank, clip)

@@ -18,9 +18,11 @@ from scenefuse.pipeline import (
     estimate_weights,
     extract_for_manifest,
     fit_system,
+    load_system_model,
     parse_config,
     required_extractors,
     run_pipeline,
+    save_system_model,
     score_system,
 )
 
@@ -119,9 +121,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="weights_method"):
             self.good(weights_method="bootstrap")
 
-    def test_bad_cdl_mode(self):
-        with pytest.raises(ValueError, match="cdl_mode"):
-            self.good(cdl_mode="7-nn")
+    def test_bad_cdl_mode(self, tmp_path):
+        # one CDL scoring rule: the key that chose between two is gone
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("manifest = m.tsv\nout_dir = o\ncdl_mode = centroid\n")
+        with pytest.raises(ValueError, match=":3: unknown key 'cdl_mode'"):
+            parse_config(cfg)
 
     def test_bad_folds_and_mixtures(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -248,9 +253,8 @@ class TestComputeOnce:
         )
         blobs = []
         for i, model in enumerate((first.cdl_model, second.cdl_model, fresh)):
-            cdl_mod.save_cdl_model(tmp_path / f"{i}.sfc", model)
+            cdl_mod.save_cdl_model(tmp_path / f"{i}.sfc", model, "cepscom", train.class_names)
             blobs.append((tmp_path / f"{i}.sfc").read_bytes())
-            assert np.array_equal(model.train_points, fresh.train_points)
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_replacing_a_record_drops_its_embedding(self):
@@ -276,6 +280,19 @@ class TestComputeOnce:
         clips = DatasetManifest(entries=[("bus/broken.wav", "bus")], class_names=["park", "bus"])
         with pytest.raises(ValueError, match="'bus/broken.wav'.*non-finite"):
             score_system(model, store, clips)
+
+
+@pytest.mark.parametrize("system_id", ["cepscom-gmm", "cepscom-cdl"])
+def test_loaded_model_scores_in_the_given_class_order(system_id, tmp_path):
+    store, train = embedding_store(np.random.default_rng(43))
+    model = fit_system(system_id, store, train, TrainOptions(mixtures_cepstral=2))
+    path = tmp_path / "model.bin"
+    save_system_model(path, model)
+    want = score_system(model, store, train).values
+    for names, cols in ((train.class_names, [0, 1]), (train.class_names[::-1], [1, 0])):
+        back = load_system_model(path, "renamed", names)
+        assert (back.extractor, back.class_names) == ("cepscom", names)
+        assert np.array_equal(score_system(back, store, train).values, want[:, cols])
 
 
 MINI_SYSTEMS = ("cepscom-gmm", "plp-gmm", "cepscom-cdl")
