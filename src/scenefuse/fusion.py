@@ -274,10 +274,17 @@ def load_score_csv(path) -> list:
     if not class_names:
         raise ValueError(f"{path}: no class columns")
     by_system: dict = {}
+    seen: dict = {}
     for lineno, row in enumerate(rows[1:], start=3):
         if len(row) != 2 + len(class_names):
             raise ValueError(f"{path}:{lineno}: expected {2 + len(class_names)} fields")
         clip_id, system_id = row[0], row[1]
+        first = seen.setdefault((system_id, clip_id), lineno)
+        if first != lineno:
+            raise ValueError(
+                f"{path}:{lineno}: clip {clip_id!r} of system {system_id!r} "
+                f"repeats line {first}"
+            )
         entry = by_system.setdefault(system_id, ([], []))
         entry[0].append(clip_id)
         entry[1].append([float(v) for v in row[2:]])
@@ -318,5 +325,8 @@ def load_weights_csv(path) -> FusionWeights:
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 1 + len(class_names):
             raise ValueError(f"{path}:{lineno}: expected {1 + len(class_names)} fields")
+        first = system_ids.index(row[0]) + 2
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: system {row[0]!r} repeats line {first}")
         values.append([float(v) for v in row[1:]])
     return FusionWeights(system_ids, class_names, np.array(values, dtype=np.float64))

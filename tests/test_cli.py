@@ -201,6 +201,23 @@ def test_error_exit_codes(work, capsys, tmp_path):
     assert "scored 15 clips with mystery" in capsys.readouterr().out
 
 
+def test_fuse_rejects_repeated_rows(capsys, tmp_path):
+    scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
+    argv = ["fuse", "--scores", str(scores), "--weights", str(weights),
+            "--out", str(tmp_path / "fused.csv")]
+    header = "#normalized=true\nclip_id,system_id,a,b\n"
+    scores.write_text(header + "c1.wav,x,1.0,0.0\nc2.wav,x,0.0,1.0\n")
+    weights.write_text("system_id,a,b\nx,1.0,1.0\nx,0.5,0.5\n")
+    assert main(argv) == 1
+    assert "weights.csv:3: system 'x' repeats line 2" in capsys.readouterr().err
+
+    weights.write_text("system_id,a,b\nx,1.0,1.0\n")
+    scores.write_text(header + "c1.wav,x,1.0,0.0\nc1.wav,x,0.0,1.0\n")
+    assert main(argv) == 1
+    assert "scores.csv:4: clip 'c1.wav' of system 'x' repeats line 3" in capsys.readouterr().err
+    assert not (tmp_path / "fused.csv").exists()
+
+
 def test_missing_feature_family_is_named(work, capsys, tmp_path):
     # feats.sfs holds mfcc only; a plp system has no records to read
     manifest = str(work / "data" / "manifest.tsv")

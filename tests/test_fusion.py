@@ -377,6 +377,20 @@ class TestScoreCsv:
         with pytest.raises(ValueError, match=":3: expected 4 fields"):
             load_score_csv(path)
 
+    def test_repeated_clip_of_a_system_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "#normalized=true\n"
+            "clip_id,system_id,x,y\n"
+            "c1.wav,alpha,1.0,0.0\n"
+            "c1.wav,beta,1.0,0.0\n"
+            "c1.wav,alpha,0.0,1.0\n"
+        )
+        with pytest.raises(
+            ValueError, match=r":5: clip 'c1.wav' of system 'alpha' repeats line 3"
+        ):
+            load_score_csv(path)
+
     def test_comma_in_fields_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="system id"):
@@ -413,4 +427,10 @@ class TestWeightsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("system_id,x,y\nalpha,1.0\n")
         with pytest.raises(ValueError, match=":2: expected 3 fields"):
+            load_weights_csv(path)
+
+    def test_repeated_system_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("system_id,x\nalpha,1.0\nbeta,0.5\nalpha,0.25\n")
+        with pytest.raises(ValueError, match=r":4: system 'alpha' repeats line 2"):
             load_weights_csv(path)

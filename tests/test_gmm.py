@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from scenefuse.gmm import (
+    EMPTY_COMPONENT_MASS,
     GmmBank,
     GmmModel,
     VARIANCE_FLOOR_ABS,
     VARIANCE_FLOOR_SCALE,
+    _component_log_likelihoods,
+    _exp_normal,
+    _kmeanspp_centers,
     classify_gmm,
     fit_gmm,
     fit_gmm_bank,
@@ -16,6 +20,12 @@ from scenefuse.gmm import (
     log_likelihood,
     save_gmm_bank,
 )
+
+TINY = np.finfo(np.float64).tiny
+
+
+def count_subnormal(values):
+    return int(np.count_nonzero((values != 0.0) & (np.abs(values) < TINY)))
 
 
 def naive_log_likelihood(model, features):
@@ -34,25 +44,74 @@ def naive_log_likelihood(model, features):
     return total
 
 
+def inline_exp_terms(model, features):
+    """exp(component ll - frame peak) with every model term rebuilt and a
+    plain ``np.exp``, as classify_gmm read before it kept its terms and
+    dropped subnormal ones; returns ``(peak, terms)``."""
+    inv_var = 1.0 / model.variances
+    quad = (
+        features**2 @ inv_var.T
+        - 2.0 * (features @ (model.means * inv_var).T)
+        + (model.means**2 * inv_var).sum(axis=1)[None, :]
+    )
+    log_norm = -0.5 * (
+        model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
+    )
+    comp = np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * quad
+    peak = comp.max(axis=1)
+    return peak, np.exp(comp - peak[:, None])
+
+
 def inline_formula_scores(bank, features):
-    """classify_gmm as it read when every model term was rebuilt on each
-    call; kept as the bit-for-bit oracle for the kept scoring terms."""
+    """The bit-for-bit oracle for classify_gmm's kept terms and its exp."""
     out = []
     for model in bank.models:
-        inv_var = 1.0 / model.variances
-        quad = (
-            features**2 @ inv_var.T
-            - 2.0 * (features @ (model.means * inv_var).T)
-            + (model.means**2 * inv_var).sum(axis=1)[None, :]
-        )
-        log_norm = -0.5 * (
-            model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
-        )
-        comp = np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * quad
-        peak = comp.max(axis=1)
-        frame = peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))
-        out.append(float(frame.sum()))
+        peak, terms = inline_exp_terms(model, features)
+        out.append(float((peak + np.log(terms.sum(axis=1))).sum()))
     return np.array(out)
+
+
+def plain_exp_fit(features, n_components, seed, max_iters=100, tol=1e-5):
+    """fit_gmm's EM loop as it read with a plain ``np.exp``, which keeps
+    subnormal terms; returns the model and how many subnormal
+    responsibilities it made."""
+    rng = np.random.default_rng(seed)
+    global_var = features.var(axis=0)
+    floor = np.maximum(VARIANCE_FLOOR_SCALE * global_var, VARIANCE_FLOOR_ABS)
+    weights = np.full(n_components, 1.0 / n_components)
+    means = _kmeanspp_centers(features, n_components, rng)
+    variances = np.maximum(np.tile(global_var, (n_components, 1)), floor)
+    model = GmmModel(weights, means, variances)
+    trace, subnormals = [], 0
+    prev_ll = -np.inf
+    sq = features**2
+    for _ in range(max_iters):
+        comp_ll = _component_log_likelihoods(model, features, sq)
+        peak = comp_ll.max(axis=1)
+        frame_ll = peak + np.log(np.exp(comp_ll - peak[:, None]).sum(axis=1))
+        ll = float(frame_ll.sum())
+        trace.append(ll)
+        if np.isfinite(prev_ll) and ll - prev_ll < tol * abs(prev_ll):
+            break
+        prev_ll = ll
+
+        resp = np.exp(comp_ll - frame_ll[:, None])
+        subnormals += count_subnormal(resp)
+        mass = resp.sum(axis=0)
+        empty = np.flatnonzero(mass < EMPTY_COMPONENT_MASS)
+        if empty.size:
+            worst = np.argsort(frame_ll)[: empty.size]
+            for comp, frame in zip(empty, worst):
+                resp[:, comp] = 0.0
+                resp[frame, comp] = 1.0
+            mass = resp.sum(axis=0)
+
+        weights = mass / mass.sum()
+        means = (resp.T @ features) / mass[:, None]
+        variances = np.maximum((resp.T @ sq) / mass[:, None] - means**2, floor)
+        model = GmmModel(weights, means, variances)
+    model.train_log_likelihoods = trace
+    return model, subnormals
 
 
 def two_blobs(rng, separation=100.0, n=200, dim=3):
@@ -142,6 +201,28 @@ class TestLikelihood:
             log_likelihood(model, np.zeros((3, 5)))
 
 
+class TestExpNormal:
+    def test_equals_exp_in_the_normal_range_and_zero_below(self):
+        edge = np.log(TINY)
+        # the seven doubles around the edge, then a sweep across it
+        near = edge + np.spacing(edge) * np.arange(-3, 4)
+        values = np.concatenate([
+            np.linspace(-800.0, 5.0, 4001), near, [-np.inf, 0.0, -745.2, -708.0]
+        ]).reshape(-1, 4)
+        want = np.exp(values)
+        got = _exp_normal(values)
+        normal = want >= TINY
+        assert np.array_equal(got[normal], want[normal])
+        assert np.all(got[~normal] == 0.0)
+        assert count_subnormal(got) == 0
+        # the inputs do reach the subnormal range, so the check is not vacuous
+        assert count_subnormal(want) > 0 and 0 < normal.sum() < normal.size
+
+    def test_nan_goes_through_exp(self):
+        got = _exp_normal(np.array([[np.nan, -1000.0, 0.0]]))
+        assert np.isnan(got[0, 0]) and got[0, 1] == 0.0 and got[0, 2] == 1.0
+
+
 class TestFitGmm:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(4)
@@ -198,6 +279,19 @@ class TestFitGmm:
     def test_more_components_than_frames_rejected(self):
         with pytest.raises(ValueError, match="cannot support"):
             fit_gmm(np.zeros((3, 2)), 4, seed=0)
+
+    @pytest.mark.parametrize("n_components", [2, 4])
+    def test_equals_plain_exp_em_bit_for_bit(self, n_components):
+        # clusters 38 sd apart put many responsibilities in the subnormal
+        # range, which fit_gmm drops and the plain-exp loop keeps
+        feats, _, _ = two_blobs(np.random.default_rng(0), separation=22.0)
+        want, subnormals = plain_exp_fit(feats, n_components, seed=1)
+        got = fit_gmm(feats, n_components, seed=1)
+        assert subnormals > 0
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.means, want.means)
+        assert np.array_equal(got.variances, want.variances)
+        assert got.train_log_likelihoods == want.train_log_likelihoods
 
     def test_duplicate_frames_fit(self):
         # all-identical data collapses every component onto one point
@@ -283,3 +377,18 @@ class TestBankFile:
             # a second call reads the terms the first one kept
             for scored in (bank, back, bank, back):
                 assert np.array_equal(classify_gmm(scored, clip), want)
+
+    def test_scores_with_subnormal_terms_equal_inline_formula(self):
+        # each model spans both blobs, so a frame near one blob gives the
+        # far component a subnormal exp term
+        rng = np.random.default_rng(14)
+        bank = fit_gmm_bank(
+            [two_blobs(rng, separation=22.0)[0] for _ in range(2)], 2, seeds=[1, 2]
+        )
+        clip = two_blobs(rng, separation=22.0, n=30)[0]
+        peak, terms = inline_exp_terms(bank.models[0], clip)
+        assert count_subnormal(terms) > 0
+        assert np.array_equal(
+            frame_log_likelihoods(bank.models[0], clip), peak + np.log(terms.sum(axis=1))
+        )
+        assert np.array_equal(classify_gmm(bank, clip), inline_formula_scores(bank, clip))
