@@ -19,8 +19,9 @@ import numpy as np
 from scipy.io import wavfile
 
 FEATURE_STORE_MAGIC = b"SFS1"
+#: version 3 no longer stores cepscom, which is derived from its parts;
 #: version 2 checksums the whole body; version 1 checksummed each record
-FEATURE_STORE_VERSION = 2
+FEATURE_STORE_VERSION = 3
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -290,9 +291,11 @@ class FeatureStore:
 
     records: dict[tuple[str, str], np.ndarray] = field(default_factory=dict, init=False)
     _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: per-record values a later stage derives once and keeps (the pipeline's
-    #: CDL log-embeddings of training clips); replacing a record drops its entry
-    _derived: dict[tuple[str, str], np.ndarray] = field(
+    #: source_id -> {family: value} a later stage derives once and keeps (the
+    #: pipeline's CDL log-embeddings of training clips).  A derived family may
+    #: read several records of its clip, so adding any record of a clip drops
+    #: everything derived from that clip
+    _derived: dict[str, dict[str, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -306,7 +309,7 @@ class FeatureStore:
                 f"extractor {extractor!r} dimension mismatch: {dim} vs {values.shape[1]}"
             )
         self.records[(source_id, extractor)] = values
-        self._derived.pop((source_id, extractor), None)
+        self._derived.pop(source_id, None)
 
     def get(self, source_id: str, extractor: str) -> np.ndarray:
         try:

@@ -1,13 +1,17 @@
 """Cepstral feature extractors for acoustic scenes.
 
-Six families share one framing and power-spectrum front end:
+Five families share one framing and power-spectrum front end:
 
 * mfcc    log mel subband power, DCT, 20 static -> 60 with deltas
 * plp     bark bank, equal-loudness, cube root, LPC cepstra + energy -> 39
 * pncc    gammatone bank, medium-time bias subtraction, x^(1/15) -> 60
 * rcgcc   gammatone bank, smoothed noise-suppression gains, cube root -> 60
 * spcc    log mel power projected onto its dominant subspace -> 60
-* cepscom frame-wise [mfcc | pncc | rcgcc | spcc] -> 240
+
+The paper's combined family ``cepscom`` is the frame-wise concatenation
+[mfcc | pncc | rcgcc | spcc] -> 240.  It is never extracted or stored on its
+own: a request for it computes its four parts (``CEPSCOM_PARTS``), and the
+pipeline joins them where a system reads cepscom.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dataio import AudioClip
 from .spectral import (
@@ -35,6 +38,9 @@ from .spectral import (
 )
 
 EXTRACTOR_NAMES = ("mfcc", "plp", "pncc", "rcgcc", "spcc", "cepscom")
+
+#: the stored families whose frame-wise concatenation, in this order, is cepscom
+CEPSCOM_PARTS = ("mfcc", "pncc", "rcgcc", "spcc")
 
 #: multiplier on the per-channel minimum medium-time power
 PNCC_BIAS_SCALE = 1.11
@@ -105,7 +111,7 @@ def expected_dim(extractor: str, cfg: FeatureConfig) -> int:
     if extractor == "plp":
         return 3 * (cfg.plp_model_order + 1)
     if extractor == "cepscom":
-        return 4 * 3 * cfg.n_static
+        return len(CEPSCOM_PARTS) * 3 * cfg.n_static
     if extractor in EXTRACTOR_NAMES:
         return 3 * cfg.n_static
     raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTOR_NAMES}")
@@ -246,6 +252,21 @@ def _pncc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
 
 # --- rcgcc ---
 
+def _one_pole(x: np.ndarray, lam: float, carry: np.ndarray) -> np.ndarray:
+    """y[t] = (1-lam)*x[t] + carry, then carry = lam*y[t], down the rows.
+
+    These are the direct-form-II-transposed steps of the first-order filter
+    b = [1-lam], a = [1, -lam] with initial state ``carry``, in the same
+    operations and order, so the result is bit-equal to
+    ``scipy.signal.lfilter`` (whose import costs about a second).
+    """
+    y = (1.0 - lam) * x
+    y[0] += carry
+    for t in range(1, y.shape[0]):
+        y[t] += lam * y[t - 1]
+    return y
+
+
 def rcgcc_gains(subband: np.ndarray, smoothing: float) -> np.ndarray:
     """Smoothed suppression gains in [0.1, 1] tracking a recursive noise floor.
 
@@ -256,16 +277,11 @@ def rcgcc_gains(subband: np.ndarray, smoothing: float) -> np.ndarray:
     q = np.asarray(subband, dtype=np.float64)
     lam = smoothing
     seed = q[: min(RCGCC_SEED_FRAMES, q.shape[0])].mean(axis=0)
-    noise, _ = lfilter(
-        [1.0 - lam], [1.0, -lam], q, axis=0, zi=(lam * seed)[None, :]
-    )
+    noise = _one_pole(q, lam, lam * seed)
     raw = np.clip(
         np.divide(q - noise, q, out=np.zeros_like(q), where=q > 0.0), 0.1, 1.0
     )
-    gains, _ = lfilter(
-        [1.0 - lam], [1.0, -lam], raw, axis=0, zi=(lam * raw[0])[None, :]
-    )
-    return gains
+    return _one_pole(raw, lam, lam * raw[0])
 
 
 def _rcgcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
@@ -331,8 +347,8 @@ def extract_selected(
 ) -> dict[str, FeatureMatrix]:
     """Requested families only, all from one shared framing and spectrum.
 
-    ``cepscom`` is the frame-wise concatenation [mfcc | pncc | rcgcc | spcc];
-    plp stays out of it.  The result follows ``EXTRACTOR_NAMES`` order.
+    A request for ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a
+    concatenated copy.  The result follows ``EXTRACTOR_NAMES`` order.
     """
     cfg = cfg or FeatureConfig()
     wanted = set(names)
@@ -341,11 +357,10 @@ def extract_selected(
         raise ValueError(
             f"unknown extractors {sorted(unknown)}; expected a subset of {EXTRACTOR_NAMES}"
         )
-    compute = set(wanted)
     if "cepscom" in wanted:
-        compute |= {"mfcc", "pncc", "rcgcc", "spcc"}
+        wanted |= set(CEPSCOM_PARTS)
     frames = frame_signal(clip, cfg.frame_len, cfg.hop)
-    if "spcc" in compute and frames.n_frames < 2:
+    if "spcc" in wanted and frames.n_frames < 2:
         # the subspace projection estimates a covariance over frames
         raise ValueError(
             f"clip {clip.source_id!r} has {len(clip)} samples, which frame to "
@@ -354,17 +369,14 @@ def extract_selected(
         )
     spec = power_spectrum(frames)
     parts: dict[str, FeatureMatrix] = {}
-    if "mfcc" in compute:
+    if "mfcc" in wanted:
         parts["mfcc"] = _mfcc_from_spec(spec, cfg)
-    if "plp" in compute:
+    if "plp" in wanted:
         parts["plp"] = _plp_from_spec(frames, spec, cfg)
-    if "pncc" in compute:
+    if "pncc" in wanted:
         parts["pncc"] = _pncc_from_spec(spec, cfg)
-    if "rcgcc" in compute:
+    if "rcgcc" in wanted:
         parts["rcgcc"] = _rcgcc_from_spec(spec, cfg)
-    if "spcc" in compute:
+    if "spcc" in wanted:
         parts["spcc"] = _spcc_from_spec(spec, cfg)
-    if "cepscom" in wanted:
-        blocks = [parts[name].values for name in ("mfcc", "pncc", "rcgcc", "spcc")]
-        parts["cepscom"] = FeatureMatrix(np.hstack(blocks), "cepscom")
-    return {name: parts[name] for name in EXTRACTOR_NAMES if name in wanted}
+    return parts

@@ -79,8 +79,8 @@ class FusionWeights:
                 f"weight shape {self.values.shape} does not match "
                 f"{len(self.system_ids)} systems x {len(self.class_names)} classes"
             )
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValueError("weights must lie in [0,1]")
+        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
+            raise ValueError("weights must be finite and lie in [0,1]")
 
 
 @dataclass
@@ -240,6 +240,21 @@ def _check_csv_field(value: str, what: str) -> str:
     return value
 
 
+def _csv_numbers(path, lineno: int, fields) -> list:
+    """The fields of one CSV line as floats; anything but a finite number
+    fails, naming the file and line."""
+    values = []
+    for text in fields:
+        try:
+            value = float(text)
+        except ValueError:
+            value = float("nan")
+        if not np.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: {text!r} is not a finite number")
+        values.append(value)
+    return values
+
+
 def save_score_csv(path, scores: ScoreMatrix) -> None:
     """One row per clip: clip_id, system_id, then per-class scores."""
     _check_csv_field(scores.system_id, "system id")
@@ -287,7 +302,7 @@ def load_score_csv(path) -> list:
             )
         entry = by_system.setdefault(system_id, ([], []))
         entry[0].append(clip_id)
-        entry[1].append([float(v) for v in row[2:]])
+        entry[1].append(_csv_numbers(path, lineno, row[2:]))
     return [
         ScoreMatrix(
             system_id=system_id,
@@ -328,5 +343,5 @@ def load_weights_csv(path) -> FusionWeights:
         first = system_ids.index(row[0]) + 2
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: system {row[0]!r} repeats line {first}")
-        values.append([float(v) for v in row[1:]])
+        values.append(_csv_numbers(path, lineno, row[1:]))
     return FusionWeights(system_ids, class_names, np.array(values, dtype=np.float64))

@@ -26,7 +26,7 @@ from .dataio import (
     split_dataset,
 )
 from .evaluation import EvaluationReport, evaluate, save_report
-from .features import EXTRACTOR_NAMES, FeatureConfig, extract_selected
+from .features import CEPSCOM_PARTS, EXTRACTOR_NAMES, FeatureConfig, extract_selected
 from .fusion import (
     FusionDecision,
     FusionWeights,
@@ -228,12 +228,29 @@ def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
     return (base * 1000003 + system_index * 101 + class_index) & 0x7FFFFFFF
 
 
+def clip_features(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
+    """A clip's frames x dims matrix of one family; cepscom is joined,
+    frame by frame, from its stored parts."""
+    if family != "cepscom":
+        return store.get(entry_path, family)
+    parts = [store.get(entry_path, name) for name in CEPSCOM_PARTS]
+    frames = [part.shape[0] for part in parts]
+    if len(set(frames)) != 1:
+        raise ValueError(
+            f"clip {entry_path!r}: the cepscom parts {CEPSCOM_PARTS} have "
+            f"{frames} frames; they must agree"
+        )
+    return np.hstack(parts)
+
+
 def _clip_embedding(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
     """A clip's CDL log-embedding: the kept one if a training pass kept it."""
-    embedding = store._derived.get((entry_path, family))
+    embedding = store._derived.get(entry_path, {}).get(family)
     if embedding is None:
         embedding = cdl_mod.log_embed(
-            cdl_mod.covariance_descriptor(store.get(entry_path, family), source_id=entry_path)
+            cdl_mod.covariance_descriptor(
+                clip_features(store, entry_path, family), source_id=entry_path
+            )
         )
     return embedding
 
@@ -242,7 +259,7 @@ def _training_embedding(store: FeatureStore, entry_path: str, family: str) -> np
     """:func:`_clip_embedding`, kept on the store: the CV folds and the final
     fit see each training clip several times, test clips are scored once."""
     embedding = _clip_embedding(store, entry_path, family)
-    store._derived[(entry_path, family)] = embedding
+    store._derived.setdefault(entry_path, {})[family] = embedding
     return embedding
 
 
@@ -272,7 +289,7 @@ def fit_system(
     seeds = []
     for class_index, class_name in enumerate(train.class_names):
         rows = [
-            store.get(entry_path, extractor)
+            clip_features(store, entry_path, extractor)
             for (entry_path, label) in train.entries
             if label == class_name
         ]
@@ -297,7 +314,9 @@ def fit_system(
 
 def _clip_scores(model: SystemModel, store: FeatureStore, entry_path: str) -> np.ndarray:
     if model.kind == "gmm":
-        return gmm_mod.classify_gmm(model.gmm_bank, store.get(entry_path, model.extractor))
+        return gmm_mod.classify_gmm(
+            model.gmm_bank, clip_features(store, entry_path, model.extractor)
+        )
     embedding = _clip_embedding(store, entry_path, model.extractor)
     return cdl_mod.classify_cdl(model.cdl_model, embedding)
 

@@ -1,5 +1,8 @@
 """Command-line interface, exercised end to end through main()."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +221,17 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     assert not (tmp_path / "fused.csv").exists()
 
 
+def test_fuse_rejects_a_weight_that_is_not_a_number(capsys, tmp_path):
+    scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
+    scores.write_text("#normalized=true\nclip_id,system_id,a,b\nc1.wav,x,1.0,0.0\n")
+    weights.write_text("system_id,a,b\nx,nan,0.5\n")
+    argv = ["fuse", "--scores", str(scores), "--weights", str(weights),
+            "--out", str(tmp_path / "fused.csv")]
+    assert main(argv) == 1
+    assert "weights.csv:2: 'nan' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "fused.csv").exists()
+
+
 def test_missing_feature_family_is_named(work, capsys, tmp_path):
     # feats.sfs holds mfcc only; a plp system has no records to read
     manifest = str(work / "data" / "manifest.tsv")
@@ -228,6 +242,16 @@ def test_missing_feature_family_is_named(work, capsys, tmp_path):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: no 'plp' features for clip '" in err
+    assert "holds: mfcc" in err
+
+    # cepscom is joined from its parts; the first one the store lacks is named
+    rc = main([
+        "train", "--features", str(work / "feats.sfs"), "--manifest", manifest,
+        "--system", "cepscom-gmm", "--out", str(tmp_path / "cepscom-gmm.sfg"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: no 'pncc' features for clip '" in err
     assert "holds: mfcc" in err
 
     # a real plp model, trained on a plp store, then pointed at the mfcc one
@@ -293,6 +317,18 @@ def test_classify_names_a_class_the_model_lacks(work, capsys):
     err = capsys.readouterr().err
     assert f"only in the manifest: ['gone-{old}']" in err
     assert f"only in the model: ['{old}']" in err
+
+
+def test_importing_the_cli_leaves_scipy_signal_out():
+    import scenefuse
+
+    src = str(Path(scenefuse.__file__).resolve().parents[1])
+    probe = "import sys, scenefuse.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_bad_subcommand_arguments_exit_two(capsys):

@@ -378,7 +378,17 @@ class TestFeatureFile:
         blob += values + pack_u64(fnv1a64(values))
         path = tmp_path / "old.sfs"
         path.write_bytes(blob)
-        with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 2"):
+        with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 3"):
+            load_features(path)
+
+    def test_version_2_rejected(self, tmp_path):
+        # version 2 had today's framing but also stored cepscom records
+        values = np.arange(6, dtype="<f8").tobytes()
+        body = pack_u32(2) + pack_u32(1)
+        body += pack_str("one.wav") + pack_str("cepscom") + pack_u32(2) + pack_u32(3) + values
+        path = tmp_path / "v2.sfs"
+        path.write_bytes(b"SFS1" + body + pack_u64(fnv1a64(body)))
+        with pytest.raises(FeatureStoreError, match="format version 2 does not match expected 3"):
             load_features(path)
 
 

@@ -1,15 +1,19 @@
-"""The five cepstral families plus their concatenation."""
+"""The five cepstral families, and the parts a request for their
+concatenation yields."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_toeplitz
+from scipy.signal import lfilter
 
 from conftest import make_noise_clip, make_tone_clip
 from scenefuse.dataio import AudioClip
 from scenefuse.features import (
+    CEPSCOM_PARTS,
     EXTRACTOR_NAMES,
+    RCGCC_SEED_FRAMES,
     FeatureConfig,
     equal_loudness,
     expected_dim,
@@ -30,6 +34,10 @@ from scenefuse.spectral import (
     make_filterbank,
     power_spectrum,
 )
+
+
+#: the families extraction yields; cepscom is derived from four of them
+FAMILIES = ("mfcc", "plp", "pncc", "rcgcc", "spcc")
 
 
 def extract(name, clip, cfg=None):
@@ -95,22 +103,23 @@ def bundle():
 class TestDimensions:
     def test_all_dims(self, bundle):
         cfg = FeatureConfig()
-        assert list(bundle) == list(EXTRACTOR_NAMES)
-        for name in EXTRACTOR_NAMES:
+        assert list(bundle) == list(FAMILIES)
+        for name in FAMILIES:
             mat = bundle[name]
             assert mat.dim == expected_dim(name, cfg)
             assert np.all(np.isfinite(mat.values))
+        assert expected_dim("cepscom", cfg) == sum(bundle[n].dim for n in CEPSCOM_PARTS)
 
     def test_frame_counts_agree(self, bundle):
         n = frame_count(2 * 44100, 2048, 1024)
-        for name in EXTRACTOR_NAMES:
+        for name in FAMILIES:
             assert bundle[name].n_frames == n
 
     def test_deterministic(self):
         clip = make_noise_clip(1.0, 16000, seed=2)
         a = extract_selected(clip, EXTRACTOR_NAMES)
         b = extract_selected(clip, EXTRACTOR_NAMES)
-        for name in EXTRACTOR_NAMES:
+        for name in FAMILIES:
             assert np.array_equal(a[name].values, b[name].values)
 
 
@@ -123,8 +132,8 @@ class TestSelection:
     def test_cepscom_pulls_in_parts(self):
         clip = make_noise_clip(1.0, 16000, seed=3)
         out = extract_selected(clip, ["cepscom"])
-        assert list(out) == ["cepscom"]
-        assert out["cepscom"].dim == 240
+        assert list(out) == list(CEPSCOM_PARTS) == ["mfcc", "pncc", "rcgcc", "spcc"]
+        assert all(out[name].dim == 60 for name in CEPSCOM_PARTS)
 
     def test_unknown_name_rejected(self):
         clip = make_noise_clip(1.0, 16000, seed=3)
@@ -336,7 +345,30 @@ class TestPncc:
         assert 1.0**exponent == 1.0
 
 
+def lfilter_gains(subband, smoothing):
+    """The rcgcc gains as scipy.signal.lfilter computes them: the oracle."""
+    q = np.asarray(subband, dtype=np.float64)
+    lam = smoothing
+    seed = q[: min(RCGCC_SEED_FRAMES, q.shape[0])].mean(axis=0)
+    noise, _ = lfilter([1.0 - lam], [1.0, -lam], q, axis=0, zi=(lam * seed)[None, :])
+    raw = np.clip(
+        np.divide(q - noise, q, out=np.zeros_like(q), where=q > 0.0), 0.1, 1.0
+    )
+    gains, _ = lfilter([1.0 - lam], [1.0, -lam], raw, axis=0, zi=(lam * raw[0])[None, :])
+    return gains
+
+
 class TestRcgcc:
+    @pytest.mark.parametrize("n_frames", [1, 2, 5, 128])
+    @pytest.mark.parametrize("smoothing", [0.9, 0.37])
+    def test_bit_equal_to_lfilter(self, n_frames, smoothing):
+        rng = np.random.default_rng(n_frames)
+        for scale in (1e-9, 1.0, 1e6):
+            sub = rng.uniform(0.0, 10.0, size=(n_frames, 40)) * scale
+            sub[:, [0, 7, 39]] = 0.0  # all-zero channels
+            sub[rng.random(sub.shape) < 0.1] = 0.0
+            assert np.array_equal(rcgcc_gains(sub, smoothing), lfilter_gains(sub, smoothing))
+
     def test_dim(self):
         assert extract("rcgcc", make_noise_clip(1.0, 44100, seed=24)).dim == 60
 
@@ -453,18 +485,17 @@ class TestSpcc:
 
 class TestCepscom:
     def test_concatenation_order(self):
+        # the parts come out in the order the pipeline joins them
         clip = make_noise_clip(1.5, 44100, seed=32)
-        combined = extract("cepscom", clip).values
-        assert combined.shape[1] == 240
-        for i, name in enumerate(["mfcc", "pncc", "rcgcc", "spcc"]):
-            assert np.array_equal(
-                combined[:, 60 * i : 60 * (i + 1)], extract(name, clip).values
-            )
+        parts = extract_selected(clip, ["cepscom"])
+        assert list(parts) == list(CEPSCOM_PARTS)
+        for name in CEPSCOM_PARTS:
+            assert np.array_equal(parts[name].values, extract(name, clip).values)
 
     def test_bundle_consistency(self):
         clip = make_noise_clip(1.0, 44100, seed=33)
         bundle = extract_selected(clip, EXTRACTOR_NAMES)
-        assert np.array_equal(
-            bundle["cepscom"].values[:, :60], bundle["mfcc"].values
-        )
-        assert bundle["cepscom"].dim == 4 * bundle["mfcc"].dim
+        assert "cepscom" not in bundle
+        parts = extract_selected(clip, ["cepscom"])
+        for name in CEPSCOM_PARTS:
+            assert np.array_equal(bundle[name].values, parts[name].values)

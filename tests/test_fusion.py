@@ -158,6 +158,11 @@ class TestConfusionWeights:
         with pytest.raises(ValueError, match="does not match"):
             FusionWeights(["a"], ["x"], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"finite and lie in \[0,1\]"):
+            FusionWeights(["a"], ["x", "y"], np.array([[bad, 0.5]]))
+
 
 class TestFuse:
     def random_instance(self, rng):
@@ -391,6 +396,15 @@ class TestScoreCsv:
         ):
             load_score_csv(path)
 
+    @pytest.mark.parametrize("bad", ["abc", "nan", "-inf", ""])
+    def test_value_that_is_not_a_finite_number_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"#normalized=false\nclip_id,system_id,x,y\nc0,s,1.0,2.0\nc1,s,0.5,{bad}\n"
+        )
+        with pytest.raises(ValueError, match=rf"bad.csv:4: '{bad}' is not a finite number"):
+            load_score_csv(path)
+
     def test_comma_in_fields_rejected(self, tmp_path):
         path = tmp_path / "out.csv"
         with pytest.raises(ValueError, match="system id"):
@@ -433,4 +447,11 @@ class TestWeightsCsv:
         path = tmp_path / "dup.csv"
         path.write_text("system_id,x\nalpha,1.0\nbeta,0.5\nalpha,0.25\n")
         with pytest.raises(ValueError, match=r":4: system 'alpha' repeats line 2"):
+            load_weights_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "abc", "inf"])
+    def test_value_that_is_not_a_finite_number_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "weights.csv"
+        path.write_text(f"system_id,x,y\ns0,1.0,1.0\ns1,{bad},0.5\n")
+        with pytest.raises(ValueError, match=rf"weights.csv:3: '{bad}' is not a finite number"):
             load_weights_csv(path)

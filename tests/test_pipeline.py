@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from scenefuse import cdl as cdl_mod
-from scenefuse.dataio import DatasetManifest, FeatureStore, load_manifest, split_dataset
-from scenefuse.features import FeatureConfig
+from scenefuse.dataio import (
+    DatasetManifest,
+    FeatureStore,
+    load_manifest,
+    read_wav,
+    resolve_clip_path,
+    split_dataset,
+)
+from scenefuse.features import CEPSCOM_PARTS, FeatureConfig, extract_selected
 from scenefuse.fusion import load_score_csv, load_weights_csv
 from scenefuse.pipeline import (
     ALL_SYSTEMS,
@@ -15,6 +22,7 @@ from scenefuse.pipeline import (
     PipelineConfig,
     PipelineError,
     TrainOptions,
+    clip_features,
     estimate_weights,
     extract_for_manifest,
     fit_system,
@@ -199,14 +207,20 @@ class TestExtractAndFit:
             )
 
 
+def add_cepscom(store, path, values):
+    """Store a frames x 4 matrix as four 1-dim cepscom parts."""
+    for name, column in zip(CEPSCOM_PARTS, values.T):
+        store.add(path, name, column[:, None])
+
+
 def embedding_store(rng, n_per_class=4, frames=30):
-    """Random 'cepscom' records: two classes told apart by their covariance."""
+    """Random 4-dim cepscom: two classes told apart by their covariance."""
     store = FeatureStore()
     entries = []
     for label, scale in (("park", [1.0, 1.0, 1.0, 1.0]), ("bus", [3.0, 1.0, 1.0, 1.0])):
         for j in range(n_per_class):
             path = f"{label}/{j}.wav"
-            store.add(path, "cepscom", rng.standard_normal((frames, 4)) * scale)
+            add_cepscom(store, path, rng.standard_normal((frames, 4)) * scale)
             entries.append((path, label))
     return store, DatasetManifest(entries=entries, class_names=["park", "bus"])
 
@@ -247,7 +261,7 @@ class TestComputeOnce:
         # stacked copy in place must have left them as they were
         second = fit_system("cepscom-cdl", store, train, opts)
         fresh = cdl_mod.fit_cdl(
-            [fresh_embedding(store.get(p, "cepscom")) for p, _ in train.entries],
+            [fresh_embedding(clip_features(store, p, "cepscom")) for p, _ in train.entries],
             train.label_indices(),
             n_classes=2,
         )
@@ -262,9 +276,10 @@ class TestComputeOnce:
         store, train = embedding_store(rng)
         model = fit_system("cepscom-cdl", store, train, TrainOptions())
         path = train.entries[0][0]
-        kept = fresh_embedding(store.get(path, "cepscom"))
-        replacement = rng.standard_normal((30, 4)) * [1.0, 1.0, 5.0, 1.0]
-        store.add(path, "cepscom", replacement)
+        kept = fresh_embedding(clip_features(store, path, "cepscom"))
+        # replacing one part changes the cepscom the kept embedding was made of
+        store.add(path, "rcgcc", 5.0 * rng.standard_normal((30, 1)))
+        replacement = clip_features(store, path, "cepscom")
         clip = DatasetManifest(entries=[train.entries[0]], class_names=train.class_names)
         got = score_system(model, store, clip).values[0]
         want = cdl_mod.classify_cdl(model.cdl_model, fresh_embedding(replacement))
@@ -276,10 +291,33 @@ class TestComputeOnce:
         model = fit_system("cepscom-cdl", store, train, TrainOptions())
         bad = np.ones((30, 4))
         bad[3, 1] = np.nan
-        store.add("bus/broken.wav", "cepscom", bad)
+        add_cepscom(store, "bus/broken.wav", bad)
         clips = DatasetManifest(entries=[("bus/broken.wav", "bus")], class_names=["park", "bus"])
         with pytest.raises(ValueError, match="'bus/broken.wav'.*non-finite"):
             score_system(model, store, clips)
+
+
+class TestCepscomRows:
+    def test_joined_rows_equal_the_stored_concatenation(self, mini_dataset):
+        # the rows equal what version 2 stores held for cepscom: the
+        # extracted [mfcc | pncc | rcgcc | spcc] matrices, hstacked
+        manifest = load_manifest(mini_dataset)
+        store = extract_for_manifest(manifest, mini_dataset, ["cepscom"], FAST)
+        assert store.extractors() == ["mfcc", "pncc", "rcgcc", "spcc"]
+        for entry_path, _ in manifest.entries[:3]:
+            clip = read_wav(resolve_clip_path(mini_dataset, entry_path))
+            parts = extract_selected(clip, ["mfcc", "pncc", "rcgcc", "spcc"], FAST)
+            stored = np.hstack([parts[n].values for n in ("mfcc", "pncc", "rcgcc", "spcc")])
+            rows = clip_features(store, entry_path, "cepscom")
+            assert rows.shape == (stored.shape[0], 240)
+            assert np.array_equal(rows, stored)
+
+    def test_parts_of_unequal_length_are_named(self):
+        store = FeatureStore()
+        add_cepscom(store, "park/a.wav", np.ones((10, 4)))
+        store.add("park/a.wav", "spcc", np.ones((9, 1)))
+        with pytest.raises(ValueError, match=r"clip 'park/a.wav'.*\[10, 10, 10, 9\] frames"):
+            clip_features(store, "park/a.wav", "cepscom")
 
 
 @pytest.mark.parametrize("system_id", ["cepscom-gmm", "cepscom-cdl"])
