@@ -31,7 +31,6 @@ from .dataio import (
 from .evaluation import EvaluationReport, evaluate, render_confusion, render_report
 from .features import (
     EXTRACTOR_NAMES,
-    FeatureConfig,
     extract_selected,
     subspace_project,
     subspace_rank,

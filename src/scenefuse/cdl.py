@@ -30,6 +30,9 @@ CDL_MODEL_VERSION = 2
 #: identity scale used when features are constant and the trace vanishes
 CONSTANT_FEATURE_EPS = 1e-6
 
+#: the descriptor's identity ridge, relative to the covariance's mean eigenvalue
+DESCRIPTOR_RIDGE_SCALE = 1e-3
+
 #: relative shrinkage added to the within-class scatter
 SHRINKAGE_SCALE = 1e-2
 
@@ -132,9 +135,7 @@ def half_vec_inverse(vec: np.ndarray, dim: int) -> np.ndarray:
     return out + np.triu(out, 1).T
 
 
-def covariance_descriptor(
-    features: np.ndarray, eps_scale: float = 1e-3, source_id: str = ""
-) -> CovarianceDescriptor:
+def covariance_descriptor(features: np.ndarray, source_id: str = "") -> CovarianceDescriptor:
     """Sample covariance over frames plus a trace-scaled identity ridge."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] < 2:
@@ -152,7 +153,7 @@ def covariance_descriptor(
     if trace <= 0.0:
         # constant features carry no covariance structure at all
         return CovarianceDescriptor(CONSTANT_FEATURE_EPS * np.eye(dim), source_id)
-    eps = eps_scale * trace / dim
+    eps = DESCRIPTOR_RIDGE_SCALE * trace / dim
     return CovarianceDescriptor(cov + eps * np.eye(dim), source_id)
 
 

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .dataio import load_features, load_manifest, save_features
 from .evaluation import evaluate, save_report
-from .features import EXTRACTOR_NAMES, FeatureConfig
+from .features import EXTRACTOR_NAMES, FRAME_LEN, HOP
 from .fusion import (
     fuse,
     load_score_csv,
@@ -59,8 +58,9 @@ def _mixture_counts(args) -> dict:
 def _cmd_extract(args) -> None:
     manifest = load_manifest(args.manifest)
     names = _parse_names(args.features, EXTRACTOR_NAMES, "extractor")
-    cfg = FeatureConfig(frame_len=args.frame_len, hop=args.hop)
-    store = extract_for_manifest(manifest, args.manifest, names, cfg)
+    store = extract_for_manifest(
+        manifest, args.manifest, names, frame_len=args.frame_len, hop=args.hop
+    )
     save_features(store, args.out)
     print(f"wrote {len(store)} feature matrices for {len(manifest)} clips to {args.out}")
 
@@ -95,11 +95,10 @@ def _cmd_weights(args) -> None:
 def _cmd_classify(args) -> None:
     manifest = load_manifest(args.manifest)
     store = load_features(args.features)
-    system_id = args.system_id or Path(args.model).stem
-    model = load_system_model(args.model, system_id, manifest.class_names)
+    model = load_system_model(args.model, args.system_id, manifest.class_names)
     scores = score_system(model, store, manifest)
     save_score_csv(args.out, scores)
-    print(f"scored {scores.n_clips} clips with {system_id}; written to {args.out}")
+    print(f"scored {scores.n_clips} clips with {model.system_id}; written to {args.out}")
 
 
 def _cmd_fuse(args) -> None:
@@ -190,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="all",
                    help="comma-separated extractor names, or 'all'")
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-len", type=int, default=FeatureConfig.frame_len)
-    p.add_argument("--hop", type=int, default=FeatureConfig.hop)
+    p.add_argument("--frame-len", type=int, default=FRAME_LEN)
+    p.add_argument("--hop", type=int, default=HOP)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train one system on a (training) manifest")
@@ -223,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="supplies class names and the clips to score")
     p.add_argument("--out", required=True)
     p.add_argument("--system-id", default=None,
-                   help="system id for the score rows (default: model file stem)")
+                   help="system id for the score rows (default: the system "
+                   "built from the model's feature family and back-end)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("fuse", help="weighted fusion of per-system score files")

@@ -16,7 +16,6 @@ pipeline joins them where a system reads cepscom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -42,94 +41,64 @@ EXTRACTOR_NAMES = ("mfcc", "plp", "pncc", "rcgcc", "spcc", "cepscom")
 #: the stored families whose frame-wise concatenation, in this order, is cepscom
 CEPSCOM_PARTS = ("mfcc", "pncc", "rcgcc", "spcc")
 
+#: default analysis frame length and hop, in samples; all families of a clip share one framing
+FRAME_LEN = 2048
+HOP = 1024
+
+#: filterbank channels of every family
+N_CHANNELS = 40
+
+#: static coefficients of the four DCT-based families (PLP has ``PLP_MODEL_ORDER + 1``)
+N_STATIC = 20
+
+#: half-width, in frames, of the regression behind deltas and delta-deltas
+DELTA_WINDOW = 2
+
+#: eigenvalue-energy fraction the spcc subspace keeps
+SPCC_ENERGY_FRACTION = 0.90
+
+#: power-law compression of the pncc bias-subtracted powers
+PNCC_POWER_EXPONENT = 1.0 / 15.0
+
+#: half-width, in frames, of the pncc medium-time power average
+PNCC_MEDIUM_WINDOW = 2
+
 #: multiplier on the per-channel minimum medium-time power
 PNCC_BIAS_SCALE = 1.11
+
+#: smoothing constant of the rcgcc noise estimate and gains
+RCGCC_SMOOTHING = 0.9
 
 #: frames averaged to seed the recursive noise estimate
 RCGCC_SEED_FRAMES = 5
 
-
-@dataclass
-class FeatureConfig:
-    """Extraction parameters shared by all families.
-
-    ``n_static`` governs the four DCT-based families; PLP static size is
-    ``plp_model_order + 1`` (cepstra plus log energy).
-    """
-
-    frame_len: int = 2048
-    hop: int = 1024
-    n_channels: int = 40
-    n_static: int = 20
-    delta_window: int = 2
-    spcc_energy_fraction: float = 0.90
-    pncc_power_exponent: float = 1.0 / 15.0
-    pncc_medium_window: int = 2
-    rcgcc_smoothing: float = 0.9
-    plp_model_order: int = 12
-
-    def __post_init__(self) -> None:
-        if self.frame_len <= 0 or self.hop <= 0 or self.hop > self.frame_len:
-            raise ValueError(
-                f"need 0 < hop <= frame_len, got hop={self.hop}, frame_len={self.frame_len}"
-            )
-        if self.n_channels < 2:
-            raise ValueError(f"n_channels must be >= 2, got {self.n_channels}")
-        if not 1 <= self.n_static <= self.n_channels:
-            raise ValueError(
-                f"n_static must be in [1, {self.n_channels}], got {self.n_static}"
-            )
-        if self.delta_window < 1:
-            raise ValueError(f"delta_window must be >= 1, got {self.delta_window}")
-        if not 0.0 < self.spcc_energy_fraction <= 1.0:
-            raise ValueError(
-                f"spcc_energy_fraction must be in (0, 1], got {self.spcc_energy_fraction}"
-            )
-        if not 0.0 < self.pncc_power_exponent < 1.0:
-            raise ValueError(
-                f"pncc_power_exponent must be in (0, 1), got {self.pncc_power_exponent}"
-            )
-        if self.pncc_medium_window < 0:
-            raise ValueError(
-                f"pncc_medium_window must be >= 0, got {self.pncc_medium_window}"
-            )
-        if not 0.0 < self.rcgcc_smoothing < 1.0:
-            raise ValueError(
-                f"rcgcc_smoothing must be in (0, 1), got {self.rcgcc_smoothing}"
-            )
-        if self.plp_model_order < 1:
-            raise ValueError(f"plp_model_order must be >= 1, got {self.plp_model_order}")
-        # the autocorrelation sequence must cover model_order lags
-        if self.plp_model_order + 2 > self.n_channels:
-            raise ValueError(
-                f"plp_model_order {self.plp_model_order} too high for "
-                f"{self.n_channels} channels"
-            )
+#: all-pole model order of plp; its static part is the cepstra plus log energy
+PLP_MODEL_ORDER = 12
 
 
-def expected_dim(extractor: str, cfg: FeatureConfig) -> int:
+def expected_dim(extractor: str) -> int:
     if extractor == "plp":
-        return 3 * (cfg.plp_model_order + 1)
+        return 3 * (PLP_MODEL_ORDER + 1)
     if extractor == "cepscom":
-        return len(CEPSCOM_PARTS) * 3 * cfg.n_static
+        return len(CEPSCOM_PARTS) * 3 * N_STATIC
     if extractor in EXTRACTOR_NAMES:
-        return 3 * cfg.n_static
+        return 3 * N_STATIC
     raise ValueError(f"unknown extractor {extractor!r}; expected one of {EXTRACTOR_NAMES}")
 
 
 @lru_cache(maxsize=32)
-def _bank(kind: str, n_channels: int, n_fft: int, sample_rate: int) -> FilterbankMatrix:
+def _bank(kind: str, n_fft: int, sample_rate: int) -> FilterbankMatrix:
     # cached instances are shared; treat them as read-only
-    return make_filterbank(kind, n_channels, n_fft, sample_rate)
+    return make_filterbank(kind, N_CHANNELS, n_fft, sample_rate)
 
 
 # --- mfcc ---
 
-def _mfcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
-    bank = _bank("mel-triangular", cfg.n_channels, spec.n_fft, spec.sample_rate)
+def _mfcc_from_spec(spec: Spectrogram) -> FeatureMatrix:
+    bank = _bank("mel-triangular", spec.n_fft, spec.sample_rate)
     subband = apply_filterbank(spec, bank)
-    static = cepstral_dct(np.log(np.maximum(subband, LOG_FLOOR)), cfg.n_static)
-    return append_deltas(FeatureMatrix(static, "mfcc"), cfg.delta_window)
+    static = cepstral_dct(np.log(np.maximum(subband, LOG_FLOOR)), N_STATIC)
+    return append_deltas(FeatureMatrix(static, "mfcc"), DELTA_WINDOW)
 
 
 # --- plp ---
@@ -192,20 +161,18 @@ def lpc_to_cepstrum(lpc: np.ndarray, n_ceps: int) -> np.ndarray:
     return ceps
 
 
-def _plp_from_spec(
-    frames: FrameSequence, spec: Spectrogram, cfg: FeatureConfig
-) -> FeatureMatrix:
-    bank = _bank("bark-trapezoidal", cfg.n_channels, spec.n_fft, spec.sample_rate)
+def _plp_from_spec(frames: FrameSequence, spec: Spectrogram) -> FeatureMatrix:
+    bank = _bank("bark-trapezoidal", spec.n_fft, spec.sample_rate)
     subband = apply_filterbank(spec, bank)
     compressed = np.cbrt(subband * equal_loudness(bank.center_freqs)[None, :])
     # the compressed subband profile acts as a power spectrum sampled on
     # [0, pi]; its even extension transforms back to an autocorrelation
-    autocorr = np.fft.irfft(compressed, axis=1)[:, : cfg.plp_model_order + 1]
-    lpc, _ = levinson_durbin(autocorr, cfg.plp_model_order)
-    ceps = lpc_to_cepstrum(lpc, cfg.plp_model_order)
+    autocorr = np.fft.irfft(compressed, axis=1)[:, : PLP_MODEL_ORDER + 1]
+    lpc, _ = levinson_durbin(autocorr, PLP_MODEL_ORDER)
+    ceps = lpc_to_cepstrum(lpc, PLP_MODEL_ORDER)
     energy = np.log(np.maximum((frames.frames**2).sum(axis=1), LOG_FLOOR))
     static = np.hstack([ceps, energy[:, None]])
-    return append_deltas(FeatureMatrix(static, "plp"), cfg.delta_window)
+    return append_deltas(FeatureMatrix(static, "plp"), DELTA_WINDOW)
 
 
 # --- pncc ---
@@ -231,9 +198,9 @@ def medium_time_power(subband: np.ndarray, window: int) -> np.ndarray:
     return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
 
 
-def pncc_power_stages(subband: np.ndarray, cfg: FeatureConfig) -> PnccStages:
+def pncc_power_stages(subband: np.ndarray) -> PnccStages:
     """Medium-time smoothing, floor-at-zero bias subtraction, rate restoration."""
-    medium = medium_time_power(subband, cfg.pncc_medium_window)
+    medium = medium_time_power(subband, PNCC_MEDIUM_WINDOW)
     bias = PNCC_BIAS_SCALE * medium.min(axis=0)
     subtracted = np.maximum(medium - bias[None, :], 0.0)
     ratio = np.divide(
@@ -242,12 +209,12 @@ def pncc_power_stages(subband: np.ndarray, cfg: FeatureConfig) -> PnccStages:
     return PnccStages(medium=medium, subtracted=subtracted, normalized=subtracted * ratio)
 
 
-def _pncc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
-    bank = _bank("gammatone-magnitude", cfg.n_channels, spec.n_fft, spec.sample_rate)
+def _pncc_from_spec(spec: Spectrogram) -> FeatureMatrix:
+    bank = _bank("gammatone-magnitude", spec.n_fft, spec.sample_rate)
     subband = apply_filterbank(spec, bank)
-    stages = pncc_power_stages(subband, cfg)
-    static = cepstral_dct(stages.normalized**cfg.pncc_power_exponent, cfg.n_static)
-    return append_deltas(FeatureMatrix(static, "pncc"), cfg.delta_window)
+    stages = pncc_power_stages(subband)
+    static = cepstral_dct(stages.normalized**PNCC_POWER_EXPONENT, N_STATIC)
+    return append_deltas(FeatureMatrix(static, "pncc"), DELTA_WINDOW)
 
 
 # --- rcgcc ---
@@ -284,12 +251,12 @@ def rcgcc_gains(subband: np.ndarray, smoothing: float) -> np.ndarray:
     return _one_pole(raw, lam, lam * raw[0])
 
 
-def _rcgcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
-    bank = _bank("gammatone-magnitude", cfg.n_channels, spec.n_fft, spec.sample_rate)
+def _rcgcc_from_spec(spec: Spectrogram) -> FeatureMatrix:
+    bank = _bank("gammatone-magnitude", spec.n_fft, spec.sample_rate)
     subband = apply_filterbank(spec, bank)
-    gains = rcgcc_gains(subband, cfg.rcgcc_smoothing)
-    static = cepstral_dct(np.cbrt(gains * subband), cfg.n_static)
-    return append_deltas(FeatureMatrix(static, "rcgcc"), cfg.delta_window)
+    gains = rcgcc_gains(subband, RCGCC_SMOOTHING)
+    static = cepstral_dct(np.cbrt(gains * subband), N_STATIC)
+    return append_deltas(FeatureMatrix(static, "rcgcc"), DELTA_WINDOW)
 
 
 # --- spcc ---
@@ -332,25 +299,24 @@ def subspace_project(matrix: np.ndarray, fraction: float) -> tuple[np.ndarray, i
     return centered @ basis @ basis.T + mean, rank
 
 
-def _spcc_from_spec(spec: Spectrogram, cfg: FeatureConfig) -> FeatureMatrix:
-    bank = _bank("mel-triangular", cfg.n_channels, spec.n_fft, spec.sample_rate)
+def _spcc_from_spec(spec: Spectrogram) -> FeatureMatrix:
+    bank = _bank("mel-triangular", spec.n_fft, spec.sample_rate)
     logmel = np.log(np.maximum(apply_filterbank(spec, bank), LOG_FLOOR))
-    recon, _ = subspace_project(logmel, cfg.spcc_energy_fraction)
-    static = cepstral_dct(recon, cfg.n_static)
-    return append_deltas(FeatureMatrix(static, "spcc"), cfg.delta_window)
+    recon, _ = subspace_project(logmel, SPCC_ENERGY_FRACTION)
+    static = cepstral_dct(recon, N_STATIC)
+    return append_deltas(FeatureMatrix(static, "spcc"), DELTA_WINDOW)
 
 
 # --- the extraction entry point ---
 
 def extract_selected(
-    clip: AudioClip, names, cfg: FeatureConfig | None = None
+    clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
 ) -> dict[str, FeatureMatrix]:
     """Requested families only, all from one shared framing and spectrum.
 
     A request for ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a
     concatenated copy.  The result follows ``EXTRACTOR_NAMES`` order.
     """
-    cfg = cfg or FeatureConfig()
     wanted = set(names)
     unknown = wanted - set(EXTRACTOR_NAMES)
     if unknown:
@@ -359,24 +325,24 @@ def extract_selected(
         )
     if "cepscom" in wanted:
         wanted |= set(CEPSCOM_PARTS)
-    frames = frame_signal(clip, cfg.frame_len, cfg.hop)
+    frames = frame_signal(clip, frame_len, hop)
     if "spcc" in wanted and frames.n_frames < 2:
         # the subspace projection estimates a covariance over frames
         raise ValueError(
             f"clip {clip.source_id!r} has {len(clip)} samples, which frame to "
             f"{frames.n_frames} frame; spcc and cepscom need at least 2 frames "
-            f"({cfg.frame_len + cfg.hop} samples)"
+            f"({frame_len + hop} samples)"
         )
     spec = power_spectrum(frames)
     parts: dict[str, FeatureMatrix] = {}
     if "mfcc" in wanted:
-        parts["mfcc"] = _mfcc_from_spec(spec, cfg)
+        parts["mfcc"] = _mfcc_from_spec(spec)
     if "plp" in wanted:
-        parts["plp"] = _plp_from_spec(frames, spec, cfg)
+        parts["plp"] = _plp_from_spec(frames, spec)
     if "pncc" in wanted:
-        parts["pncc"] = _pncc_from_spec(spec, cfg)
+        parts["pncc"] = _pncc_from_spec(spec)
     if "rcgcc" in wanted:
-        parts["rcgcc"] = _rcgcc_from_spec(spec, cfg)
+        parts["rcgcc"] = _rcgcc_from_spec(spec)
     if "spcc" in wanted:
-        parts["spcc"] = _spcc_from_spec(spec, cfg)
+        parts["spcc"] = _spcc_from_spec(spec)
     return parts

@@ -335,13 +335,13 @@ def load_weights_csv(path) -> FusionWeights:
     if not rows or rows[0][:1] != ["system_id"]:
         raise ValueError(f"{path}: bad or missing header")
     class_names = rows[0][1:]
-    system_ids = [row[0] for row in rows[1:]]
+    first_line: dict = {}
     values = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 1 + len(class_names):
             raise ValueError(f"{path}:{lineno}: expected {1 + len(class_names)} fields")
-        first = system_ids.index(row[0]) + 2
+        first = first_line.setdefault(row[0], lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: system {row[0]!r} repeats line {first}")
         values.append(_csv_numbers(path, lineno, row[1:]))
-    return FusionWeights(system_ids, class_names, np.array(values, dtype=np.float64))
+    return FusionWeights(list(first_line), class_names, np.array(values, dtype=np.float64))

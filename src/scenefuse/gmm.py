@@ -245,17 +245,13 @@ def fit_gmm_bank(
     class_features: list,
     n_components: int,
     seeds: list,
-    max_iters: int = 100,
-    tol: float = 1e-5,
 ) -> GmmBank:
     """Train one model per class; seeds are index-aligned with classes."""
     if len(seeds) != len(class_features):
         raise ValueError("need one seed per class")
-    models = [
-        fit_gmm(feats, n_components, seed, max_iters=max_iters, tol=tol)
-        for feats, seed in zip(class_features, seeds)
-    ]
-    return GmmBank(models)
+    return GmmBank(
+        [fit_gmm(feats, n_components, seed) for feats, seed in zip(class_features, seeds)]
+    )
 
 
 def classify_gmm(bank: GmmBank, features: np.ndarray) -> np.ndarray:

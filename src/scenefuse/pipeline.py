@@ -26,7 +26,7 @@ from .dataio import (
     split_dataset,
 )
 from .evaluation import EvaluationReport, evaluate, save_report
-from .features import CEPSCOM_PARTS, EXTRACTOR_NAMES, FeatureConfig, extract_selected
+from .features import CEPSCOM_PARTS, EXTRACTOR_NAMES, FRAME_LEN, HOP, extract_selected
 from .fusion import (
     FusionDecision,
     FusionWeights,
@@ -105,8 +105,8 @@ class PipelineConfig(TrainOptions):
     weights_folds: int = 4
     weights_seed: int = 29
     weights_method: str = "cv"
-    frame_len: int = FeatureConfig.frame_len
-    hop: int = FeatureConfig.hop
+    frame_len: int = FRAME_LEN
+    hop: int = HOP
     systems: tuple = ALL_SYSTEMS
     fused: tuple = DEFAULT_FUSED
 
@@ -139,15 +139,16 @@ class PipelineConfig(TrainOptions):
             raise ValueError("weights_folds must be at least 2")
         super().__post_init__()
 
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(frame_len=self.frame_len, hop=self.hop)
 
-
-_CONFIG_INT_KEYS = {
-    "split_seed", "gmm_seed", "weights_folds", "weights_seed",
-    "mixtures_cepstral", "mixtures_plp", "frame_len", "hop",
+#: numeric keys -> (parser, the type an error names)
+_CONFIG_NUMBER_KEYS = {
+    **dict.fromkeys(
+        ("split_seed", "gmm_seed", "weights_folds", "weights_seed",
+         "mixtures_cepstral", "mixtures_plp", "frame_len", "hop"),
+        (int, "an integer"),
+    ),
+    "train_fraction": (float, "a number"),
 }
-_CONFIG_FLOAT_KEYS = {"train_fraction"}
 _CONFIG_LIST_KEYS = {"systems", "fused"}
 _CONFIG_PATH_KEYS = {"manifest", "out_dir"}
 _CONFIG_STR_KEYS = {"weights_method"}
@@ -168,10 +169,14 @@ def parse_config(path: str | Path) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key in _CONFIG_INT_KEYS:
-            values[key] = int(value)
-        elif key in _CONFIG_FLOAT_KEYS:
-            values[key] = float(value)
+        if key in _CONFIG_NUMBER_KEYS:
+            convert, kind = _CONFIG_NUMBER_KEYS[key]
+            try:
+                values[key] = convert(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} expects {kind}, got {value!r}"
+                ) from None
         elif key in _CONFIG_LIST_KEYS:
             values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
         elif key in _CONFIG_PATH_KEYS:
@@ -211,14 +216,16 @@ def extract_for_manifest(
     manifest: DatasetManifest,
     manifest_path: str | Path,
     extractors,
-    cfg: FeatureConfig,
+    *,
+    frame_len: int = FRAME_LEN,
+    hop: int = HOP,
 ) -> FeatureStore:
     """Decode and extract every clip; records are keyed by manifest path."""
     store = FeatureStore()
     for entry_path, _ in manifest.entries:
         clip = read_wav(resolve_clip_path(manifest_path, entry_path))
         clip = replace(clip, source_id=entry_path)
-        for name, mat in extract_selected(clip, extractors, cfg).items():
+        for name, mat in extract_selected(clip, extractors, frame_len=frame_len, hop=hop).items():
             store.add(entry_path, name, mat.values)
     return store
 
@@ -414,13 +421,15 @@ def save_system_model(path: str | Path, model: SystemModel) -> None:
         cdl_mod.save_cdl_model(path, model.cdl_model, model.extractor, model.class_names)
 
 
-def load_system_model(path: str | Path, system_id: str, class_names) -> SystemModel:
+def load_system_model(path: str | Path, system_id: str | None, class_names) -> SystemModel:
     """Read a model written by :func:`save_system_model`, its classes put in
     ``class_names`` order.
 
     The back-end is read off the file's magic, the feature family and the
-    model's class names off its header.  The classes are matched by name, so
-    ``class_names`` must hold the model's classes, in any order.
+    model's class names off its header.  A ``system_id`` of None names the
+    model by the ``SYSTEMS`` entry built from that family and back-end.  The
+    classes are matched by name, so ``class_names`` must hold the model's
+    classes, in any order.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -430,6 +439,14 @@ def load_system_model(path: str | Path, system_id: str, class_names) -> SystemMo
         family, model_names, proj = cdl_mod.load_cdl_model(path)
     else:
         raise ValueError(f"{path}: unrecognized model magic {magic!r}")
+    if system_id is None:
+        spec = SystemSpec(family, "gmm" if magic == gmm_mod.GMM_BANK_MAGIC else "cdl")
+        system_id = next((name for name, built in SYSTEMS.items() if built == spec), None)
+        if system_id is None:
+            raise ValueError(
+                f"{path}: no system is built from {spec.family} features with a "
+                f"{spec.backend} back-end; name the system explicitly"
+            )
     class_names = list(class_names)
     if set(class_names) != set(model_names):
         raise ValueError(
@@ -482,7 +499,7 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
     with _stage("extract"):
         extractors = required_extractors(config.systems)
         store = extract_for_manifest(
-            manifest, config.manifest, extractors, config.feature_config()
+            manifest, config.manifest, extractors, frame_len=config.frame_len, hop=config.hop
         )
 
     with _stage("weights"):

@@ -2,8 +2,8 @@
 filterbanks, the cepstral DCT, and delta/acceleration appending.
 
 All operations are pure functions over immutable inputs.  Frames are
-windowed with a periodic Hamming window; their length and hop come from
-:class:`scenefuse.features.FeatureConfig`.
+windowed with a periodic Hamming window; their default length and hop are
+``scenefuse.features.FRAME_LEN`` and ``HOP``.
 """
 
 from __future__ import annotations

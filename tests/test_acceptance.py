@@ -20,7 +20,7 @@ import scipy.linalg
 from scenefuse.cdl import covariance_descriptor, half_vec_inverse, log_embed
 from scenefuse.features import (
     EXTRACTOR_NAMES,
-    FeatureConfig,
+    SPCC_ENERGY_FRACTION,
     expected_dim,
     subspace_project,
 )
@@ -328,7 +328,7 @@ def test_c6_spectral_primitives():
             frames_ok &= got == want == frame_count(length, flen, hop)
 
         subspace_ok = True
-        fraction = FeatureConfig().spcc_energy_fraction
+        fraction = SPCC_ENERGY_FRACTION
         for _ in range(100):
             frames = int(rng.integers(10, 81))
             dim = int(rng.integers(2, 31))
@@ -358,15 +358,12 @@ def test_c7_feature_dimensions(benchmark_run):
     _, manifest_path, _, _, _ = benchmark_run
     with criterion("C7") as c:
         manifest = load_manifest(manifest_path)
-        cfg = FeatureConfig()
-        store = extract_for_manifest(
-            manifest, manifest_path, list(EXTRACTOR_NAMES), cfg
-        )
+        store = extract_for_manifest(manifest, manifest_path, list(EXTRACTOR_NAMES))
         ok = True
         for entry_path, _ in manifest.entries:
             for name in EXTRACTOR_NAMES:
                 mat = clip_features(store, entry_path, name)
-                ok &= mat.shape == (128, expected_dim(name, cfg))
+                ok &= mat.shape == (128, expected_dim(name))
                 ok &= bool(np.all(np.isfinite(mat)))
         c["ok"] = ok
         c["detail"] = (

@@ -179,6 +179,26 @@ def test_classify_with_explicit_system_id(work, capsys):
     assert scores.system_id == "renamed"
 
 
+def test_classify_names_scores_by_the_system_the_model_holds(work, capsys):
+    # whatever the model file is called, its family and back-end name the
+    # system, so the weighted fusion finds its scores
+    features, manifest = str(work / "feats.sfs"), str(work / "data" / "manifest.tsv")
+    model, scores, fused = (
+        str(work / name) for name in ("model.sfg", "model.csv", "fused-model.csv")
+    )
+    for argv in (
+        ["train", "--features", features, "--manifest", manifest,
+         "--system", "mfcc-gmm", "--mixtures", "2", "--out", model],
+        ["classify", "--model", model, "--features", features, "--manifest", manifest,
+         "--out", scores],
+        ["fuse", "--scores", scores, "--weights", str(work / "weights.csv"), "--out", fused],
+    ):
+        assert main(argv) == 0, argv[0]
+    assert "scored 15 clips with mfcc-gmm" in capsys.readouterr().out
+    assert load_score_csv(scores)[0].system_id == "mfcc-gmm"
+    assert load_score_csv(fused)[0].values.shape == (15, 5)
+
+
 def test_error_exit_codes(work, capsys, tmp_path):
     rc = main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 1
@@ -201,7 +221,7 @@ def test_error_exit_codes(work, capsys, tmp_path):
         "--out", str(tmp_path / "y.csv"),
     ])
     assert rc == 0
-    assert "scored 15 clips with mystery" in capsys.readouterr().out
+    assert "scored 15 clips with mfcc-gmm" in capsys.readouterr().out
 
 
 def test_fuse_rejects_repeated_rows(capsys, tmp_path):
@@ -218,6 +238,17 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     scores.write_text(header + "c1.wav,x,1.0,0.0\nc1.wav,x,0.0,1.0\n")
     assert main(argv) == 1
     assert "scores.csv:4: clip 'c1.wav' of system 'x' repeats line 3" in capsys.readouterr().err
+    assert not (tmp_path / "fused.csv").exists()
+
+
+def test_fuse_rejects_a_blank_weights_line(capsys, tmp_path):
+    scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
+    scores.write_text("#normalized=true\nclip_id,system_id,a,b\nc1.wav,plp-gmm,1.0,0.0\n")
+    weights.write_text("system_id,a,b\nplp-gmm,0.5,0.5\n\n")
+    argv = ["fuse", "--scores", str(scores), "--weights", str(weights),
+            "--out", str(tmp_path / "fused.csv")]
+    assert main(argv) == 1
+    assert "weights.csv:3: expected 3 fields" in capsys.readouterr().err
     assert not (tmp_path / "fused.csv").exists()
 
 

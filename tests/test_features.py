@@ -13,8 +13,12 @@ from scenefuse.dataio import AudioClip
 from scenefuse.features import (
     CEPSCOM_PARTS,
     EXTRACTOR_NAMES,
+    FRAME_LEN,
+    HOP,
+    N_CHANNELS,
+    N_STATIC,
+    PNCC_POWER_EXPONENT,
     RCGCC_SEED_FRAMES,
-    FeatureConfig,
     equal_loudness,
     expected_dim,
     extract_selected,
@@ -34,15 +38,16 @@ from scenefuse.spectral import (
     make_filterbank,
     power_spectrum,
 )
+from scenefuse.synth import profile_by_name, synth_scene
 
 
 #: the families extraction yields; cepscom is derived from four of them
 FAMILIES = ("mfcc", "plp", "pncc", "rcgcc", "spcc")
 
 
-def extract(name, clip, cfg=None):
+def extract(name, clip):
     """One family through the extraction entry point."""
-    return extract_selected(clip, [name], cfg)[name]
+    return extract_selected(clip, [name])[name]
 
 
 def comb_clip(seconds=3.0, sample_rate=44100, seed=5):
@@ -59,40 +64,59 @@ def comb_clip(seconds=3.0, sample_rate=44100, seed=5):
 
 class TestConfig:
     def test_defaults_valid(self):
-        cfg = FeatureConfig()
-        assert cfg.frame_len == 2048 and cfg.hop == 1024
-        assert cfg.n_channels == 40 and cfg.n_static == 20
+        assert FRAME_LEN == 2048 and HOP == 1024
+        assert N_CHANNELS == 40 and N_STATIC == 20
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"hop": 4096},
-            {"hop": 0},
-            {"n_channels": 1},
-            {"n_static": 0},
-            {"n_static": 41},
-            {"delta_window": 0},
-            {"spcc_energy_fraction": 0.0},
-            {"spcc_energy_fraction": 1.1},
-            {"pncc_power_exponent": 1.0},
-            {"pncc_medium_window": -1},
-            {"rcgcc_smoothing": 1.0},
-            {"plp_model_order": 0},
-            {"plp_model_order": 39},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"hop": 4096}, {"hop": 0}])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            FeatureConfig(**kwargs)
+        with pytest.raises(ValueError, match="need 0 < hop <= frame_len"):
+            extract_selected(make_noise_clip(1.0, 16000, seed=4), ["mfcc"], **kwargs)
 
     def test_expected_dims(self):
-        cfg = FeatureConfig()
-        assert expected_dim("mfcc", cfg) == 60
-        assert expected_dim("plp", cfg) == 39
-        assert expected_dim("pncc", cfg) == 60
-        assert expected_dim("rcgcc", cfg) == 60
-        assert expected_dim("spcc", cfg) == 60
-        assert expected_dim("cepscom", cfg) == 240
+        assert expected_dim("mfcc") == 60
+        assert expected_dim("plp") == 39
+        assert expected_dim("pncc") == 60
+        assert expected_dim("rcgcc") == 60
+        assert expected_dim("spcc") == 60
+        assert expected_dim("cepscom") == 240
+
+
+#: the fixed recipe's output on the seeded "chime" clip below, recorded once
+#: per family: the column means of the first three static dims, and the mean
+#: magnitude of the first delta and the first delta-delta dim
+RECORDED_FAMILY_VALUES = {
+    "mfcc": ([29.21528632514582, -4.993355523440636, -0.1858547230306936],
+             [0.23660514193532417, 0.09608897896099175]),
+    "plp": ([-0.9644113975352239, -0.2810014763068575, -0.2613050249010923],
+            [0.013886103762973587, 0.005690463711253573]),
+    "pncc": ([6.951773923282367, 0.25238480272917313, -0.41007182857657576],
+             [0.12050089262538205, 0.052727633528516595]),
+    "rcgcc": ([15.38405201653244, -4.100359098027967, -0.7784113050657528],
+              [0.4407245101145296, 0.18914903021148471]),
+    "spcc": ([29.21528632514582, -4.993355523440638, -0.18585472303069214],
+             [0.23090877303034643, 0.0956078805719203]),
+}
+
+
+@pytest.fixture(scope="module")
+def chime_bundle():
+    clip = synth_scene(profile_by_name("chime"), 3.0, 44100, seed=11)
+    return len(clip), extract_selected(clip, FAMILIES)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_default_recipe_reproduces_recorded_values(chime_bundle, name):
+    # a mistyped constant (a smoothing of 0.09, a window of 3) moves these;
+    # the helper oracles pass their own parameters and would not notice
+    n_samples, bundle = chime_bundle
+    static_means, delta_magnitudes = RECORDED_FAMILY_VALUES[name]
+    values = bundle[name].values
+    n_static = values.shape[1] // 3
+    assert values.shape == (frame_count(n_samples, FRAME_LEN, HOP), expected_dim(name))
+    np.testing.assert_allclose(values[:, :3].mean(axis=0), static_means, rtol=1e-9)
+    np.testing.assert_allclose(
+        np.abs(values[:, [n_static, 2 * n_static]]).mean(axis=0), delta_magnitudes, rtol=1e-9
+    )
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +126,12 @@ def bundle():
 
 class TestDimensions:
     def test_all_dims(self, bundle):
-        cfg = FeatureConfig()
         assert list(bundle) == list(FAMILIES)
         for name in FAMILIES:
             mat = bundle[name]
-            assert mat.dim == expected_dim(name, cfg)
+            assert mat.dim == expected_dim(name)
             assert np.all(np.isfinite(mat.values))
-        assert expected_dim("cepscom", cfg) == sum(bundle[n].dim for n in CEPSCOM_PARTS)
+        assert expected_dim("cepscom") == sum(bundle[n].dim for n in CEPSCOM_PARTS)
 
     def test_frame_counts_agree(self, bundle):
         n = frame_count(2 * 44100, 2048, 1024)
@@ -285,11 +308,6 @@ class TestPlp:
         mat = extract("plp", clip).values
         assert np.allclose(mat[:, 12], want, atol=1e-12)
 
-    def test_model_order_sets_dim(self):
-        cfg = FeatureConfig(plp_model_order=8)
-        mat = extract("plp", make_noise_clip(1.0, 16000, seed=19), cfg)
-        assert mat.dim == 3 * (8 + 1)
-
 
 class TestPncc:
     def test_dim(self):
@@ -309,7 +327,7 @@ class TestPncc:
 
     def test_stationary_input_fully_subtracted(self):
         sub = np.full((30, 4), 3.0)
-        stages = pncc_power_stages(sub, FeatureConfig())
+        stages = pncc_power_stages(sub)
         assert np.array_equal(stages.medium, sub)
         assert stages.subtracted.max() == 0.0
         assert stages.normalized.max() == 0.0
@@ -317,7 +335,7 @@ class TestPncc:
     def test_bursts_survive_floor_removed(self):
         sub = np.full((60, 4), 1.0)
         sub[30:33, 2] = 25.0
-        stages = pncc_power_stages(sub, FeatureConfig())
+        stages = pncc_power_stages(sub)
         assert stages.subtracted[30:33, 2].min() > 0.0
         assert stages.subtracted[:20].max() == 0.0
         assert stages.subtracted[45:].max() == 0.0
@@ -325,7 +343,7 @@ class TestPncc:
     def test_rate_restoration_formula(self):
         rng = np.random.default_rng(23)
         sub = rng.uniform(0.5, 4.0, size=(40, 6))
-        stages = pncc_power_stages(sub, FeatureConfig())
+        stages = pncc_power_stages(sub)
         want = stages.subtracted * (sub / stages.medium)
         assert np.allclose(stages.normalized, want, atol=1e-12)
 
@@ -334,15 +352,14 @@ class TestPncc:
         frames = frame_signal(clip, 2048, 1024)
         bank = make_filterbank("gammatone-magnitude", 40, 2048, clip.sample_rate)
         sub = apply_filterbank(power_spectrum(frames), bank)
-        stages = pncc_power_stages(sub, FeatureConfig())
+        stages = pncc_power_stages(sub)
         # a clip with no temporal structure loses essentially all its power
         assert stages.subtracted.mean() <= 0.15 * stages.medium.mean()
         assert np.abs(extract("pncc", clip).values).max() < 1e-8
 
     def test_power_law_fixed_points(self):
-        exponent = FeatureConfig().pncc_power_exponent
-        assert 0.0**exponent == 0.0
-        assert 1.0**exponent == 1.0
+        assert 0.0**PNCC_POWER_EXPONENT == 0.0
+        assert 1.0**PNCC_POWER_EXPONENT == 1.0
 
 
 def lfilter_gains(subband, smoothing):

@@ -382,6 +382,12 @@ class TestScoreCsv:
         with pytest.raises(ValueError, match=":3: expected 4 fields"):
             load_score_csv(path)
 
+    def test_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("#normalized=false\nclip_id,system_id,x,y\nc0,s,1.0,0.0\n\n")
+        with pytest.raises(ValueError, match="scores.csv:4: expected 4 fields"):
+            load_score_csv(path)
+
     def test_repeated_clip_of_a_system_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(
@@ -441,6 +447,12 @@ class TestWeightsCsv:
         path = tmp_path / "bad.csv"
         path.write_text("system_id,x,y\nalpha,1.0\n")
         with pytest.raises(ValueError, match=":2: expected 3 fields"):
+            load_weights_csv(path)
+
+    def test_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text("system_id,x,y\nalpha,0.5,0.5\n\nbeta,1.0,1.0\n")
+        with pytest.raises(ValueError, match="weights.csv:3: expected 3 fields"):
             load_weights_csv(path)
 
     def test_repeated_system_names_both_lines(self, tmp_path):

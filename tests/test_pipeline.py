@@ -14,7 +14,7 @@ from scenefuse.dataio import (
     resolve_clip_path,
     split_dataset,
 )
-from scenefuse.features import CEPSCOM_PARTS, FeatureConfig, extract_selected
+from scenefuse.features import CEPSCOM_PARTS, extract_selected
 from scenefuse.fusion import load_score_csv, load_weights_csv
 from scenefuse.pipeline import (
     ALL_SYSTEMS,
@@ -34,7 +34,8 @@ from scenefuse.pipeline import (
     score_system,
 )
 
-FAST = FeatureConfig(frame_len=512, hop=256)
+#: short framing that keeps the pipeline tests fast
+FAST = {"frame_len": 512, "hop": 256}
 
 
 class TestParseConfig:
@@ -90,6 +91,17 @@ class TestParseConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("manifest = m.tsv\n")
         with pytest.raises(ValueError, match="missing required key 'out_dir'"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("line, want", [
+        ("split_seed = abc", "key 'split_seed' expects an integer, got 'abc'"),
+        ("hop = 2.5", "key 'hop' expects an integer, got '2.5'"),
+        ("train_fraction = half", "key 'train_fraction' expects a number, got 'half'"),
+    ])
+    def test_wrong_type_names_line_key_and_type(self, tmp_path, line, want):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"manifest = m.tsv\nout_dir = o\n{line}\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:3: {want}$"):
             parse_config(cfg)
 
 
@@ -158,7 +170,7 @@ class TestRequiredExtractors:
 @pytest.fixture(scope="module")
 def small_store(mini_dataset):
     manifest = load_manifest(mini_dataset)
-    store = extract_for_manifest(manifest, mini_dataset, ["mfcc"], FAST)
+    store = extract_for_manifest(manifest, mini_dataset, ["mfcc"], **FAST)
     return manifest, store
 
 
@@ -302,11 +314,11 @@ class TestCepscomRows:
         # the rows equal what version 2 stores held for cepscom: the
         # extracted [mfcc | pncc | rcgcc | spcc] matrices, hstacked
         manifest = load_manifest(mini_dataset)
-        store = extract_for_manifest(manifest, mini_dataset, ["cepscom"], FAST)
+        store = extract_for_manifest(manifest, mini_dataset, ["cepscom"], **FAST)
         assert store.extractors() == ["mfcc", "pncc", "rcgcc", "spcc"]
         for entry_path, _ in manifest.entries[:3]:
             clip = read_wav(resolve_clip_path(mini_dataset, entry_path))
-            parts = extract_selected(clip, ["mfcc", "pncc", "rcgcc", "spcc"], FAST)
+            parts = extract_selected(clip, ["mfcc", "pncc", "rcgcc", "spcc"], **FAST)
             stored = np.hstack([parts[n].values for n in ("mfcc", "pncc", "rcgcc", "spcc")])
             rows = clip_features(store, entry_path, "cepscom")
             assert rows.shape == (stored.shape[0], 240)
@@ -331,6 +343,18 @@ def test_loaded_model_scores_in_the_given_class_order(system_id, tmp_path):
         back = load_system_model(path, "renamed", names)
         assert (back.extractor, back.class_names) == ("cepscom", names)
         assert np.array_equal(score_system(back, store, train).values, want[:, cols])
+    # unnamed, the model is the system its family and back-end build
+    assert load_system_model(path, None, train.class_names).system_id == system_id
+
+
+def test_unnamed_model_no_system_builds_is_rejected(tmp_path):
+    store, train = embedding_store(np.random.default_rng(44))
+    model = fit_system("cepscom-cdl", store, train, TrainOptions())
+    path = tmp_path / "model.sfc"
+    cdl_mod.save_cdl_model(path, model.cdl_model, "mfcc", train.class_names)
+    with pytest.raises(ValueError, match="no system is built from mfcc features with a cdl"):
+        load_system_model(path, None, train.class_names)
+    assert load_system_model(path, "mfcc-cdl", train.class_names).system_id == "mfcc-cdl"
 
 
 MINI_SYSTEMS = ("cepscom-gmm", "plp-gmm", "cepscom-cdl")
