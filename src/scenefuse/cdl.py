@@ -267,7 +267,8 @@ def save_cdl_model(path, proj: CdlProjection, family: str, class_names) -> None:
         pack_floats(proj.class_centroids),
         pack_floats(proj.train_mean),
     ]
-    write_container(path, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, parts)
+    with open(path, "wb") as fh:
+        write_container(fh, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, parts)
 
 
 def _parse_model(reader) -> tuple:
@@ -286,4 +287,5 @@ def _parse_model(reader) -> tuple:
 
 def load_cdl_model(path) -> tuple:
     """``(family, class_names, projection)`` from a file of :func:`save_cdl_model`."""
-    return read_container(path, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, _parse_model)
+    with open(path, "rb") as fh:
+        return read_container(fh, CDL_MODEL_MAGIC, CDL_MODEL_VERSION, _parse_model)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .dataio import load_features, load_manifest, save_features
 from .evaluation import evaluate, save_report
-from .features import EXTRACTOR_NAMES, FRAME_LEN, HOP
+from .features import EXTRACTOR_NAMES, FRAME_LEN, HOP, stored_families
 from .fusion import (
     fuse,
     load_score_csv,
@@ -29,6 +29,7 @@ from .pipeline import (
     extract_for_manifest,
     fit_system,
     load_system_model,
+    required_extractors,
     run_pipeline,
     save_system_model,
     score_system,
@@ -66,7 +67,7 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    store = load_features(args.features)
+    store = load_features(args.features, stored_families(required_extractors([args.system])))
     manifest = load_manifest(args.manifest)
     opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
     model = fit_system(args.system, store, manifest, opts)
@@ -75,9 +76,9 @@ def _cmd_train(args) -> None:
 
 
 def _cmd_weights(args) -> None:
-    store = load_features(args.features)
-    manifest = load_manifest(args.manifest)
     systems = _parse_names(args.systems, ALL_SYSTEMS, "system")
+    store = load_features(args.features, stored_families(required_extractors(systems)))
+    manifest = load_manifest(args.manifest)
     opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
     weights = estimate_weights(
         store,
@@ -94,8 +95,9 @@ def _cmd_weights(args) -> None:
 
 def _cmd_classify(args) -> None:
     manifest = load_manifest(args.manifest)
-    store = load_features(args.features)
+    # the model's feature family decides which records to read
     model = load_system_model(args.model, args.system_id, manifest.class_names)
+    store = load_features(args.features, stored_families([model.extractor]))
     scores = score_system(model, store, manifest)
     save_score_csv(args.out, scores)
     print(f"scored {scores.n_clips} clips with {model.system_id}; written to {args.out}")

@@ -4,7 +4,9 @@ WAV decoding is delegated to :mod:`scipy.io.wavfile`; every decoded clip is
 reduced to a mono float64 signal in [-1, 1].  Manifests are plain
 tab-separated text (``relative/path<TAB>label``).  Feature stores and the
 model files share one checksummed binary framing, written and read by
-:func:`write_container` and :func:`read_container`.
+:func:`write_container` and :func:`read_container`.  A model file is one
+such container; a feature store is a table of contents followed by one
+container per feature family, so a load reads only the families it needs.
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ import numpy as np
 from scipy.io import wavfile
 
 FEATURE_STORE_MAGIC = b"SFS1"
-#: version 3 no longer stores cepscom, which is derived from its parts;
-#: version 2 checksums the whole body; version 1 checksummed each record
-FEATURE_STORE_VERSION = 3
+#: version 4 puts each family in a container of its own behind a table of
+#: contents; version 3 no longer stores cepscom, which is derived from its
+#: parts; version 2 checksums the whole body; version 1 checksummed each record
+FEATURE_STORE_VERSION = 4
+
+#: bytes a container adds to its payload: magic, version and checksum
+_CONTAINER_OVERHEAD = 4 + 4 + 8
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -373,6 +379,9 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
+
     def string(self) -> str:
         return str(self.take(self.u32()), "utf-8")
 
@@ -394,77 +403,164 @@ def read_model_header(reader: _Reader) -> tuple[str, list[str]]:
     return family, [reader.string() for _ in range(reader.u32())]
 
 
-def write_container(path: str | Path, magic: bytes, version: int, parts) -> None:
-    """Write ``magic | u32 version | parts | u64 FNV-1a``.
+def write_container(fh, magic: bytes, version: int, parts) -> None:
+    """Write ``magic | u32 version | parts | u64 FNV-1a`` at an open file's position.
 
     The checksum covers everything after the magic: the version field and
     the payload.
     """
     body = b"".join([pack_u32(version), *parts])
-    checksum = fnv1a64(body)
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(body)
-        fh.write(pack_u64(checksum))
+    fh.write(magic)
+    fh.write(body)
+    fh.write(pack_u64(fnv1a64(body)))
 
 
-def read_container(path: str | Path, magic: bytes, version: int, parse):
-    """Check a container written by :func:`write_container` and parse its payload.
+def read_container(fh, magic: bytes, version: int, parse, size: int | None = None,
+                   context: str | None = None):
+    """Check the container in the next ``size`` bytes of an open file (by
+    default the rest of it) and parse its payload.
 
-    Magic, size and version are checked before the checksum, so a file of
-    another format version is reported as such.  ``parse`` receives a reader
-    over the payload and must consume all of it.
+    Magic and version are checked before the size and the checksum, so a file
+    of another format version is reported as such.  ``parse`` receives a
+    reader over the payload and must consume all of it.  Errors name
+    ``context``, by default the file.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        found = fh.read(4)
-        if found != magic:
-            raise FeatureStoreError(f"{path}: bad magic {found!r}, expected {magic!r}")
-        if size < 4 + 4 + 8:
-            raise FeatureStoreError(f"{path}: truncated file")
-        # the checksummed span is read as one object: hashing it needs no
-        # copy, and the payload is parsed through views of it
-        body = fh.read(size - 4 - 8)
-        stored = int.from_bytes(fh.read(8), "little")
-    found_version = struct.unpack_from("<I", body)[0]
+    context = context or str(fh.name)
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size is None:
+        size = remaining
+    head = fh.read(8)
+    if head[:4] != magic:
+        raise FeatureStoreError(f"{context}: bad magic {head[:4]!r}, expected {magic!r}")
+    if len(head) < 8:
+        raise FeatureStoreError(f"{context}: truncated file")
+    found_version = struct.unpack_from("<I", head, 4)[0]
     if found_version != version:
         raise FeatureStoreError(
-            f"{path}: format version {found_version} does not match expected {version}"
+            f"{context}: format version {found_version} does not match expected {version}"
         )
-    if fnv1a64(body) != stored:
-        raise ChecksumError(f"{path}: checksum mismatch")
-    reader = _Reader(memoryview(body)[4:], str(path))
+    if not _CONTAINER_OVERHEAD <= size <= remaining:
+        raise FeatureStoreError(f"{context}: truncated file")
+    # the version, payload and checksum are read as one object: hashing the
+    # checksummed span needs no copy, and the payload is parsed through views
+    fh.seek(-4, os.SEEK_CUR)
+    body = fh.read(size - 4)
+    span = memoryview(body)
+    if fnv1a64(span[:-8]) != int.from_bytes(span[-8:], "little"):
+        raise ChecksumError(f"{context}: checksum mismatch")
+    reader = _Reader(span[4:-8], context)
     result = parse(reader)
     if reader.pos != len(reader.data):
-        raise FeatureStoreError(f"{path}: trailing bytes after payload")
+        raise FeatureStoreError(f"{context}: trailing bytes after payload")
     return result
 
 
+# --- feature stores: a table of contents, then one container per family ---
+
+def _block_parts(family: str, records: list) -> list:
+    parts = [pack_str(family), pack_u32(records[0][1].shape[1]), pack_u32(len(records))]
+    for source_id, values in records:
+        parts += [pack_str(source_id), pack_u32(values.shape[0]), pack_floats(values)]
+    return parts
+
+
 def save_features(store: FeatureStore, path: str | Path) -> None:
-    """Write the store to its binary container (bit-exact round-trip)."""
-    parts = [pack_u32(len(store.records))]
-    for (source_id, extractor), values in store.records.items():
-        parts += [
-            pack_str(source_id),
-            pack_str(extractor),
-            pack_u32(values.shape[0]),
-            pack_u32(values.shape[1]),
-            pack_floats(values),
-        ]
-    write_container(path, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION, parts)
+    """Write the store as a table of contents, then one container per family
+    (bit-exact round-trip).
+
+    The table gives each block's family and size, so a load can seek past
+    the families it does not need.  Blocks are joined one at a time.
+    """
+    by_family: dict[str, list] = {}
+    for (source_id, family), values in store.records.items():
+        by_family.setdefault(family, []).append((source_id, values))
+    blocks = {family: _block_parts(family, records) for family, records in by_family.items()}
+    entries = b"".join(
+        pack_str(family) + pack_u64(_CONTAINER_OVERHEAD + sum(len(part) for part in parts))
+        for family, parts in blocks.items()
+    )
+    toc_size = _CONTAINER_OVERHEAD + 4 + 4 + len(entries)
+    with open(path, "wb") as fh:
+        write_container(
+            fh, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION,
+            [pack_u32(toc_size), pack_u32(len(blocks)), entries],
+        )
+        for parts in blocks.values():
+            write_container(fh, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION, parts)
 
 
-def _parse_features(reader: _Reader) -> FeatureStore:
-    store = FeatureStore()
+def _parse_toc(reader: _Reader) -> dict[str, int]:
+    """``{family: block size}`` in file order."""
+    reader.u32()  # the table's own size, read before the table to locate it
+    sizes: dict[str, int] = {}
     for _ in range(reader.u32()):
-        source_id = reader.string()
-        extractor = reader.string()
-        rows = reader.u32()
-        cols = reader.u32()
-        store.add(source_id, extractor, reader.floats(rows * cols).reshape(rows, cols))
+        family = reader.string()
+        if family in sizes:
+            raise FeatureStoreError(
+                f"{reader.context}: the table of contents lists {family!r} twice"
+            )
+        sizes[family] = reader.u64()
+    return sizes
+
+
+def _block_parser(store: FeatureStore, family: str):
+    """Parser of the block the table of contents lists as ``family``."""
+
+    def parse(reader: _Reader) -> None:
+        found = reader.string()
+        if found != family:
+            raise FeatureStoreError(
+                f"{reader.context}: holds {found!r} features, not the ones the "
+                f"table of contents lists"
+            )
+        dim = reader.u32()
+        for _ in range(reader.u32()):
+            source_id = reader.string()
+            if (source_id, family) in store:
+                raise FeatureStoreError(f"{reader.context}: clip {source_id!r} appears twice")
+            rows = reader.u32()
+            store.add(source_id, family, reader.floats(rows * dim).reshape(rows, dim))
+
+    return parse
+
+
+def load_features(path: str | Path, families=None) -> FeatureStore:
+    """Read a feature store, or only the named families of it (None: all).
+
+    The magic and version are checked first, then the table of contents,
+    then the file size against the table.  Each wanted block is verified
+    before it is parsed; the others are skipped unread.  A named family the
+    file lacks is an error that says what the file holds.
+    """
+    store = FeatureStore()
+    with open(path, "rb") as fh:
+        # the table's size opens its payload; read_container checks the
+        # magic and version before that size matters, so a file of another
+        # format version is reported as such
+        toc_size = int.from_bytes(fh.read(12)[8:], "little")
+        fh.seek(0)
+        sizes = read_container(
+            fh, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION, _parse_toc, toc_size, str(path)
+        )
+        expected = toc_size + sum(sizes.values())
+        found = os.fstat(fh.fileno()).st_size
+        if found < expected:
+            raise FeatureStoreError(f"{path}: truncated file")
+        if found > expected:
+            raise FeatureStoreError(f"{path}: trailing bytes after the last block")
+        wanted = list(sizes if families is None else families)
+        missing = [family for family in wanted if family not in sizes]
+        if missing:
+            held = ", ".join(sizes) or "none"
+            raise FeatureStoreError(
+                f"no {missing[0]!r} features in {path}; the file holds: {held}"
+            )
+        for family, size in sizes.items():
+            if family in wanted:
+                read_container(
+                    fh, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION,
+                    _block_parser(store, family), size, f"{path}, {family!r} block",
+                )
+            else:
+                fh.seek(size, os.SEEK_CUR)
     return store
-
-
-def load_features(path: str | Path) -> FeatureStore:
-    """Read a feature container, verifying magic, version, and checksum."""
-    return read_container(path, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION, _parse_features)

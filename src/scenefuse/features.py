@@ -309,14 +309,9 @@ def _spcc_from_spec(spec: Spectrogram) -> FeatureMatrix:
 
 # --- the extraction entry point ---
 
-def extract_selected(
-    clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
-) -> dict[str, FeatureMatrix]:
-    """Requested families only, all from one shared framing and spectrum.
-
-    A request for ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a
-    concatenated copy.  The result follows ``EXTRACTOR_NAMES`` order.
-    """
+def stored_families(names) -> list:
+    """The stored families behind the named ones, in ``EXTRACTOR_NAMES``
+    order: cepscom stands for its parts."""
     wanted = set(names)
     unknown = wanted - set(EXTRACTOR_NAMES)
     if unknown:
@@ -325,6 +320,18 @@ def extract_selected(
         )
     if "cepscom" in wanted:
         wanted |= set(CEPSCOM_PARTS)
+    return [name for name in EXTRACTOR_NAMES if name in wanted and name != "cepscom"]
+
+
+def extract_selected(
+    clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
+) -> dict[str, FeatureMatrix]:
+    """Requested families only, all from one shared framing and spectrum.
+
+    A request for ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a
+    concatenated copy.  The result follows ``EXTRACTOR_NAMES`` order.
+    """
+    wanted = set(stored_families(names))
     frames = frame_signal(clip, frame_len, hop)
     if "spcc" in wanted and frames.n_frames < 2:
         # the subspace projection estimates a covariance over frames

@@ -81,6 +81,9 @@ class FusionWeights:
             )
         if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
             raise ValueError("weights must be finite and lie in [0,1]")
+        repeated = [s for i, s in enumerate(self.system_ids) if s in self.system_ids[:i]]
+        if repeated:
+            raise ValueError(f"system {repeated[0]!r} has more than one row of weights")
 
 
 @dataclass

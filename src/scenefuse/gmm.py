@@ -278,7 +278,8 @@ def save_gmm_bank(path, bank: GmmBank, family: str, class_names) -> None:
             pack_floats(model.means),
             pack_floats(model.variances),
         ]
-    write_container(path, GMM_BANK_MAGIC, GMM_BANK_VERSION, parts)
+    with open(path, "wb") as fh:
+        write_container(fh, GMM_BANK_MAGIC, GMM_BANK_VERSION, parts)
 
 
 def _parse_bank(reader) -> tuple:
@@ -296,4 +297,5 @@ def _parse_bank(reader) -> tuple:
 
 def load_gmm_bank(path) -> tuple:
     """``(family, class_names, bank)`` from a file of :func:`save_gmm_bank`."""
-    return read_container(path, GMM_BANK_MAGIC, GMM_BANK_VERSION, _parse_bank)
+    with open(path, "rb") as fh:
+        return read_container(fh, GMM_BANK_MAGIC, GMM_BANK_VERSION, _parse_bank)

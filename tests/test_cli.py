@@ -241,6 +241,18 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     assert not (tmp_path / "fused.csv").exists()
 
 
+def test_weights_rejects_a_repeated_system(work, capsys):
+    out = work / "twice.csv"
+    rc = main([
+        "weights", "--manifest", str(work / "data" / "manifest.tsv"),
+        "--features", str(work / "feats.sfs"), "--systems", "mfcc-gmm,mfcc-gmm",
+        "--folds", "3", "--mixtures", "2", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "system 'mfcc-gmm' has more than one row of weights" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuse_rejects_a_blank_weights_line(capsys, tmp_path):
     scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
     scores.write_text("#normalized=true\nclip_id,system_id,a,b\nc1.wav,plp-gmm,1.0,0.0\n")
@@ -264,15 +276,17 @@ def test_fuse_rejects_a_weight_that_is_not_a_number(capsys, tmp_path):
 
 
 def test_missing_feature_family_is_named(work, capsys, tmp_path):
-    # feats.sfs holds mfcc only; a plp system has no records to read
+    # feats.sfs holds mfcc only; a plp system has no records to read, and
+    # the store says so as it is loaded
     manifest = str(work / "data" / "manifest.tsv")
+    feats = str(work / "feats.sfs")
     rc = main([
         "train", "--features", str(work / "feats.sfs"), "--manifest", manifest,
         "--system", "plp-gmm", "--out", str(tmp_path / "plp-gmm.sfg"),
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error: no 'plp' features for clip '" in err
+    assert f"error: no 'plp' features in {feats}" in err
     assert "holds: mfcc" in err
 
     # cepscom is joined from its parts; the first one the store lacks is named
@@ -282,7 +296,7 @@ def test_missing_feature_family_is_named(work, capsys, tmp_path):
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error: no 'pncc' features for clip '" in err
+    assert f"error: no 'pncc' features in {feats}" in err
     assert "holds: mfcc" in err
 
     # a real plp model, trained on a plp store, then pointed at the mfcc one
@@ -302,8 +316,34 @@ def test_missing_feature_family_is_named(work, capsys, tmp_path):
     ])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "error: no 'plp' features for clip '" in err
+    assert f"error: no 'plp' features in {feats}" in err
     assert "holds: mfcc" in err
+
+
+def test_each_step_reads_only_the_families_its_system_uses(work, capsys, tmp_path):
+    manifest = str(work / "data" / "manifest.tsv")
+    feats = tmp_path / "two.sfs"
+    assert main(["extract", "--manifest", manifest, "--features", "mfcc,plp",
+                 "--frame-len", "512", "--hop", "256", "--out", str(feats)]) == 0
+    # plp's block comes last; break its final payload byte
+    blob = bytearray(feats.read_bytes())
+    blob[-9] ^= 0x01
+    feats.write_bytes(bytes(blob))
+    model = str(tmp_path / "mfcc-gmm.sfg")
+    for argv in (
+        ["train", "--features", str(feats), "--manifest", manifest,
+         "--system", "mfcc-gmm", "--mixtures", "2", "--out", model],
+        ["weights", "--features", str(feats), "--manifest", manifest, "--systems", "mfcc-gmm",
+         "--folds", "3", "--mixtures", "2", "--out", str(tmp_path / "weights.csv")],
+        ["classify", "--model", model, "--features", str(feats), "--manifest", manifest,
+         "--out", str(tmp_path / "scores.csv")],
+    ):
+        assert main(argv) == 0, argv[0]
+    capsys.readouterr()
+    rc = main(["train", "--features", str(feats), "--manifest", manifest,
+               "--system", "plp-gmm", "--mixtures", "2", "--out", str(tmp_path / "plp.sfg")])
+    assert rc == 1
+    assert f"{feats}, 'plp' block: checksum mismatch" in capsys.readouterr().err
 
 
 def _classify(work, manifest, out):

@@ -1,5 +1,6 @@
 """Audio IO, manifests, splits, and the binary containers."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,19 @@ def feature_store():
     return store
 
 
+@pytest.fixture
+def hashed(monkeypatch):
+    """Lengths of the byte strings dataio hashes, in call order."""
+    lengths = []
+
+    def counting(data):
+        lengths.append(len(data))
+        return fnv1a64(data)
+
+    monkeypatch.setattr(dataio, "fnv1a64", counting)
+    return lengths
+
+
 class TestFeatureFile:
     def test_round_trip_bit_exact(self, tmp_path):
         store = feature_store()
@@ -378,18 +392,148 @@ class TestFeatureFile:
         blob += values + pack_u64(fnv1a64(values))
         path = tmp_path / "old.sfs"
         path.write_bytes(blob)
-        with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 3"):
+        with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 4"):
             load_features(path)
 
     def test_version_2_rejected(self, tmp_path):
-        # version 2 had today's framing but also stored cepscom records
+        # version 2 had version 3's framing but also stored cepscom records
         values = np.arange(6, dtype="<f8").tobytes()
         body = pack_u32(2) + pack_u32(1)
         body += pack_str("one.wav") + pack_str("cepscom") + pack_u32(2) + pack_u32(3) + values
         path = tmp_path / "v2.sfs"
         path.write_bytes(b"SFS1" + body + pack_u64(fnv1a64(body)))
-        with pytest.raises(FeatureStoreError, match="format version 2 does not match expected 3"):
+        with pytest.raises(FeatureStoreError, match="format version 2 does not match expected 4"):
             load_features(path)
+
+    def test_version_3_rejected(self, tmp_path):
+        # version 3: one container over every record, each naming its family
+        records = feature_store().records
+        body = pack_u32(3) + pack_u32(len(records))
+        for (source_id, family), values in records.items():
+            body += pack_str(source_id) + pack_str(family)
+            body += pack_u32(values.shape[0]) + pack_u32(values.shape[1]) + values.tobytes()
+        path = tmp_path / "v3.sfs"
+        path.write_bytes(b"SFS1" + body + pack_u64(fnv1a64(body)))
+        with pytest.raises(FeatureStoreError, match="format version 3 does not match expected 4"):
+            load_features(path)
+
+    def test_table_of_contents_lists_each_family_block(self, tmp_path):
+        path = tmp_path / "f.sfs"
+        save_features(feature_store(), path)
+        blob = path.read_bytes()
+        toc_size, count = struct.unpack_from("<II", blob, 8)
+        blocks = sfs_blocks(blob)
+        assert count == len(blocks) == 2
+        assert blocks[0][1] == toc_size
+        for (field, start, end), family in zip(blocks, ("mfcc", "plp")):
+            # the table names the family and gives its block's size
+            assert blob[field - 4 - len(family) : field] == pack_str(family)
+            assert struct.unpack_from("<Q", blob, field)[0] == end - start
+            assert blob[start : start + 8] == b"SFS1" + pack_u32(4)
+            assert blob[start + 8 : end - 8].startswith(pack_str(family))
+
+    def test_named_families_only(self, tmp_path):
+        store = feature_store()
+        path = tmp_path / "f.sfs"
+        save_features(store, path)
+        back = load_features(path, families=["plp"])
+        assert list(back.records) == [("one.wav", "plp")]
+        assert np.array_equal(back.get("one.wav", "plp"), store.get("one.wav", "plp"))
+        assert len(load_features(path, families=[])) == 0
+        assert set(load_features(path, families=["plp", "mfcc"]).records) == set(store.records)
+
+    def test_named_load_hashes_only_the_table_and_its_blocks(self, tmp_path, hashed):
+        path = tmp_path / "f.sfs"
+        save_features(feature_store(), path)
+        blob = path.read_bytes()
+        toc_size = struct.unpack_from("<I", blob, 8)[0]
+        _, (_, plp_start, plp_end) = sfs_blocks(blob)
+        hashed.clear()
+        load_features(path, families=["plp"])
+        # each container hashes its version and payload: all but magic and checksum
+        assert hashed == [toc_size - 12, plp_end - plp_start - 12]
+        hashed.clear()
+        load_features(path)
+        assert sum(hashed) == len(blob) - 3 * 12
+
+    def test_corrupt_block_fails_only_the_loads_that_read_it(self, tmp_path):
+        path = tmp_path / "f.sfs"
+        save_features(feature_store(), path)
+        blob = bytearray(path.read_bytes())
+        (_, mfcc_start, mfcc_end), _ = sfs_blocks(blob)
+        blob[(mfcc_start + mfcc_end) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        assert list(load_features(path, families=["plp"]).records) == [("one.wav", "plp")]
+        with pytest.raises(ChecksumError, match="'mfcc' block: checksum mismatch"):
+            load_features(path)
+        with pytest.raises(ChecksumError):
+            load_features(path, families=["mfcc"])
+
+    def test_missing_family_names_file_family_and_holdings(self, tmp_path):
+        path = tmp_path / "f.sfs"
+        save_features(feature_store(), path)
+        with pytest.raises(
+            FeatureStoreError, match=f"no 'pncc' features in {path}; the file holds: mfcc, plp"
+        ):
+            load_features(path, families=["mfcc", "pncc"])
+
+    def test_repeated_clip_in_a_block_rejected(self, tmp_path):
+        path = tmp_path / "f.sfs"
+        save_features(feature_store(), path)
+        # the mfcc block holds one.wav then two.wav; name both one.wav
+        blob = path.read_bytes()
+        assert blob.count(pack_str("two.wav")) == 1
+        path.write_bytes(reframe("sfs", blob.replace(pack_str("two.wav"), pack_str("one.wav"))))
+        with pytest.raises(
+            FeatureStoreError, match=f"{path}, 'mfcc' block: clip 'one.wav' appears twice"
+        ):
+            load_features(path)
+
+    def test_repeated_family_in_the_table_rejected(self, tmp_path):
+        store = FeatureStore()
+        store.add("one.wav", "mfcc", np.zeros((2, 3)))
+        store.add("one.wav", "pncc", np.ones((2, 3)))
+        path = tmp_path / "f.sfs"
+        save_features(store, path)
+        blob = path.read_bytes()
+        toc_size = struct.unpack_from("<I", blob, 8)[0]
+        toc = blob[:toc_size].replace(pack_str("pncc"), pack_str("mfcc"))
+        path.write_bytes(reframe("sfs", toc + blob[toc_size:]))
+        with pytest.raises(FeatureStoreError, match="lists 'mfcc' twice"):
+            load_features(path)
+
+    def test_block_family_must_match_the_table(self, tmp_path):
+        store = FeatureStore()
+        store.add("one.wav", "mfcc", np.zeros((2, 3)))
+        store.add("one.wav", "pncc", np.ones((2, 3)))
+        path = tmp_path / "f.sfs"
+        save_features(store, path)
+        blob = path.read_bytes()
+        _, (_, pncc_start, _) = sfs_blocks(blob)
+        head, block = blob[:pncc_start], blob[pncc_start:]
+        path.write_bytes(reframe("sfs", head + block.replace(pack_str("pncc"), pack_str("mfcc"))))
+        with pytest.raises(FeatureStoreError, match="'pncc' block: holds 'mfcc' features"):
+            load_features(path)
+        assert list(load_features(path, families=["mfcc"]).records) == [("one.wav", "mfcc")]
+
+    def test_size_is_checked_before_any_block_is_read(self, tmp_path, hashed):
+        path = tmp_path / "f.sfs"
+        save_features(feature_store(), path)
+        blob = path.read_bytes()
+        toc_size = struct.unpack_from("<I", blob, 8)[0]
+        for edited, message in ((blob + b"x", "trailing bytes after the last block"),
+                                (blob[:-1], "truncated")):
+            path.write_bytes(edited)
+            hashed.clear()
+            with pytest.raises(FeatureStoreError, match=message):
+                load_features(path, families=["plp"])
+            assert hashed == [toc_size - 12]
+        # a table size past the end of the file is refused before it is read
+        path.write_bytes(blob[:8] + pack_u32(2**32 - 1) + blob[12:])
+        hashed.clear()
+        with pytest.raises(FeatureStoreError, match="truncated"):
+            load_features(path)
+        assert hashed == []
 
 
 def _cdl_model():
@@ -407,6 +551,43 @@ def _gmm_bank():
     return fit_gmm_bank(feats, 3, seeds=[5, 6])
 
 
+def sfs_blocks(blob) -> list:
+    """``[size field offset, start, end]`` of each family block of a feature
+    store, read off its table of contents.  The last block runs to the end
+    of the file, so an edit that changes its length keeps it whole."""
+    toc_size, count = struct.unpack_from("<II", blob, 8)
+    pos, start, blocks = 16, toc_size, []
+    for _ in range(count):
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+        size = struct.unpack_from("<Q", blob, pos)[0]
+        blocks.append([pos, start, start + size])
+        pos, start = pos + 8, start + size
+    if blocks:
+        blocks[-1][2] = len(blob)
+    return blocks
+
+
+def containers(fmt, blob) -> list:
+    """``(start, end)`` of each container of a file: a model file is one; a
+    feature store is its table of contents, then one per family."""
+    if fmt != "sfs":
+        return [(0, len(blob))]
+    toc_size = struct.unpack_from("<I", blob, 8)[0]
+    return [(0, toc_size)] + [(start, end) for _, start, end in sfs_blocks(blob)]
+
+
+def reframe(fmt, blob) -> bytes:
+    """Recompute every checksum, and a feature store's block sizes, so only
+    the edit under test is wrong."""
+    blob = bytearray(blob)
+    if fmt == "sfs":
+        for field, start, end in sfs_blocks(blob):
+            blob[field : field + 8] = pack_u64(end - start)
+    for start, end in containers(fmt, blob):
+        blob[end - 8 : end] = pack_u64(fnv1a64(bytes(blob[start + 4 : end - 8])))
+    return bytes(blob)
+
+
 #: format -> (write a sample file, read it back)
 CONTAINERS = {
     "sfs": (lambda path: save_features(feature_store(), path), load_features),
@@ -417,7 +598,10 @@ CONTAINERS = {
 
 @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
 class TestContainer:
-    """The framing every binary file shares: magic, version, payload, checksum."""
+    """The framing every binary file shares: magic, version, payload, checksum.
+
+    A feature store's first container is its table of contents, and its
+    last one its last family block."""
 
     def written(self, fmt, tmp_path):
         write, read = CONTAINERS[fmt]
@@ -426,52 +610,60 @@ class TestContainer:
         read(path)
         return path, bytearray(path.read_bytes()), read
 
-    @staticmethod
-    def reframe(blob):
-        """Recompute the checksum, so only the edit under test is wrong."""
-        blob[-8:] = pack_u64(fnv1a64(bytes(blob[4:-8])))
-        return bytes(blob)
-
     def test_stored_checksum_is_fnv1a_of_version_and_payload(self, fmt, tmp_path):
         _, blob, _ = self.written(fmt, tmp_path)
-        assert int.from_bytes(blob[-8:], "little") == reference_fnv1a64(blob[4:-8])
+        for start, end in containers(fmt, blob):
+            assert int.from_bytes(blob[end - 8 : end], "little") == reference_fnv1a64(
+                blob[start + 4 : end - 8]
+            )
 
     def test_bad_magic(self, fmt, tmp_path):
         path, blob, read = self.written(fmt, tmp_path)
-        path.write_bytes(b"NOPE" + blob[4:])
-        with pytest.raises(FeatureStoreError, match="bad magic"):
-            read(path)
+        for start, _ in containers(fmt, blob):
+            path.write_bytes(blob[:start] + b"NOPE" + blob[start + 4 :])
+            with pytest.raises(FeatureStoreError, match="bad magic"):
+                read(path)
 
     def test_truncation_detected(self, fmt, tmp_path):
         path, blob, read = self.written(fmt, tmp_path)
-        for cut in (blob[:10], self.reframe(blob[:-16] + blob[-8:])):
+        for cut in (blob[:10], reframe(fmt, blob[:-16] + blob[-8:])):
             path.write_bytes(cut)
             with pytest.raises(FeatureStoreError, match="truncated"):
                 read(path)
         path.write_bytes(blob[:-5])
-        with pytest.raises(ChecksumError):
-            read(path)
+        if fmt == "sfs":
+            # a feature store checks its size against its table of contents
+            # before it reads a block
+            with pytest.raises(FeatureStoreError, match="truncated"):
+                read(path)
+        else:
+            with pytest.raises(ChecksumError):
+                read(path)
 
     def test_corruption_detected(self, fmt, tmp_path):
         path, blob, read = self.written(fmt, tmp_path)
-        blob[30] ^= 0x01
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumError):
-            read(path)
+        for start, end in containers(fmt, blob):
+            corrupt = bytearray(blob)
+            corrupt[min(start + 30, end - 9)] ^= 0x01
+            path.write_bytes(bytes(corrupt))
+            with pytest.raises(ChecksumError):
+                read(path)
 
     def test_trailing_bytes_rejected(self, fmt, tmp_path):
         path, blob, read = self.written(fmt, tmp_path)
-        path.write_bytes(self.reframe(blob[:-8] + b"x" + blob[-8:]))
-        with pytest.raises(FeatureStoreError, match="trailing"):
+        path.write_bytes(reframe(fmt, blob[:-8] + b"x" + blob[-8:]))
+        with pytest.raises(FeatureStoreError, match="trailing bytes after payload"):
             read(path)
 
     def test_version_mismatch(self, fmt, tmp_path):
         path, blob, read = self.written(fmt, tmp_path)
-        version = int.from_bytes(blob[4:8], "little")
-        blob[4:8] = pack_u32(version + 1)
-        path.write_bytes(self.reframe(blob))
-        with pytest.raises(FeatureStoreError, match=f"version {version + 1} does not match"):
-            read(path)
+        for start, _ in containers(fmt, blob):
+            version = int.from_bytes(blob[start + 4 : start + 8], "little")
+            edited = bytearray(blob)
+            edited[start + 4 : start + 8] = pack_u32(version + 1)
+            path.write_bytes(reframe(fmt, edited))
+            with pytest.raises(FeatureStoreError, match=f"version {version + 1} does not match"):
+                read(path)
 
 
 @pytest.mark.parametrize("fmt, family", [("sfg", "mfcc"), ("sfc", "cepscom")])

@@ -27,6 +27,7 @@ from scenefuse.features import (
     medium_time_power,
     pncc_power_stages,
     rcgcc_gains,
+    stored_families,
     subspace_project,
     subspace_rank,
 )
@@ -162,6 +163,13 @@ class TestSelection:
         clip = make_noise_clip(1.0, 16000, seed=3)
         with pytest.raises(ValueError):
             extract_selected(clip, ["mfcc", "lpcc"])
+
+    def test_stored_families_expand_cepscom_in_canonical_order(self):
+        assert stored_families(["spcc", "cepscom", "plp"]) == ["mfcc", "plp", "pncc", "rcgcc", "spcc"]
+        assert stored_families(["plp", "plp"]) == ["plp"]
+        assert stored_families([]) == []
+        with pytest.raises(ValueError, match="lpcc"):
+            stored_families(["lpcc"])
 
 
 class TestMfcc:
