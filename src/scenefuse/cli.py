@@ -43,9 +43,11 @@ def _parse_names(raw: str, universe, what: str) -> list:
     names = [part.strip() for part in raw.split(",") if part.strip()]
     if not names:
         raise ValueError(f"empty {what} list")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in universe:
             raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(universe)}")
+        if name in names[:i]:
+            raise ValueError(f"{what} {name!r} is named more than once")
     return names
 
 

@@ -1,6 +1,8 @@
 """Cepstral feature extractors for acoustic scenes.
 
-Five families share one framing and power-spectrum front end:
+Five families share one framing and power-spectrum front end, and the
+families on one bank share its product: mfcc and spcc read one mel
+log-power, pncc and rcgcc one gammatone subband power.
 
 * mfcc    log mel subband power, DCT, 20 static -> 60 with deltas
 * plp     bark bank, equal-loudness, cube root, LPC cepstra + energy -> 39
@@ -92,12 +94,14 @@ def _bank(kind: str, n_fft: int, sample_rate: int) -> FilterbankMatrix:
     return make_filterbank(kind, N_CHANNELS, n_fft, sample_rate)
 
 
+def _subband(spec: Spectrogram, kind: str) -> np.ndarray:
+    return apply_filterbank(spec, _bank(kind, spec.n_fft, spec.sample_rate))
+
+
 # --- mfcc ---
 
-def _mfcc_from_spec(spec: Spectrogram) -> FeatureMatrix:
-    bank = _bank("mel-triangular", spec.n_fft, spec.sample_rate)
-    subband = apply_filterbank(spec, bank)
-    static = cepstral_dct(np.log(np.maximum(subband, LOG_FLOOR)), N_STATIC)
+def _mfcc(logmel: np.ndarray) -> FeatureMatrix:
+    static = cepstral_dct(logmel, N_STATIC)
     return append_deltas(FeatureMatrix(static, "mfcc"), DELTA_WINDOW)
 
 
@@ -161,7 +165,7 @@ def lpc_to_cepstrum(lpc: np.ndarray, n_ceps: int) -> np.ndarray:
     return ceps
 
 
-def _plp_from_spec(frames: FrameSequence, spec: Spectrogram) -> FeatureMatrix:
+def _plp(frames: FrameSequence, spec: Spectrogram) -> FeatureMatrix:
     bank = _bank("bark-trapezoidal", spec.n_fft, spec.sample_rate)
     subband = apply_filterbank(spec, bank)
     compressed = np.cbrt(subband * equal_loudness(bank.center_freqs)[None, :])
@@ -209,10 +213,8 @@ def pncc_power_stages(subband: np.ndarray) -> PnccStages:
     return PnccStages(medium=medium, subtracted=subtracted, normalized=subtracted * ratio)
 
 
-def _pncc_from_spec(spec: Spectrogram) -> FeatureMatrix:
-    bank = _bank("gammatone-magnitude", spec.n_fft, spec.sample_rate)
-    subband = apply_filterbank(spec, bank)
-    stages = pncc_power_stages(subband)
+def _pncc(gammatone: np.ndarray) -> FeatureMatrix:
+    stages = pncc_power_stages(gammatone)
     static = cepstral_dct(stages.normalized**PNCC_POWER_EXPONENT, N_STATIC)
     return append_deltas(FeatureMatrix(static, "pncc"), DELTA_WINDOW)
 
@@ -251,11 +253,9 @@ def rcgcc_gains(subband: np.ndarray, smoothing: float) -> np.ndarray:
     return _one_pole(raw, lam, lam * raw[0])
 
 
-def _rcgcc_from_spec(spec: Spectrogram) -> FeatureMatrix:
-    bank = _bank("gammatone-magnitude", spec.n_fft, spec.sample_rate)
-    subband = apply_filterbank(spec, bank)
-    gains = rcgcc_gains(subband, RCGCC_SMOOTHING)
-    static = cepstral_dct(np.cbrt(gains * subband), N_STATIC)
+def _rcgcc(gammatone: np.ndarray) -> FeatureMatrix:
+    gains = rcgcc_gains(gammatone, RCGCC_SMOOTHING)
+    static = cepstral_dct(np.cbrt(gains * gammatone), N_STATIC)
     return append_deltas(FeatureMatrix(static, "rcgcc"), DELTA_WINDOW)
 
 
@@ -299,9 +299,7 @@ def subspace_project(matrix: np.ndarray, fraction: float) -> tuple[np.ndarray, i
     return centered @ basis @ basis.T + mean, rank
 
 
-def _spcc_from_spec(spec: Spectrogram) -> FeatureMatrix:
-    bank = _bank("mel-triangular", spec.n_fft, spec.sample_rate)
-    logmel = np.log(np.maximum(apply_filterbank(spec, bank), LOG_FLOOR))
+def _spcc(logmel: np.ndarray) -> FeatureMatrix:
     recon, _ = subspace_project(logmel, SPCC_ENERGY_FRACTION)
     static = cepstral_dct(recon, N_STATIC)
     return append_deltas(FeatureMatrix(static, "spcc"), DELTA_WINDOW)
@@ -326,7 +324,8 @@ def stored_families(names) -> list:
 def extract_selected(
     clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
 ) -> dict[str, FeatureMatrix]:
-    """Requested families only, all from one shared framing and spectrum.
+    """Requested families only, all from one shared framing and spectrum,
+    with each filterbank product computed once.
 
     A request for ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a
     concatenated copy.  The result follows ``EXTRACTOR_NAMES`` order.
@@ -341,15 +340,19 @@ def extract_selected(
             f"({frame_len + hop} samples)"
         )
     spec = power_spectrum(frames)
+    if wanted & {"mfcc", "spcc"}:
+        logmel = np.log(np.maximum(_subband(spec, "mel-triangular"), LOG_FLOOR))
+    if wanted & {"pncc", "rcgcc"}:
+        gammatone = _subband(spec, "gammatone-magnitude")
     parts: dict[str, FeatureMatrix] = {}
     if "mfcc" in wanted:
-        parts["mfcc"] = _mfcc_from_spec(spec)
+        parts["mfcc"] = _mfcc(logmel)
     if "plp" in wanted:
-        parts["plp"] = _plp_from_spec(frames, spec)
+        parts["plp"] = _plp(frames, spec)
     if "pncc" in wanted:
-        parts["pncc"] = _pncc_from_spec(spec)
+        parts["pncc"] = _pncc(gammatone)
     if "rcgcc" in wanted:
-        parts["rcgcc"] = _rcgcc_from_spec(spec)
+        parts["rcgcc"] = _rcgcc(gammatone)
     if "spcc" in wanted:
-        parts["spcc"] = _spcc_from_spec(spec)
+        parts["spcc"] = _spcc(logmel)
     return parts

@@ -1,9 +1,12 @@
 """Shared DSP primitives: framing, windowed power spectra, auditory
 filterbanks, the cepstral DCT, and delta/acceleration appending.
 
-All operations are pure functions over immutable inputs.  Frames are
-windowed with a periodic Hamming window; their default length and hop are
-``scenefuse.features.FRAME_LEN`` and ``HOP``.
+All operations are pure functions over immutable inputs.  Frames are a
+read-only strided view of the clip's samples, not a copy; their default
+length and hop are ``scenefuse.features.FRAME_LEN`` and ``HOP``.  The power
+spectrum windows them with a periodic Hamming window and transforms them a
+block of ``STFT_BLOCK`` frames at a time, so the only full-size array it
+allocates is the power it returns.
 """
 
 from __future__ import annotations
@@ -20,10 +23,18 @@ LOG_FLOOR = 1e-20
 
 FILTERBANK_KINDS = ("mel-triangular", "bark-trapezoidal", "gammatone-magnitude")
 
+#: frames windowed and transformed per step of ``power_spectrum``; bounds its
+#: temporaries to about 1.6 MB at frame_len 2048, whatever the clip length
+STFT_BLOCK = 32
+
 
 @dataclass
 class FrameSequence:
-    """Overlapping signal frames; frame t starts at sample ``t * hop``."""
+    """Overlapping signal frames; frame t starts at sample ``t * hop``.
+
+    ``frames`` made by ``frame_signal`` is a read-only view sharing the
+    clip's samples.
+    """
 
     frames: np.ndarray
     frame_len: int
@@ -83,16 +94,15 @@ def frame_count(signal_len: int, frame_len: int, hop: int) -> int:
 
 
 def frame_signal(clip: AudioClip, frame_len: int, hop: int) -> FrameSequence:
-    """Cut a clip into overlapping frames without padding."""
+    """Cut a clip into overlapping frames without padding, as a read-only view."""
     if frame_len <= 0 or hop <= 0 or hop > frame_len:
         raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
     if len(clip) < frame_len:
         raise ValueError(
             f"clip {clip.source_id!r} has {len(clip)} samples, shorter than frame_len {frame_len}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, frame_len)[::hop]
     return FrameSequence(
-        frames=np.ascontiguousarray(windows, dtype=np.float64),
+        frames=np.lib.stride_tricks.sliding_window_view(clip.samples, frame_len)[::hop],
         frame_len=frame_len,
         hop=hop,
         sample_rate=clip.sample_rate,
@@ -105,11 +115,24 @@ def hamming_periodic(n: int) -> np.ndarray:
 
 
 def power_spectrum(frames: FrameSequence) -> Spectrogram:
-    """Windowed one-sided power spectrum, |X_k|^2 per frame, n_fft = frame_len."""
-    window = hamming_periodic(frames.frame_len)
-    spectrum = np.fft.rfft(frames.frames * window, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
-    return Spectrogram(power=power, n_fft=frames.frame_len, sample_rate=frames.sample_rate)
+    """Windowed one-sided power spectrum, |X_k|^2 per frame, n_fft = frame_len.
+
+    Runs ``STFT_BLOCK`` frames at a time into one preallocated array.  Each
+    row is transformed on its own and every other step is elementwise, so the
+    bits do not depend on the block size.
+    """
+    n_fft = frames.frame_len
+    window = hamming_periodic(n_fft)
+    power = np.empty((frames.n_frames, n_fft // 2 + 1))
+    for start in range(0, frames.n_frames, STFT_BLOCK):
+        stop = start + STFT_BLOCK
+        spectrum = np.fft.rfft(frames.frames[start:stop] * window, axis=1)
+        # (re, im) pairs squared in place: x*x is what x**2 computes, so the
+        # sum below has the bits of real**2 + imag**2
+        pairs = spectrum.view(np.float64)
+        np.multiply(pairs, pairs, out=pairs)
+        np.add(pairs[:, 0::2], pairs[:, 1::2], out=power[start:stop])
+    return Spectrogram(power=power, n_fft=n_fft, sample_rate=frames.sample_rate)
 
 
 # --- frequency scales ---

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scenefuse.cli
 from scenefuse.cli import main
 from scenefuse.dataio import load_features, load_manifest
 from scenefuse.fusion import load_score_csv, load_weights_csv
@@ -241,15 +242,34 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     assert not (tmp_path / "fused.csv").exists()
 
 
-def test_weights_rejects_a_repeated_system(work, capsys):
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the names were checked")
+
+
+def test_weights_rejects_a_repeated_system(work, capsys, monkeypatch):
+    # the repeat is refused while parsing: no store is read and no fold runs
+    monkeypatch.setattr(scenefuse.cli, "load_features", _no_work)
+    monkeypatch.setattr(scenefuse.cli, "estimate_weights", _no_work)
     out = work / "twice.csv"
     rc = main([
         "weights", "--manifest", str(work / "data" / "manifest.tsv"),
-        "--features", str(work / "feats.sfs"), "--systems", "mfcc-gmm,mfcc-gmm",
+        "--features", str(work / "feats.sfs"), "--systems", "mfcc-gmm,plp-gmm,mfcc-gmm",
         "--folds", "3", "--mixtures", "2", "--out", str(out),
     ])
     assert rc == 1
-    assert "system 'mfcc-gmm' has more than one row of weights" in capsys.readouterr().err
+    assert "system 'mfcc-gmm' is named more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_rejects_a_repeated_family(work, capsys, monkeypatch):
+    monkeypatch.setattr(scenefuse.cli, "extract_for_manifest", _no_work)
+    out = work / "twice.sfs"
+    rc = main([
+        "extract", "--manifest", str(work / "data" / "manifest.tsv"),
+        "--features", "mfcc, mfcc", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "extractor 'mfcc' is named more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -159,6 +159,15 @@ class TestSelection:
         assert list(out) == list(CEPSCOM_PARTS) == ["mfcc", "pncc", "rcgcc", "spcc"]
         assert all(out[name].dim == 60 for name in CEPSCOM_PARTS)
 
+    def test_shared_products_change_no_family(self, chime_bundle):
+        # mfcc/spcc share one mel product and pncc/rcgcc one gammatone
+        # product; each family alone computes its own
+        clip = synth_scene(profile_by_name("chime"), 3.0, 44100, seed=11)
+        _, together = chime_bundle
+        for name in FAMILIES:
+            alone = extract_selected(clip, [name])[name]
+            assert np.array_equal(together[name].values, alone.values), name
+
     def test_unknown_name_rejected(self):
         clip = make_noise_clip(1.0, 16000, seed=3)
         with pytest.raises(ValueError):

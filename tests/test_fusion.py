@@ -163,6 +163,11 @@ class TestConfusionWeights:
         with pytest.raises(ValueError, match=r"finite and lie in \[0,1\]"):
             FusionWeights(["a"], ["x", "y"], np.array([[bad, 0.5]]))
 
+    def test_repeated_system_rejected(self):
+        # library callers bypass the CLI's name parsing
+        with pytest.raises(ValueError, match="'a' has more than one row of weights"):
+            FusionWeights(["a", "b", "a"], ["x"], np.full((3, 1), 0.5))
+
 
 class TestFuse:
     def random_instance(self, rng):

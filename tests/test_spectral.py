@@ -1,10 +1,13 @@
 """Framing, power spectra, auditory scales, filterbanks, DCT, deltas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scenefuse.dataio import AudioClip
 from scenefuse.spectral import (
+    STFT_BLOCK,
     FeatureMatrix,
     apply_filterbank,
     append_deltas,
@@ -32,6 +35,14 @@ def naive_power_spectrum(frame, window):
     k = np.arange(n // 2 + 1)
     basis = np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n)
     return np.abs(basis @ x) ** 2
+
+
+def whole_matrix_power_spectrum(frames):
+    """The STFT as one whole-matrix step: a contiguous copy of the frames
+    times the window, ``rfft``, then ``real**2 + imag**2``."""
+    copy = np.ascontiguousarray(frames.frames, dtype=np.float64)
+    spectrum = np.fft.rfft(copy * hamming_periodic(frames.frame_len), axis=1)
+    return spectrum.real**2 + spectrum.imag**2
 
 
 def naive_dct2_ortho(row):
@@ -74,6 +85,14 @@ class TestFraming:
         clip = AudioClip(np.ones(3500), 16000)
         assert frame_signal(clip, 2048, 1024).n_frames == 2
 
+    def test_frames_are_a_read_only_view_of_the_clip(self):
+        clip = make_noise_clip(1.0, 16000, seed=2)
+        frames = frame_signal(clip, 512, 256)
+        assert not frames.frames.flags.writeable
+        assert np.shares_memory(frames.frames, clip.samples)
+        with pytest.raises(ValueError, match="read-only"):
+            frames.frames[0, 0] = 1.0
+
     def test_short_clip_rejected(self):
         clip = AudioClip(np.ones(100), 16000)
         with pytest.raises(ValueError, match="shorter than frame_len"):
@@ -113,6 +132,33 @@ class TestPowerSpectrum:
                 want = naive_power_spectrum(frames.frames[t], window)
                 err = np.abs(spec.power[t] - want).max() / max(want.max(), 1e-30)
                 assert err < 1e-8
+
+    @pytest.mark.parametrize(
+        "n_frames", [1, STFT_BLOCK - 1, STFT_BLOCK, STFT_BLOCK + 1, 2 * STFT_BLOCK + 5, 128]
+    )
+    def test_blocks_match_the_whole_matrix_bit_for_bit(self, n_frames):
+        frame_len, hop = 2048, 1024
+        clip = make_noise_clip(3.0, 44100, seed=n_frames)
+        clip = AudioClip(clip.samples[: frame_len + (n_frames - 1) * hop], 44100)
+        frames = frame_signal(clip, frame_len, hop)
+        assert frames.n_frames == n_frames
+        got = power_spectrum(frames).power
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, whole_matrix_power_spectrum(frames))
+
+    @pytest.mark.parametrize("seconds", [3, 30])
+    def test_temporaries_stay_bounded(self, seconds):
+        # only the returned power grows with the clip; the rest is a few
+        # blocks of frames, whatever the clip length
+        budget = 3_000_000
+        clip = make_noise_clip(seconds, 44100, seed=seconds)
+        tracemalloc.start()
+        try:
+            power = power_spectrum(frame_signal(clip, 2048, 1024)).power
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - power.nbytes < budget
 
     def test_shape_and_bins(self):
         clip = make_noise_clip(1.0, 16000, seed=4)
