@@ -5,29 +5,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .dataio import load_features, load_manifest, save_features
-from .evaluation import evaluate, save_report
+from .evaluation import save_report
 from .features import EXTRACTOR_NAMES, FRAME_LEN, HOP, stored_families
-from .fusion import (
-    fuse,
-    load_score_csv,
-    load_weights_csv,
-    normalize_scores,
-    save_score_csv,
-    save_weights_csv,
-    ScoreMatrix,
-)
+from .fusion import load_score_csv, load_weights_csv, save_score_csv, save_weights_csv
 from .pipeline import (
     ALL_SYSTEMS,
-    WEIGHT_METHODS,
     PipelineConfig,
     PipelineError,
     TrainOptions,
     estimate_weights,
+    evaluate_scores,
     extract_for_manifest,
     fit_system,
+    fuse_systems,
+    fusion_scores,
     load_system_model,
     required_extractors,
     run_pipeline,
@@ -82,15 +74,7 @@ def _cmd_weights(args) -> None:
     store = load_features(args.features, stored_families(required_extractors(systems)))
     manifest = load_manifest(args.manifest)
     opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
-    weights = estimate_weights(
-        store,
-        manifest,
-        systems,
-        opts,
-        method=args.method,
-        folds=args.folds,
-        seed=args.seed,
-    )
+    weights = estimate_weights(store, manifest, systems, opts, folds=args.folds, seed=args.seed)
     save_weights_csv(args.out, weights)
     print(f"estimated weights for {len(systems)} systems; written to {args.out}")
 
@@ -107,28 +91,10 @@ def _cmd_classify(args) -> None:
 
 def _cmd_fuse(args) -> None:
     weights = load_weights_csv(args.weights)
-    by_system: dict = {}
-    for path in args.scores:
-        for matrix in load_score_csv(path):
-            if matrix.system_id in by_system:
-                raise ValueError(f"duplicate scores for system {matrix.system_id!r}")
-            by_system[matrix.system_id] = matrix
-    ordered = []
-    for system_id in weights.system_ids:
-        if system_id not in by_system:
-            raise ValueError(f"no scores supplied for weighted system {system_id!r}")
-        matrix = by_system[system_id]
-        ordered.append(matrix if matrix.normalized else normalize_scores(matrix))
-    decision = fuse(ordered, weights)
-    fused_matrix = ScoreMatrix(
-        system_id="fusion",
-        clip_ids=decision.clip_ids,
-        class_names=decision.class_names,
-        values=decision.fused,
-        normalized=False,
-    )
-    save_score_csv(args.out, fused_matrix)
-    print(f"fused {len(ordered)} systems over {len(decision.clip_ids)} clips; "
+    scores = [matrix for path in args.scores for matrix in load_score_csv(path)]
+    decision = fuse_systems(scores, weights)
+    save_score_csv(args.out, fusion_scores(decision))
+    print(f"fused {len(weights.system_ids)} systems over {len(decision.clip_ids)} clips; "
           f"written to {args.out}")
 
 
@@ -139,21 +105,9 @@ def _cmd_evaluate(args) -> None:
             f"{args.pred}: expected scores for exactly one system, found "
             f"{[m.system_id for m in matrices]}"
         )
-    matrix = matrices[0]
-    manifest = load_manifest(args.manifest)
-    if matrix.class_names != list(manifest.class_names):
-        raise ValueError("score file and manifest disagree on class names")
-    label_of = {path: idx for (path, _), idx in
-                zip(manifest.entries, manifest.label_indices())}
-    truths = []
-    for clip_id in matrix.clip_ids:
-        if clip_id not in label_of:
-            raise ValueError(f"clip {clip_id!r} is not in the manifest")
-        truths.append(label_of[clip_id])
-    predictions = np.argmax(matrix.values, axis=1)
-    report = evaluate(predictions, truths, manifest.class_names, matrix.system_id)
+    report = evaluate_scores(matrices[0], load_manifest(args.manifest))
     save_report(args.report, report)
-    print(f"{matrix.system_id}: average accuracy "
+    print(f"{report.system_id}: average accuracy "
           f"{100.0 * report.average_accuracy:.2f}% ({report.n_clips} clips); "
           f"report written to {args.report}")
 
@@ -213,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated system ids, or 'all'")
     p.add_argument("--folds", type=int, default=PipelineConfig.weights_folds)
     p.add_argument("--seed", type=int, default=PipelineConfig.weights_seed)
-    p.add_argument("--method", default=PipelineConfig.weights_method, choices=WEIGHT_METHODS)
     p.add_argument("--out", required=True)
     p.add_argument("--mixtures", type=int, default=None, help=mixtures_help)
     p.add_argument("--gmm-seed", type=int, default=TrainOptions.gmm_seed)

@@ -268,9 +268,10 @@ def split_dataset(
     """Deterministic stratified train/test split.
 
     Per class the train count is ``max(1, round(train_fraction * n))``
-    (round half up).  Both outputs keep the parent's ``class_names`` so
-    class indices stay stable.  ``train_fraction=0.25`` gives a 1:3
-    train:test ratio on balanced datasets.
+    (round half up); a class it would leave without a test clip is an
+    error.  Both outputs keep the parent's ``class_names`` so class indices
+    stay stable.  ``train_fraction=0.25`` gives a 1:3 train:test ratio on
+    balanced datasets.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -284,6 +285,11 @@ def split_dataset(
         if n < 2:
             raise ValueError(f"class {name!r} has {n} entries; need at least 2 to split")
         n_train = max(1, int(math.floor(train_fraction * n + 0.5)))
+        if n_train >= n:
+            raise ValueError(
+                f"class {name!r} has {n} clips; train_fraction {train_fraction} "
+                f"puts all of them in train and leaves none to test"
+            )
         perm = rng.permutation(n)
         chosen = {class_idx[j] for j in perm[:n_train]}
         train_idx.extend(i for i in class_idx if i in chosen)

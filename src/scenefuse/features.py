@@ -26,6 +26,7 @@ import numpy as np
 from .dataio import AudioClip
 from .spectral import (
     LOG_FLOOR,
+    STFT_BLOCK,
     FeatureMatrix,
     FilterbankMatrix,
     FrameSequence,
@@ -174,7 +175,13 @@ def _plp(frames: FrameSequence, spec: Spectrogram) -> FeatureMatrix:
     autocorr = np.fft.irfft(compressed, axis=1)[:, : PLP_MODEL_ORDER + 1]
     lpc, _ = levinson_durbin(autocorr, PLP_MODEL_ORDER)
     ceps = lpc_to_cepstrum(lpc, PLP_MODEL_ORDER)
-    energy = np.log(np.maximum((frames.frames**2).sum(axis=1), LOG_FLOOR))
+    # summed a block of frames at a time: each row's sum has the same bits,
+    # without a frames-sized array of squares
+    energy = np.empty(frames.n_frames)
+    for start in range(0, frames.n_frames, STFT_BLOCK):
+        block = frames.frames[start : start + STFT_BLOCK]
+        energy[start : start + STFT_BLOCK] = (block**2).sum(axis=1)
+    energy = np.log(np.maximum(energy, LOG_FLOOR))
     static = np.hstack([ceps, energy[:, None]])
     return append_deltas(FeatureMatrix(static, "plp"), DELTA_WINDOW)
 

@@ -1,8 +1,9 @@
 """Score normalization, confusion-derived reliability weights, and fusion.
 
 Per-system scores are min-max normalized per clip, weighted by how often a
-system's output for a class really was that class on training data, and
-summed.  The fused argmax is the final label.
+system's output for a class really was that class in a stratified k-fold
+cross-validation on the training clips, and summed.  The fused argmax is the
+final label.
 """
 
 from __future__ import annotations
@@ -223,16 +224,6 @@ def cross_validated_confusion(
             raise ValueError("fit_and_classify returned the wrong number of labels")
         np.add.at(counts, (labels[test_idx], predicted), 1)
     return ConfusionMatrix(counts)
-
-
-def resubstitution_confusion(
-    labels, n_classes: int, fit_and_classify
-) -> ConfusionMatrix:
-    """Train and evaluate on the same clips; optimistic but protocol-simple."""
-    labels = np.asarray(labels, dtype=np.int64)
-    everything = np.arange(labels.shape[0])
-    predicted = np.asarray(fit_and_classify(everything, everything), dtype=np.int64)
-    return tally_confusion(labels, predicted, n_classes)
 
 
 # --- CSV interfaces ---

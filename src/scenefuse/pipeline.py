@@ -35,7 +35,6 @@ from .fusion import (
     fuse,
     fusion_weights,
     normalize_scores,
-    resubstitution_confusion,
     save_score_csv,
     save_weights_csv,
 )
@@ -58,8 +57,6 @@ SYSTEMS = {
 
 ALL_SYSTEMS = tuple(SYSTEMS)
 DEFAULT_FUSED = ("cepscom-gmm", "cepscom-cdl", "plp-gmm")
-
-WEIGHT_METHODS = ("cv", "resub")
 
 
 class PipelineError(RuntimeError):
@@ -104,7 +101,6 @@ class PipelineConfig(TrainOptions):
     split_seed: int = 17
     weights_folds: int = 4
     weights_seed: int = 29
-    weights_method: str = "cv"
     frame_len: int = FRAME_LEN
     hop: int = HOP
     systems: tuple = ALL_SYSTEMS
@@ -131,10 +127,6 @@ class PipelineConfig(TrainOptions):
                 raise ValueError(f"fused system {name!r} is not in the systems list")
         if len(set(self.fused)) != len(self.fused):
             raise ValueError("fused list contains duplicates")
-        if self.weights_method not in WEIGHT_METHODS:
-            raise ValueError(
-                f"weights_method must be one of {WEIGHT_METHODS}, got {self.weights_method!r}"
-            )
         if self.weights_folds < 2:
             raise ValueError("weights_folds must be at least 2")
         super().__post_init__()
@@ -151,7 +143,6 @@ _CONFIG_NUMBER_KEYS = {
 }
 _CONFIG_LIST_KEYS = {"systems", "fused"}
 _CONFIG_PATH_KEYS = {"manifest", "out_dir"}
-_CONFIG_STR_KEYS = {"weights_method"}
 
 
 def parse_config(path: str | Path) -> PipelineConfig:
@@ -182,8 +173,6 @@ def parse_config(path: str | Path) -> PipelineConfig:
         elif key in _CONFIG_PATH_KEYS:
             p = Path(value)
             values[key] = p if p.is_absolute() else base / p
-        elif key in _CONFIG_STR_KEYS:
-            values[key] = value
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     for required in ("manifest", "out_dir"):
@@ -367,33 +356,73 @@ def estimate_weights(
     system_ids,
     opts: TrainOptions,
     *,
-    method: str,
     folds: int,
     seed: int,
 ) -> FusionWeights:
-    """Reliability weights for the given systems from training-set confusions."""
-    if method not in WEIGHT_METHODS:
-        raise ValueError(f"method must be one of {WEIGHT_METHODS}, got {method!r}")
+    """Reliability weights for the given systems from their stratified
+    ``folds``-fold cross-validated confusions on the training clips."""
     labels = train.label_indices()
     n_classes = len(train.class_names)
-    if method == "cv":
-        counts = np.bincount(labels, minlength=n_classes)
-        for class_name, count in zip(train.class_names, counts):
-            if count < folds:
-                raise ValueError(
-                    f"class {class_name!r} has {count} training clips, fewer than {folds} folds"
-                )
-    confusions = []
-    for system_id in system_ids:
-        runner = _fold_runner(system_id, store, train, opts)
-        if method == "cv":
-            confusion = cross_validated_confusion(
-                labels, n_classes, folds, seed, runner
+    counts = np.bincount(labels, minlength=n_classes)
+    for class_name, count in zip(train.class_names, counts):
+        if count < folds:
+            raise ValueError(
+                f"class {class_name!r} has {count} training clips, fewer than {folds} folds"
             )
-        else:
-            confusion = resubstitution_confusion(labels, n_classes, runner)
-        confusions.append(confusion)
+    confusions = [
+        cross_validated_confusion(
+            labels, n_classes, folds, seed, _fold_runner(system_id, store, train, opts)
+        )
+        for system_id in system_ids
+    ]
     return fusion_weights(confusions, list(system_ids), list(train.class_names))
+
+
+def fuse_systems(scores, weights: FusionWeights) -> FusionDecision:
+    """Fuse the weighted systems' scores, found by system id among ``scores``.
+
+    Scores of systems without weights are ignored; a system given twice, or
+    a weighted system given none, is an error.  Raw scores are min-max
+    normalized first.
+    """
+    by_system: dict = {}
+    for matrix in scores:
+        if matrix.system_id in by_system:
+            raise ValueError(f"duplicate scores for system {matrix.system_id!r}")
+        by_system[matrix.system_id] = matrix
+    ordered = []
+    for system_id in weights.system_ids:
+        if system_id not in by_system:
+            raise ValueError(f"no scores supplied for weighted system {system_id!r}")
+        matrix = by_system[system_id]
+        ordered.append(matrix if matrix.normalized else normalize_scores(matrix))
+    return fuse(ordered, weights)
+
+
+def fusion_scores(decision: FusionDecision) -> ScoreMatrix:
+    """The fused score vectors as the scores of system ``fusion``."""
+    return ScoreMatrix(
+        system_id="fusion",
+        clip_ids=decision.clip_ids,
+        class_names=decision.class_names,
+        values=decision.fused,
+    )
+
+
+def evaluate_scores(scores: ScoreMatrix, manifest: DatasetManifest) -> EvaluationReport:
+    """Report one system's argmax labels against the manifest's labels."""
+    if scores.class_names != list(manifest.class_names):
+        raise ValueError(
+            f"scores of system {scores.system_id!r} and the manifest disagree on class names"
+        )
+    label_of = dict(zip((path for path, _ in manifest.entries), manifest.label_indices()))
+    truths = []
+    for clip_id in scores.clip_ids:
+        if clip_id not in label_of:
+            raise ValueError(f"clip {clip_id!r} is not in the manifest")
+        truths.append(label_of[clip_id])
+    predictions = np.argmax(scores.values, axis=1)
+    return evaluate(predictions, truths, manifest.class_names, scores.system_id)
 
 
 @dataclass
@@ -474,10 +503,7 @@ def _write_summary(path: Path, result: RunResult, train_count: int, test_count: 
         lines.append(f"  {system_id:<12} {100.0 * report.average_accuracy:6.2f}")
     lines.append(f"  {'fusion':<12} {100.0 * result.fusion_report.average_accuracy:6.2f}")
     lines.append("fused systems: " + ", ".join(result.config.fused))
-    if result.config.weights_method == "cv":
-        lines.append(f"weights method: cv ({result.config.weights_folds} folds)")
-    else:
-        lines.append("weights method: resubstitution")
+    lines.append(f"weights method: cv ({result.config.weights_folds} folds)")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -508,7 +534,6 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             train,
             config.fused,
             config,
-            method=config.weights_method,
             folds=config.weights_folds,
             seed=config.weights_seed,
         )
@@ -531,29 +556,18 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             raw_scores[system_id] = scores
 
     with _stage("fuse"):
-        normalized = [normalize_scores(raw_scores[s]) for s in config.fused]
-        decision = fuse(normalized, weights)
-        fused_matrix = ScoreMatrix(
-            system_id="fusion",
-            clip_ids=decision.clip_ids,
-            class_names=decision.class_names,
-            values=decision.fused,
-            normalized=False,
-        )
-        save_score_csv(out / "scores" / "fusion.csv", fused_matrix)
+        decision = fuse_systems(raw_scores.values(), weights)
+        fused = fusion_scores(decision)
+        save_score_csv(out / "scores" / "fusion.csv", fused)
 
     with _stage("evaluate"):
-        truths = test.label_indices()
         (out / "reports").mkdir(exist_ok=True)
         reports = {}
-        for system_id in config.systems:
-            predictions = np.argmax(raw_scores[system_id].values, axis=1)
-            report = evaluate(predictions, truths, manifest.class_names, system_id)
+        for system_id, scores in raw_scores.items():
+            report = evaluate_scores(scores, test)
             save_report(out / "reports" / f"{system_id}.txt", report)
             reports[system_id] = report
-        fusion_report = evaluate(
-            decision.predicted, truths, manifest.class_names, "fusion"
-        )
+        fusion_report = evaluate_scores(fused, test)
         save_report(out / "reports" / "fusion.txt", fusion_report)
 
         result = RunResult(

@@ -157,11 +157,18 @@ def test_stepwise_chain_reproduces_run(mini_dataset, tmp_path):
         ["fuse", "--weights", str(step / "weights.csv"), "--out", str(step / "scores" / "fusion.csv"),
          "--scores", *(str(step / "scores" / f"{Path(n).stem}.csv") for n in models)],
     ]
+    # run writes a report per score file; one system and the fusion stand for all
+    reported = ["fusion", Path(models[0]).stem]
+    (step / "reports").mkdir()
+    for system in reported:
+        chain.append(["evaluate", "--pred", str(step / "scores" / f"{system}.csv"),
+                      "--manifest", test, "--report", str(step / "reports" / f"{system}.txt")])
     for argv in chain:
         assert main(argv) == 0, argv[0]
 
     compared = [f"models/{name}" for name in models] + ["weights.csv"]
     compared += [f"scores/{Path(n).stem}.csv" for n in models] + ["scores/fusion.csv"]
+    compared += [f"reports/{system}.txt" for system in reported]
     for rel in compared:
         assert (step / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
 
@@ -428,6 +435,9 @@ def test_bad_subcommand_arguments_exit_two(capsys):
         # one CDL scoring rule, and the model file names its feature family
         ["weights", "--manifest", "m.tsv", "--features", "f.sfs", "--systems", "all",
          "--out", "w.csv", "--cdl-mode", "centroid"],
+        # cross-validation is the one weights rule
+        ["weights", "--manifest", "m.tsv", "--features", "f.sfs", "--systems", "all",
+         "--out", "w.csv", "--method", "cv"],
         ["classify", "--model", "m.sfg", "--features", "f.sfs", "--manifest", "m.tsv",
          "--out", "s.csv", "--extractor", "mfcc"],
     ):

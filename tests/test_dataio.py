@@ -289,6 +289,13 @@ class TestSplitDataset:
             positions = [order[p] for p, _ in part.entries]
             assert positions == sorted(positions)
 
+    def test_rejects_a_split_that_leaves_a_class_untested(self):
+        # 0.75 * 2 rounds up to 2: both clips of 'a' would train, and its
+        # accuracy would read 0 with no clip to test
+        m = self.make({"a": 2, "b": 10})
+        with pytest.raises(ValueError, match="class 'a' has 2 clips; train_fraction 0.75"):
+            split_dataset(m, 0.75, seed=0)
+
     def test_rejects_tiny_class(self):
         m = self.make({"a": 1, "b": 4})
         with pytest.raises(ValueError, match="at least 2"):

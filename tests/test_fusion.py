@@ -14,7 +14,6 @@ from scenefuse.fusion import (
     load_score_csv,
     load_weights_csv,
     normalize_scores,
-    resubstitution_confusion,
     save_score_csv,
     save_weights_csv,
     stratified_folds,
@@ -307,13 +306,6 @@ class TestConfusionProtocols:
             cross_validated_confusion(
                 labels, 2, 2, seed=0, fit_and_classify=lambda tr, te: [0]
             )
-
-    def test_resubstitution_memorizer_is_diagonal(self):
-        labels = np.array([0, 0, 1, 1, 2, 2, 2])
-        cm = resubstitution_confusion(
-            labels, 3, fit_and_classify=lambda tr, te: labels[te]
-        )
-        assert np.array_equal(cm.counts, np.diag([2, 2, 3]))
 
 
 class TestScoreCsv:

@@ -15,7 +15,7 @@ from scenefuse.dataio import (
     split_dataset,
 )
 from scenefuse.features import CEPSCOM_PARTS, extract_selected
-from scenefuse.fusion import load_score_csv, load_weights_csv
+from scenefuse.fusion import FusionWeights, ScoreMatrix, load_score_csv, load_weights_csv
 from scenefuse.pipeline import (
     ALL_SYSTEMS,
     DEFAULT_FUSED,
@@ -24,8 +24,10 @@ from scenefuse.pipeline import (
     TrainOptions,
     clip_features,
     estimate_weights,
+    evaluate_scores,
     extract_for_manifest,
     fit_system,
+    fuse_systems,
     load_system_model,
     parse_config,
     required_extractors,
@@ -50,7 +52,6 @@ class TestParseConfig:
             "train_fraction = 0.5\n"
             "split_seed = 3\n"
             "weights_folds = 2\n"
-            "weights_method = resub\n"
             "mixtures_cepstral = 8\n"
             "systems = cepscom-gmm, plp-gmm\n"
             "fused = plp-gmm\n"
@@ -61,7 +62,6 @@ class TestParseConfig:
         assert config.train_fraction == 0.5
         assert config.split_seed == 3
         assert config.weights_folds == 2
-        assert config.weights_method == "resub"
         assert config.mixtures_cepstral == 8
         assert config.systems == ("cepscom-gmm", "plp-gmm")
         assert config.fused == ("plp-gmm",)
@@ -115,7 +115,6 @@ class TestPipelineConfig:
         config = self.good()
         assert config.systems == ALL_SYSTEMS
         assert config.fused == DEFAULT_FUSED
-        assert config.weights_method == "cv"
 
     def test_unknown_system(self):
         with pytest.raises(ValueError, match="unknown system 'mfcc-svm'"):
@@ -137,9 +136,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="fused list may not be empty"):
             self.good(fused=())
 
-    def test_bad_weights_method(self):
-        with pytest.raises(ValueError, match="weights_method"):
-            self.good(weights_method="bootstrap")
+    def test_bad_weights_method(self, tmp_path):
+        # cross-validation is the one weights rule: the key that chose is gone
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("manifest = m.tsv\nout_dir = o\nweights_method = cv\n")
+        with pytest.raises(ValueError, match=":3: unknown key 'weights_method'"):
+            parse_config(cfg)
 
     def test_bad_cdl_mode(self, tmp_path):
         # one CDL scoring rule: the key that chose between two is gone
@@ -202,21 +204,72 @@ class TestExtractAndFit:
         with pytest.raises(ValueError, match="fewer than 100000 mixture"):
             fit_system("mfcc-gmm", store, train, TrainOptions(mixtures_cepstral=100000))
 
-    def test_estimate_weights_both_methods(self, small_store):
+    def test_estimate_weights_cv(self, small_store):
         manifest, store = small_store
         train, _ = split_dataset(manifest, 0.5, seed=1)
         opts = TrainOptions(mixtures_cepstral=2)
-        for method in ("cv", "resub"):
-            weights = estimate_weights(
-                store, train, ["mfcc-gmm"], opts, method=method, folds=2, seed=0
-            )
-            assert weights.system_ids == ["mfcc-gmm"]
-            assert weights.values.shape == (1, 3)
-            assert np.all((weights.values >= 0.0) & (weights.values <= 1.0))
-        with pytest.raises(ValueError, match="method must be one of"):
-            estimate_weights(
-                store, train, ["mfcc-gmm"], opts, method="jackknife", folds=2, seed=0
-            )
+        weights = estimate_weights(store, train, ["mfcc-gmm"], opts, folds=2, seed=0)
+        assert weights.system_ids == ["mfcc-gmm"]
+        assert weights.values.shape == (1, 3)
+        assert np.all((weights.values >= 0.0) & (weights.values <= 1.0))
+
+
+def score_matrix(system_id, values, normalized=False):
+    values = np.asarray(values, dtype=np.float64)
+    return ScoreMatrix(
+        system_id=system_id,
+        clip_ids=[f"clip{i}" for i in range(values.shape[0])],
+        class_names=["x", "y"],
+        values=values,
+        normalized=normalized,
+    )
+
+
+class TestFuseSystems:
+    weights = FusionWeights(["a", "b"], ["x", "y"], [[1.0, 0.5], [0.25, 1.0]])
+
+    def test_finds_systems_by_id_and_normalizes_raw_scores(self):
+        raw_a = score_matrix("a", [[3.0, 1.0], [0.0, 4.0]])
+        norm_b = score_matrix("b", [[0.0, 1.0], [1.0, 0.0]], normalized=True)
+        unweighted = score_matrix("c", [[9.0, 0.0], [9.0, 0.0]])
+        decision = fuse_systems([unweighted, norm_b, raw_a], self.weights)
+        # a min-max normalizes to [[1, 0], [0, 1]]; b is used as given
+        assert np.array_equal(decision.fused, [[1.0, 1.0], [0.25, 0.5]])
+        assert decision.predicted.tolist() == [0, 1]
+
+    def test_repeated_system_rejected(self):
+        a = score_matrix("a", [[1.0, 0.0]])
+        b = score_matrix("b", [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="duplicate scores for system 'a'"):
+            fuse_systems([a, b, a], self.weights)
+
+    def test_weighted_system_without_scores_rejected(self):
+        a = score_matrix("a", [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="no scores supplied for weighted system 'b'"):
+            fuse_systems([a], self.weights)
+
+
+class TestEvaluateScores:
+    manifest = DatasetManifest(
+        entries=[("p.wav", "x"), ("q.wav", "y"), ("r.wav", "y")], class_names=["x", "y"]
+    )
+
+    def test_labels_found_by_clip_id(self):
+        scores = ScoreMatrix("s", ["r.wav", "p.wav"], ["x", "y"], [[0.0, 1.0], [0.0, 1.0]])
+        report = evaluate_scores(scores, self.manifest)
+        assert report.system_id == "s"
+        assert report.per_class_accuracy.tolist() == [0.0, 1.0]
+        assert report.n_clips == 2
+
+    def test_unknown_clip_rejected(self):
+        scores = ScoreMatrix("s", ["p.wav", "z.wav"], ["x", "y"], np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="clip 'z.wav' is not in the manifest"):
+            evaluate_scores(scores, self.manifest)
+
+    def test_class_names_must_match(self):
+        scores = ScoreMatrix("s", ["p.wav"], ["y", "x"], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="'s' and the manifest disagree on class names"):
+            evaluate_scores(scores, self.manifest)
 
 
 def add_cepscom(store, path, values):
