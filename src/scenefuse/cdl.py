@@ -4,6 +4,11 @@ A clip becomes a regularized covariance matrix over its frame features,
 mapped to a flat vector through the matrix logarithm, projected by a
 Fisher discriminant, and labeled by distance to the class centroids in the
 projected space (Wang et al., "Covariance Discriminative Learning", CVPR 2012).
+
+The discriminant is fitted in kernel form, as in that paper: from the
+n x n matrix of inner products between the training clips' centered
+embeddings, never from a decomposition of the n x dim*(dim+1)/2 stack
+itself (see :func:`fit_cdl`).
 """
 
 from __future__ import annotations
@@ -173,12 +178,34 @@ def _class_partitions(labels: np.ndarray, n_classes: int) -> list:
     return [np.flatnonzero(labels == c) for c in range(n_classes)]
 
 
+def _span(centered: np.ndarray) -> tuple:
+    """``(u, root)`` with ``(u / root)ᵀ @ centered`` an orthonormal basis of
+    the rows' span, from the eigenpairs of their n x n Gram matrix."""
+    lam, u = np.linalg.eigh(centered @ centered.T)
+    # the rank rule is on λ = σ², with a tolerance linear in ε, not the ε²
+    # that squaring a rule on σ would give: a Gram eigenvalue carries an
+    # absolute rounding error of about n·ε·λ_max, so anything below
+    # max(n, d_vec)·ε·λ_max is rounding
+    keep = lam > lam.max(initial=0.0) * max(centered.shape) * np.finfo(np.float64).eps
+    return u[:, keep], np.sqrt(lam[keep])
+
+
 def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     """Fisher discriminant over centered log embeddings (see :func:`log_embed`).
 
     The scatter matrices are never materialized at full size: all
     generalized eigenvectors of interest live in the span of the training
     embeddings, so the problem is solved in that span and mapped back.
+
+    The span comes from the Gram matrix ``G = X Xᵀ`` of the centered
+    embeddings X (n x d_vec), whose eigenpairs ``G = U Λ Uᵀ`` give the
+    clips' coordinates ``U √Λ`` in an orthonormal basis ``(U / √Λ)ᵀ X`` of
+    that span. This is the same basis as the right singular vectors of X,
+    up to a rotation, and a rotation of the basis rotates both scatters
+    (and leaves the γ·I shrinkage as it is), so the generalized
+    eigenvectors absorb it. The projection thus equals the one computed
+    through an SVD of X up to rounding and a per-axis sign, and neither
+    changes a centroid distance.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(embeddings) != labels.shape[0]:
@@ -204,15 +231,13 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     train_mean = centered.mean(axis=0)
     centered -= train_mean
 
-    # basis of the span of the centered embeddings
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = svals.max(initial=0.0) * max(centered.shape) * np.finfo(np.float64).eps
-    rank = int((svals > tol).sum())
+    u, root = _span(centered)
+    rank = root.size
     if rank == 0:
         raise ValueError("all embeddings are identical; scatter is degenerate")
-    basis = vt[:rank]
 
-    reduced = centered @ basis.T
+    # the clips' coordinates in the span basis (u / root)ᵀ @ centered
+    reduced = u * root
     class_means = np.stack([reduced[idx].mean(axis=0) for idx in parts])
     within = reduced - class_means[labels]
     scatter_w = within.T @ within
@@ -230,7 +255,7 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     )
     d_out = min(n_classes - 1, rank)
     top = eigvecs[:, ::-1][:, :d_out]
-    projection = (basis.T @ top).T
+    projection = ((u / root) @ top).T @ centered
 
     projected = centered @ projection.T
     centroids = np.stack([projected[idx].mean(axis=0) for idx in parts])

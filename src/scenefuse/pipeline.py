@@ -410,7 +410,10 @@ def fusion_scores(decision: FusionDecision) -> ScoreMatrix:
 
 
 def evaluate_scores(scores: ScoreMatrix, manifest: DatasetManifest) -> EvaluationReport:
-    """Report one system's argmax labels against the manifest's labels."""
+    """Report one system's argmax labels against the manifest's labels.
+
+    The scores must cover at least one clip of every manifest class.
+    """
     if scores.class_names != list(manifest.class_names):
         raise ValueError(
             f"scores of system {scores.system_id!r} and the manifest disagree on class names"
@@ -421,6 +424,14 @@ def evaluate_scores(scores: ScoreMatrix, manifest: DatasetManifest) -> Evaluatio
         if clip_id not in label_of:
             raise ValueError(f"clip {clip_id!r} is not in the manifest")
         truths.append(label_of[clip_id])
+    # a class without clips would average in as 0% accuracy
+    present = set(truths)
+    missing = [name for i, name in enumerate(manifest.class_names) if i not in present]
+    if missing:
+        raise ValueError(
+            f"scores of system {scores.system_id!r} have no clip of class "
+            + ", ".join(repr(name) for name in missing)
+        )
     predictions = np.argmax(scores.values, axis=1)
     return evaluate(predictions, truths, manifest.class_names, scores.system_id)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from scenefuse import cdl as cdl_mod
 from scenefuse.cdl import (
     CdlProjection,
     CovarianceDescriptor,
@@ -279,6 +280,65 @@ class TestFitCdl:
         desc = CovarianceDescriptor(np.eye(3))
         with pytest.raises(ValueError, match="degenerate"):
             fit_cdl(embed([desc, desc, desc, desc]), [0, 0, 1, 1])
+
+
+def svd_span(centered):
+    """The span step in SVD form, as ``(u, sigma)`` of the centered stack,
+    with the rank rule on the singular values: the reference that
+    :func:`fit_cdl`'s Gram-matrix span must match."""
+    u, svals, _ = np.linalg.svd(centered, full_matrices=False)
+    tol = svals.max(initial=0.0) * max(centered.shape) * np.finfo(np.float64).eps
+    keep = svals > tol
+    return u[:, keep], svals[keep]
+
+
+class TestGramSpan:
+    """The Gram-matrix span gives the model that an SVD of the stack gives:
+    the same rank, and scores equal up to rounding."""
+
+    def assert_matches_svd(self, monkeypatch, embeddings, labels, queries):
+        centered = np.array(embeddings) - np.mean(embeddings, axis=0)
+        assert cdl_mod._span(centered)[1].size == svd_span(centered)[1].size
+        gram = fit_cdl(embeddings, labels)
+        with monkeypatch.context() as patched:
+            patched.setattr(cdl_mod, "_span", svd_span)
+            reference = fit_cdl(embeddings, labels)
+        assert gram.d_out == reference.d_out
+        got = np.array([classify_cdl(gram, q) for q in queries])
+        want = np.array([classify_cdl(reference, q) for q in queries])
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    def problem(self, rng, dim, count, n_classes=3, frames=200):
+        patterns = np.ones((n_classes, dim))
+        patterns[np.arange(n_classes), np.arange(n_classes) % dim] = 3.0
+        descriptors, labels = [], []
+        for cls, scales in enumerate(patterns):
+            descriptors += class_descriptors(rng, scales, count, frames)
+            labels += [cls] * count
+        queries = [class_descriptors(rng, p, 2, frames) for p in patterns]
+        return embed(descriptors), labels, embed(sum(queries, []))
+
+    def test_random_embeddings(self, monkeypatch):
+        embeddings, labels, queries = self.problem(np.random.default_rng(30), 5, 6)
+        self.assert_matches_svd(monkeypatch, embeddings, labels, queries)
+
+    def test_duplicated_embedding(self, monkeypatch):
+        embeddings, labels, queries = self.problem(np.random.default_rng(31), 5, 6)
+        embeddings[1] = embeddings[0].copy()
+        self.assert_matches_svd(monkeypatch, embeddings, labels, queries + embeddings[:1])
+
+    def test_more_clips_than_embedding_length(self, monkeypatch):
+        embeddings, labels, queries = self.problem(np.random.default_rng(32), 3, 10)
+        assert len(embeddings) > half_vec_length(3)
+        self.assert_matches_svd(monkeypatch, embeddings, labels, queries)
+
+    def test_cepscom_width(self, monkeypatch):
+        # the width of the cepscom descriptors: 240 x 240, 28,920 per embedding
+        embeddings, labels, queries = self.problem(
+            np.random.default_rng(33), 240, 10, n_classes=4, frames=300
+        )
+        self.assert_matches_svd(monkeypatch, embeddings, labels, queries)
 
 
 class TestClassify:

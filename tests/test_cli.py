@@ -249,6 +249,25 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     assert not (tmp_path / "fused.csv").exists()
 
 
+def test_evaluate_rejects_scores_that_leave_a_class_out(capsys, tmp_path):
+    # a perfect classifier on the clips of 'b' alone used to report 50.0,
+    # its 100% on 'b' averaged with 0% for the 'a' it was never shown
+    manifest, pred = tmp_path / "test.tsv", tmp_path / "pred.csv"
+    manifest.write_text("a/1.wav\ta\na/2.wav\ta\nb/1.wav\tb\nb/2.wav\tb\n")
+    pred.write_text("#normalized=true\nclip_id,system_id,a,b\n"
+                    "b/1.wav,fusion,0.0,1.0\nb/2.wav,fusion,0.0,1.0\n")
+    report = tmp_path / "report.txt"
+    argv = ["evaluate", "--pred", str(pred), "--manifest", str(manifest),
+            "--report", str(report)]
+    assert main(argv) == 1
+    assert "scores of system 'fusion' have no clip of class 'a'" in capsys.readouterr().err
+    assert not report.exists()
+
+    pred.write_text(pred.read_text() + "a/1.wav,fusion,1.0,0.0\n")
+    assert main(argv) == 0
+    assert "average accuracy 100.00% (3 clips)" in capsys.readouterr().out
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("work started before the names were checked")
 
