@@ -9,6 +9,13 @@ The discriminant is fitted in kernel form, as in that paper: from the
 n x n matrix of inner products between the training clips' centered
 embeddings, never from a decomposition of the n x dim*(dim+1)/2 stack
 itself (see :func:`fit_cdl`).
+
+Each clip's logarithm is taken the same way. A clip of n frames has a
+covariance of rank at most n - 1, and its descriptor Σ = CᵀC/(n - 1) + ρI
+adds the ridge ρ on the null space of its centered frames C. So with
+fewer frames than dimensions, ``log Σ = log(ρ) I + V diag(log1p(μ/((n-1)ρ))) Vᵀ``
+from the eigenpairs μ of the n x n Gram matrix C Cᵀ, and no dim x dim
+decomposition runs (see :func:`log_embed`).
 """
 
 from __future__ import annotations
@@ -42,25 +49,44 @@ DESCRIPTOR_RIDGE_SCALE = 1e-3
 SHRINKAGE_SCALE = 1e-2
 
 
-@dataclass
 class CovarianceDescriptor:
-    """Symmetric positive-definite summary of one clip's feature frames."""
+    """Symmetric positive-definite summary of one clip's feature frames.
 
-    matrix: np.ndarray
-    source_id: str = ""
+    Built either from a matrix or, by :func:`covariance_descriptor`, from a
+    clip's centered frames C (n x dim) and ridge ρ, standing for the matrix
+    ``Cᵀ C / (n - 1) + ρ I``. That matrix is formed only when ``matrix`` is
+    read; :func:`log_embed` works from the frames.
+    """
 
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"descriptor {self.source_id!r}: matrix must be square")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError(f"descriptor {self.source_id!r}: matrix contains non-finite values")
-        if np.abs(self.matrix - self.matrix.T).max() > 1e-10:
-            raise ValueError(f"descriptor {self.source_id!r}: matrix is not symmetric")
+    def __init__(
+        self, matrix=None, source_id: str = "", *, centered=None, ridge: float = 0.0
+    ) -> None:
+        self.source_id = source_id
+        self.centered = centered
+        self.ridge = ridge
+        self._matrix = None
+        if centered is None:
+            matrix = np.asarray(matrix, dtype=np.float64)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError(f"descriptor {source_id!r}: matrix must be square")
+            if not np.all(np.isfinite(matrix)):
+                raise ValueError(f"descriptor {source_id!r}: matrix contains non-finite values")
+            if np.abs(matrix - matrix.T).max() > 1e-10:
+                raise ValueError(f"descriptor {source_id!r}: matrix is not symmetric")
+            self._matrix = matrix
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            cov = self.centered.T @ self.centered / (self.centered.shape[0] - 1)
+            cov = 0.5 * (cov + cov.T)
+            self._matrix = cov + self.ridge * np.eye(self.dim)
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        source = self._matrix if self.centered is None else self.centered
+        return source.shape[1]
 
 
 @dataclass
@@ -151,26 +177,52 @@ def covariance_descriptor(features: np.ndarray, source_id: str = "") -> Covarian
     if not np.all(np.isfinite(features)):
         raise ValueError(f"descriptor {source_id!r}: features contain non-finite values")
     centered = features - features.mean(axis=0)
-    cov = centered.T @ centered / (features.shape[0] - 1)
-    cov = 0.5 * (cov + cov.T)
-    trace = float(np.trace(cov))
-    dim = cov.shape[0]
+    trace = float(np.einsum("ij,ij->", centered, centered)) / (features.shape[0] - 1)
+    dim = features.shape[1]
     if trace <= 0.0:
         # constant features carry no covariance structure at all
-        return CovarianceDescriptor(CONSTANT_FEATURE_EPS * np.eye(dim), source_id)
-    eps = DESCRIPTOR_RIDGE_SCALE * trace / dim
-    return CovarianceDescriptor(cov + eps * np.eye(dim), source_id)
+        return CovarianceDescriptor(
+            source_id=source_id, centered=np.zeros_like(centered), ridge=CONSTANT_FEATURE_EPS
+        )
+    return CovarianceDescriptor(
+        source_id=source_id, centered=centered, ridge=DESCRIPTOR_RIDGE_SCALE * trace / dim
+    )
 
 
 def log_embed(desc: CovarianceDescriptor) -> np.ndarray:
-    """Half-vectorized matrix logarithm of an SPD descriptor."""
-    lam, vec = np.linalg.eigh(desc.matrix)
-    if lam[0] <= 0.0:
-        raise ValueError(
-            f"descriptor {desc.source_id!r} is not positive definite "
-            f"(smallest eigenvalue {lam[0]:.3e})"
-        )
-    log_mat = (vec * np.log(lam)[None, :]) @ vec.T
+    """Half-vectorized matrix logarithm of an SPD descriptor.
+
+    A descriptor built from frames is never decomposed at dim x dim size
+    when it has fewer frames than dimensions. With C its centered frames
+    (n x dim), m = n - 1 and ρ its ridge, Σ = CᵀC/m + ρI, and the nonzero
+    eigenvalues μ of CᵀC are those of the n x n Gram matrix C Cᵀ = U M Uᵀ,
+    with orthonormal eigenvectors V = Cᵀ U M^(-1/2) (kept under the rank
+    rule of :func:`_span`). On span(V) Σ has eigenvalues μ/m + ρ, and on
+    its orthogonal complement, the null space of the frames, only the
+    ridge ρ. So ``log Σ = log(ρ) I + V diag(log1p(μ/(mρ))) Vᵀ``, the same
+    matrix the dense decomposition gives; ``log1p`` keeps the directions
+    whose μ is small beside mρ exact instead of rounding ``log(μ/m + ρ)``
+    against ``log ρ``. With n >= dim, μ and V are the eigenpairs of CᵀC
+itself, under the same rank rule.
+    """
+    if desc.centered is None:
+        lam, vec = np.linalg.eigh(desc.matrix)
+        if lam[0] <= 0.0:
+            raise ValueError(
+                f"descriptor {desc.source_id!r} is not positive definite "
+                f"(smallest eigenvalue {lam[0]:.3e})"
+            )
+        log_mat = (vec * np.log(lam)[None, :]) @ vec.T
+    else:
+        centered, ridge = desc.centered, desc.ridge
+        n, dim = centered.shape
+        if n < dim:
+            mu, u = _gram_eigenpairs(centered)
+            vec = centered.T @ (u / np.sqrt(mu))
+        else:
+            mu, vec = _gram_eigenpairs(centered.T)
+        log_mat = (vec * np.log1p(mu / ((n - 1) * ridge))) @ vec.T
+        log_mat[np.diag_indices(dim)] += np.log(ridge)
     return half_vec(0.5 * (log_mat + log_mat.T))
 
 
@@ -178,16 +230,23 @@ def _class_partitions(labels: np.ndarray, n_classes: int) -> list:
     return [np.flatnonzero(labels == c) for c in range(n_classes)]
 
 
-def _span(centered: np.ndarray) -> tuple:
-    """``(u, root)`` with ``(u / root)ᵀ @ centered`` an orthonormal basis of
-    the rows' span, from the eigenpairs of their n x n Gram matrix."""
-    lam, u = np.linalg.eigh(centered @ centered.T)
+def _gram_eigenpairs(rows: np.ndarray) -> tuple:
+    """``(lam, u)``: the eigenpairs of the rows' n x n Gram matrix
+    ``rows @ rows.T`` that stand above rounding."""
+    lam, u = np.linalg.eigh(rows @ rows.T)
     # the rank rule is on λ = σ², with a tolerance linear in ε, not the ε²
     # that squaring a rule on σ would give: a Gram eigenvalue carries an
     # absolute rounding error of about n·ε·λ_max, so anything below
-    # max(n, d_vec)·ε·λ_max is rounding
-    keep = lam > lam.max(initial=0.0) * max(centered.shape) * np.finfo(np.float64).eps
-    return u[:, keep], np.sqrt(lam[keep])
+    # max(n, width)·ε·λ_max is rounding
+    keep = lam > lam.max(initial=0.0) * max(rows.shape) * np.finfo(np.float64).eps
+    return lam[keep], u[:, keep]
+
+
+def _span(centered: np.ndarray) -> tuple:
+    """``(u, root)`` with ``(u / root)ᵀ @ centered`` an orthonormal basis of
+    the rows' span, from the eigenpairs of their n x n Gram matrix."""
+    lam, u = _gram_eigenpairs(centered)
+    return u, np.sqrt(lam)
 
 
 def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:

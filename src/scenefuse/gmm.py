@@ -168,19 +168,45 @@ def _check_features(features: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 
 def _kmeanspp_centers(features: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each further center is a frame drawn with
+    probability proportional to its squared distance to the nearest center.
+
+    A distance is expanded as ``|x|² - 2 x·c + |c|²`` over the mean-centered
+    frames, one matrix-vector product per center. Where that is within
+    rounding of zero, the exact difference form is taken instead, so a
+    frame equal to a center keeps a distance of exactly 0. The rest differ
+    from the difference form only by rounding, and a center is a frame
+    picked by index, so the centers match it unless a draw falls within
+    that rounding of a boundary of the cumulative distribution.
+    """
     n = features.shape[0]
-    centers = np.empty((k, features.shape[1]))
-    centers[0] = features[rng.integers(n)]
-    dist2 = ((features - centers[0]) ** 2).sum(axis=1)
+    mean = features.mean(axis=0)
+    # the centered copy is dropped at once: kept through the loop, it made
+    # run_c2 land in its high peak-RSS mode about twice as often
+    centered = features - mean
+    norms = np.einsum("ij,ij->i", centered, centered)
+    del centered
+
+    def dist2_to(pick: int) -> np.ndarray:
+        center = features[pick] - mean
+        # (x - m)·(c - m), as x·(c - m) - m·(c - m)
+        dist2 = norms - 2.0 * (features @ center - mean @ center) + norms[pick]
+        near = np.flatnonzero(np.abs(dist2) <= 1e-9 * (norms + norms[pick]))
+        dist2[near] = ((features[near] - features[pick]) ** 2).sum(axis=1)
+        return dist2
+
+    picks = np.empty(k, dtype=np.int64)
+    picks[0] = rng.integers(n)
+    dist2 = dist2_to(picks[0])
     for j in range(1, k):
         total = dist2.sum()
         if total <= 0.0:
             # remaining mass is zero: every point sits on a chosen center
-            centers[j:] = features[rng.integers(n, size=k - j)]
+            picks[j:] = rng.integers(n, size=k - j)
             break
-        centers[j] = features[rng.choice(n, p=dist2 / total)]
-        dist2 = np.minimum(dist2, ((features - centers[j]) ** 2).sum(axis=1))
-    return centers
+        picks[j] = rng.choice(n, p=dist2 / total)
+        dist2 = np.minimum(dist2, dist2_to(picks[j]))
+    return features[picks]
 
 
 def fit_gmm(

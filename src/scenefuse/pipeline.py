@@ -269,6 +269,13 @@ def fit_system(
     extractor, backend = SYSTEMS[system_id]
     labels = train.label_indices()
     if backend == "cdl":
+        counts = np.bincount(labels, minlength=len(train.class_names))
+        for class_name, count in zip(train.class_names, counts):
+            if count < 2:
+                raise ValueError(
+                    f"{system_id}: class {class_name!r} has {count} training clips, "
+                    "need at least 2"
+                )
         embeddings = [
             _training_embedding(store, entry_path, extractor)
             for entry_path, _ in train.entries

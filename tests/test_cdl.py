@@ -171,6 +171,72 @@ class TestLogEmbed:
             log_embed(desc)
 
 
+class TestFrameLogEmbed:
+    """A descriptor built from frames is log-embedded from the eigenpairs of
+    its frames' Gram matrix; the dense ``eigh`` of the matrix it stands for
+    is the reference."""
+
+    @staticmethod
+    def dense(desc):
+        return log_embed(CovarianceDescriptor(desc.matrix))
+
+    def assert_matches_dense(self, feats):
+        desc = covariance_descriptor(feats)
+        want = self.dense(desc)
+        got = log_embed(desc)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        return desc, got
+
+    @pytest.mark.parametrize("dim", [3, 12, 240])
+    @pytest.mark.parametrize("frames", ["2", "d-1", "d", "d+1", "3d"])
+    def test_matches_dense(self, dim, frames):
+        n = {"2": 2, "d-1": dim - 1, "d": dim, "d+1": dim + 1, "3d": 3 * dim}[frames]
+        rng = np.random.default_rng(dim * 1000 + n)
+        feats = rng.standard_normal((max(n, 2), dim)) + rng.standard_normal(dim)
+        self.assert_matches_dense(feats)
+
+    @pytest.mark.parametrize("dim", [3, 12, 240])
+    @pytest.mark.parametrize("frames", [2, 40, 1000])
+    def test_scales_spanning_1e6(self, dim, frames):
+        rng = np.random.default_rng(dim + frames)
+        scales = np.logspace(-3, 3, dim)[rng.permutation(dim)]
+        self.assert_matches_dense(rng.standard_normal((frames, dim)) * scales)
+
+    @pytest.mark.parametrize("frames", [2, 5, 40])
+    def test_constant_features(self, frames):
+        desc, got = self.assert_matches_dense(np.full((frames, 12), 2.0))
+        assert np.array_equal(got, half_vec(np.log(1e-6) * np.eye(12)))
+
+    def test_constant_column_matches_dense(self):
+        rng = np.random.default_rng(40)
+        feats = rng.standard_normal((30, 12))
+        feats[:, 4] = 3.0
+        self.assert_matches_dense(feats)
+
+    @pytest.mark.parametrize("dim,frames", [(12, 5), (240, 42), (240, 128)])
+    def test_null_space_holds_log_ridge(self, dim, frames):
+        # directions orthogonal to every centered frame carry only the ridge
+        rng = np.random.default_rng(dim + frames)
+        desc = covariance_descriptor(rng.standard_normal((frames, dim)))
+        log_mat = half_vec_inverse(log_embed(desc), dim)
+        null = scipy.linalg.null_space(desc.centered)
+        assert null.shape[1] == dim - frames + 1
+        along = null.T @ log_mat @ null
+        want = np.log(desc.ridge) * np.eye(null.shape[1])
+        assert np.abs(along - want).max() <= 1e-12 * abs(np.log(desc.ridge))
+
+    def test_matrix_is_formed_only_when_read(self):
+        rng = np.random.default_rng(41)
+        feats = rng.standard_normal((20, 6))
+        desc = covariance_descriptor(feats)
+        log_embed(desc)
+        assert desc._matrix is None
+        centered = feats - feats.mean(axis=0)
+        cov = centered.T @ centered / 19
+        assert np.allclose(desc.matrix, cov + desc.ridge * np.eye(6), rtol=0, atol=1e-14)
+        assert desc.ridge == pytest.approx(1e-3 * np.trace(cov) / 6, rel=1e-14)
+
+
 class TestFitCdl:
     def test_projection_aligns_with_discriminative_axis(self):
         # large per-class samples so the within-class scatter estimate is

@@ -299,6 +299,27 @@ def test_extract_rejects_a_repeated_family(work, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_cdl_train_names_a_class_with_one_clip(work, capsys, monkeypatch):
+    # the first class keeps one clip; the count is checked before any clip is embedded
+    lines = (work / "data" / "manifest.tsv").read_text().splitlines()
+    first = lines[0].split("\t")[1]
+    kept = [line for line in lines if line.split("\t")[1] != first] + lines[:1]
+    manifest = work / "data" / "one_clip.tsv"
+    manifest.write_text("\n".join(kept) + "\n")
+    feats = work / "cepscom.sfs"
+    assert main(["extract", "--manifest", str(manifest), "--features", "mfcc,pncc,rcgcc,spcc",
+                 "--frame-len", "512", "--hop", "256", "--out", str(feats)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(scenefuse.cdl, "log_embed", _no_work)
+    out = work / "cepscom-cdl.sfc"
+    rc = main(["train", "--features", str(feats), "--manifest", str(manifest),
+               "--system", "cepscom-cdl", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: cepscom-cdl: class {first!r} has 1 training clips, need at least 2" in err
+    assert not out.exists()
+
+
 def test_fuse_rejects_a_blank_weights_line(capsys, tmp_path):
     scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
     scores.write_text("#normalized=true\nclip_id,system_id,a,b\nc1.wav,plp-gmm,1.0,0.0\n")

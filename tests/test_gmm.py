@@ -120,6 +120,51 @@ def two_blobs(rng, separation=100.0, n=200, dim=3):
     return np.vstack([a, b]), a, b
 
 
+def difference_form_centers(features, k, rng):
+    """k-means++ seeding with one exact N x D difference per center, as
+    _kmeanspp_centers read before it expanded the distances: the oracle."""
+    n = features.shape[0]
+    centers = np.empty((k, features.shape[1]))
+    centers[0] = features[rng.integers(n)]
+    dist2 = ((features - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = dist2.sum()
+        if total <= 0.0:
+            centers[j:] = features[rng.integers(n, size=k - j)]
+            break
+        centers[j] = features[rng.choice(n, p=dist2 / total)]
+        dist2 = np.minimum(dist2, ((features - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+class TestKmeansppSeeding:
+    def assert_same_centers(self, features, k, seed):
+        got = _kmeanspp_centers(features, k, np.random.default_rng(seed))
+        want = difference_form_centers(features, k, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [3, 39, 240])
+    def test_same_centers_as_difference_form(self, seed, dim):
+        rng = np.random.default_rng(100 + seed)
+        # an offset far from the origin and per-dimension scales over 1e4
+        features = rng.standard_normal((400, dim)) * np.logspace(-2, 2, dim) + 50.0
+        self.assert_same_centers(features, 64, seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_frames(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        distinct = rng.standard_normal((5, 4)) + 1e3
+        features = distinct[rng.integers(5, size=300)]
+        # more centers than distinct frames: the mass runs out exactly
+        self.assert_same_centers(features, 8, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_all_identical_frames(self, seed):
+        features = np.full((50, 6), 0.1)
+        self.assert_same_centers(features, 4, seed)
+
+
 class TestModelValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
