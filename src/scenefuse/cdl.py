@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-import scipy.linalg
 
 from .dataio import (
     pack_floats,
@@ -249,6 +248,19 @@ def _span(centered: np.ndarray) -> tuple:
     return u, np.sqrt(lam)
 
 
+def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``(λ, v)`` of ``a v = λ b v`` for symmetric a and positive definite b:
+    eigenvalues ascending, eigenvectors b-orthonormal, as ``scipy.linalg.eigh(a, b)``.
+
+    The Cholesky reduction of LAPACK ``sygv``: with ``b = L Lᵀ`` the problem
+    becomes the standard one ``(L⁻¹ a L⁻ᵀ) u = λ u``, and ``v = L⁻ᵀ u``.
+    """
+    lower = np.linalg.cholesky(b)
+    reduced = np.linalg.solve(lower, np.linalg.solve(lower, a).T)
+    lam, u = np.linalg.eigh((reduced + reduced.T) / 2.0)
+    return lam, np.linalg.solve(lower.T, u)
+
+
 def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     """Fisher discriminant over centered log embeddings (see :func:`log_embed`).
 
@@ -309,9 +321,7 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     gamma = SHRINKAGE_SCALE * float(np.trace(scatter_w)) / d_vec
     if gamma <= 0.0:
         gamma = 1e-12
-    eigvals, eigvecs = scipy.linalg.eigh(
-        scatter_b, scatter_w + gamma * np.eye(rank)
-    )
+    _, eigvecs = _generalized_eigh(scatter_b, scatter_w + gamma * np.eye(rank))
     d_out = min(n_classes - 1, rank)
     top = eigvecs[:, ::-1][:, :d_out]
     projection = ((u / root) @ top).T @ centered

@@ -1,7 +1,9 @@
 """Audio decoding, dataset manifests, deterministic splits, and binary feature storage.
 
-WAV decoding is delegated to :mod:`scipy.io.wavfile`; every decoded clip is
-reduced to a mono float64 signal in [-1, 1].  Manifests are plain
+WAV files are read and written by a small RIFF/WAVE codec on :mod:`struct`
+and :func:`numpy.frombuffer`: PCM u8, i16, i24 and i32 and IEEE float32 and
+float64, any channel count, plain or ``WAVE_FORMAT_EXTENSIBLE`` headers.
+Every decoded clip is reduced to a mono float64 signal in [-1, 1].  Manifests are plain
 tab-separated text (``relative/path<TAB>label``).  Feature stores and the
 model files share one checksummed binary framing, written and read by
 :func:`write_container` and :func:`read_container`.  A model file is one
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 FEATURE_STORE_MAGIC = b"SFS1"
 #: version 4 puts each family in a container of its own behind a table of
@@ -138,6 +139,30 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_IEEE_FLOAT = 0x0003
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+#: bytes 4..15 of a WAVE_FORMAT_EXTENSIBLE sub-format GUID; bytes 0..3 hold
+#: the format tag (RFC 2361)
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+#: (format tag, bytes per sample) -> the dtype a sample decodes to; 24-bit
+#: PCM lands in the upper three bytes of an int32
+_WAV_DTYPES = {
+    (_WAVE_FORMAT_PCM, 1): np.dtype(np.uint8),
+    (_WAVE_FORMAT_PCM, 2): np.dtype("<i2"),
+    (_WAVE_FORMAT_PCM, 3): np.dtype("<i4"),
+    (_WAVE_FORMAT_PCM, 4): np.dtype("<i4"),
+    (_WAVE_FORMAT_IEEE_FLOAT, 4): np.dtype("<f4"),
+    (_WAVE_FORMAT_IEEE_FLOAT, 8): np.dtype("<f8"),
+}
+#: write_wav's sample formats -> (dtype, format tag, full-scale value or None)
+_WAV_WRITE_FORMATS = {
+    "int16": (np.dtype("<i2"), _WAVE_FORMAT_PCM, 32768.0),
+    "int32": (np.dtype("<i4"), _WAVE_FORMAT_PCM, 2147483648.0),
+    "float32": (np.dtype("<f4"), _WAVE_FORMAT_IEEE_FLOAT, None),
+}
+
+
 def _to_unit_range(data: np.ndarray) -> np.ndarray:
     """Scale integer PCM to [-1, 1] by the format's full-scale value."""
     if data.dtype == np.uint8:
@@ -145,11 +170,75 @@ def _to_unit_range(data: np.ndarray) -> np.ndarray:
     if data.dtype == np.int16:
         return data.astype(np.float64) / 32768.0
     if data.dtype == np.int32:
-        # scipy stores 24-bit PCM in the upper bytes of an int32
+        # 24-bit PCM is decoded into the upper bytes of an int32
         return data.astype(np.float64) / 2147483648.0
-    if data.dtype in (np.float32, np.float64):
-        return data.astype(np.float64)
-    raise ValueError(f"unsupported WAV sample format: {data.dtype}")
+    return data.astype(np.float64)
+
+
+def _wav_format(path: Path, fmt: bytes) -> tuple:
+    """``(channels, sample rate, sample dtype, bytes per sample)`` of a fmt chunk."""
+    if len(fmt) < 16:
+        raise ValueError(f"{path}: fmt chunk of {len(fmt)} bytes, need at least 16")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _WAVE_FORMAT_EXTENSIBLE:
+        if (len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22
+                or fmt[28:40] != _SUBFORMAT_GUID_TAIL):
+            raise ValueError(f"{path}: malformed WAVE_FORMAT_EXTENSIBLE fmt chunk")
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    if channels == 0 or rate == 0 or block_align == 0 or block_align % channels:
+        raise ValueError(
+            f"{path}: invalid fmt chunk ({channels} channels, {rate} Hz, "
+            f"block align {block_align})"
+        )
+    width = block_align // channels
+    dtype = _WAV_DTYPES.get((tag, width))
+    if dtype is None or bits > 8 * width or (tag == _WAVE_FORMAT_IEEE_FLOAT and bits != 8 * width):
+        raise ValueError(
+            f"{path}: unsupported WAV sample format (format tag {tag:#06x}, "
+            f"{bits} bits in {width}-byte samples)"
+        )
+    return channels, rate, dtype, width
+
+
+def _decode_wav(path: Path, blob: bytes) -> tuple:
+    """``(sample rate, samples)`` of a RIFF/WAVE file's bytes; samples are
+    1-D for one channel and frames x channels otherwise."""
+    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    fmt = None
+    pos = 12
+    while True:
+        if pos + 8 > len(blob):
+            raise ValueError(f"{path}: no data chunk")
+        chunk_id = blob[pos : pos + 4]
+        (size,) = struct.unpack_from("<I", blob, pos + 4)
+        start = pos + 8
+        if start + size > len(blob):
+            raise ValueError(
+                f"{path}: {chunk_id!r} chunk declares {size} bytes, "
+                f"the file holds {len(blob) - start}"
+            )
+        if chunk_id == b"fmt ":
+            fmt = _wav_format(path, blob[start : start + size])
+        elif chunk_id == b"data":
+            break
+        # chunks are padded to an even size; unknown ones are skipped
+        pos = start + size + (size & 1)
+    if fmt is None:
+        raise ValueError(f"{path}: no fmt chunk before the data chunk")
+    channels, rate, dtype, width = fmt
+    if size % (channels * width):
+        raise ValueError(
+            f"{path}: data chunk of {size} bytes is not a whole number of "
+            f"{channels * width}-byte frames"
+        )
+    if width == 3:
+        words = np.zeros((size // 3, 4), dtype=np.uint8)
+        words[:, 1:] = np.frombuffer(blob, np.uint8, size, start).reshape(-1, 3)
+        data = words.view(dtype)[:, 0]
+    else:
+        data = np.frombuffer(blob, dtype, size // width, start)
+    return rate, data.reshape(-1, channels) if channels > 1 else data
 
 
 def read_wav(path: str | Path) -> AudioClip:
@@ -157,30 +246,41 @@ def read_wav(path: str | Path) -> AudioClip:
 
     Multichannel audio is averaged across channels after scaling to
     [-1, 1].  Raises ``FileNotFoundError`` for a missing file and
-    ``ValueError`` for malformed headers or zero-length audio.
+    ``ValueError`` naming the file for a malformed header, a data chunk
+    shorter than it declares, or zero-length audio.
     """
     path = Path(path)
-    rate, data = wavfile.read(str(path))
+    rate, data = _decode_wav(path, path.read_bytes())
     if data.size == 0:
         raise ValueError(f"{path}: zero-length audio")
     samples = _to_unit_range(data)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    return AudioClip(samples=samples, sample_rate=int(rate), source_id=path.name)
+    return AudioClip(samples=samples, sample_rate=rate, source_id=path.name)
 
 
 def write_wav(path: str | Path, clip: AudioClip, sample_format: str = "int16") -> None:
-    """Write a clip as PCM16/PCM32 or IEEE float32 WAV."""
-    x = clip.samples
-    if sample_format == "int16":
-        data = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
-    elif sample_format == "int32":
-        data = np.clip(np.round(x * 2147483648.0), -2147483648, 2147483647).astype(np.int32)
-    elif sample_format == "float32":
-        data = x.astype(np.float32)
-    else:
+    """Write a clip as PCM16/PCM32 or IEEE float32 WAV; an IEEE float file
+    carries the ``cbSize`` field and a ``fact`` chunk."""
+    if sample_format not in _WAV_WRITE_FORMATS:
         raise ValueError(f"unsupported sample_format: {sample_format!r}")
-    wavfile.write(str(path), clip.sample_rate, data)
+    dtype, tag, full_scale = _WAV_WRITE_FORMATS[sample_format]
+    x = clip.samples
+    if full_scale is not None:
+        info = np.iinfo(dtype)
+        x = np.clip(np.round(x * full_scale), info.min, info.max)
+    data = x.astype(dtype).tobytes()
+    width = dtype.itemsize
+    rate = clip.sample_rate
+    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
+    extra = b""
+    if tag == _WAVE_FORMAT_IEEE_FLOAT:
+        fmt += b"\x00\x00"
+        extra = b"fact" + struct.pack("<II", 4, len(x))
+    chunks = b"fmt " + pack_u32(len(fmt)) + fmt + extra + b"data" + pack_u32(len(data))
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + pack_u32(4 + len(chunks) + len(data)) + b"WAVE" + chunks)
+        fh.write(data)
 
 
 @dataclass

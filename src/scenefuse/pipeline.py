@@ -37,6 +37,7 @@ from .fusion import (
     normalize_scores,
     save_score_csv,
     save_weights_csv,
+    stratified_folds,
 )
 
 class SystemSpec(NamedTuple):
@@ -259,6 +260,46 @@ def _training_embedding(store: FeatureStore, entry_path: str, family: str) -> np
     return embedding
 
 
+def _mixtures(extractor: str, opts: TrainOptions) -> int:
+    return opts.mixtures_plp if extractor == "plp" else opts.mixtures_cepstral
+
+
+def _check_trainable(
+    system_id: str,
+    store: FeatureStore,
+    train: DatasetManifest,
+    opts: TrainOptions,
+    context: str = "",
+) -> None:
+    """Raise ``ValueError`` naming the system and the class if ``train``
+    cannot fit the system: CDL needs 2 clips of each class, a GMM as many
+    frames of each class as it has components.  ``context`` follows the
+    count in the message."""
+    extractor, backend = SYSTEMS[system_id]
+    labels = train.label_indices()
+    n_classes = len(train.class_names)
+    if backend == "cdl":
+        for class_name, count in zip(train.class_names, np.bincount(labels, minlength=n_classes)):
+            if count < 2:
+                raise ValueError(
+                    f"{system_id}: class {class_name!r} has {count} training clips"
+                    f"{context}, need at least 2"
+                )
+        return
+    n_components = _mixtures(extractor, opts)
+    # a cepscom clip has the frame count of each of its stored parts
+    stored = CEPSCOM_PARTS[0] if extractor == "cepscom" else extractor
+    frames = np.zeros(n_classes, dtype=np.int64)
+    for (entry_path, _), label in zip(train.entries, labels):
+        frames[label] += store.get(entry_path, stored).shape[0]
+    for class_name, count in zip(train.class_names, frames):
+        if count < n_components:
+            raise ValueError(
+                f"{system_id}: class {class_name!r} has {count} frames{context}, "
+                f"fewer than {n_components} mixture components"
+            )
+
+
 def fit_system(
     system_id: str,
     store: FeatureStore,
@@ -266,16 +307,10 @@ def fit_system(
     opts: TrainOptions,
 ) -> SystemModel:
     """Train one system on the given manifest's clips."""
+    _check_trainable(system_id, store, train, opts)
     extractor, backend = SYSTEMS[system_id]
     labels = train.label_indices()
     if backend == "cdl":
-        counts = np.bincount(labels, minlength=len(train.class_names))
-        for class_name, count in zip(train.class_names, counts):
-            if count < 2:
-                raise ValueError(
-                    f"{system_id}: class {class_name!r} has {count} training clips, "
-                    "need at least 2"
-                )
         embeddings = [
             _training_embedding(store, entry_path, extractor)
             for entry_path, _ in train.entries
@@ -287,26 +322,16 @@ def fit_system(
             class_names=list(train.class_names),
             cdl_model=model,
         )
-    n_components = opts.mixtures_plp if extractor == "plp" else opts.mixtures_cepstral
-    class_features = []
-    seeds = []
-    for class_index, class_name in enumerate(train.class_names):
-        rows = [
+    class_features = [
+        np.vstack([
             clip_features(store, entry_path, extractor)
             for (entry_path, label) in train.entries
             if label == class_name
-        ]
-        if not rows:
-            raise ValueError(f"{system_id}: class {class_name!r} has no training clips")
-        stacked = np.vstack(rows)
-        if stacked.shape[0] < n_components:
-            raise ValueError(
-                f"{system_id}: class {class_name!r} has {stacked.shape[0]} frames, "
-                f"fewer than {n_components} mixture components"
-            )
-        class_features.append(stacked)
-        seeds.append(_gmm_seed(opts.gmm_seed, system_id, class_index))
-    bank = gmm_mod.fit_gmm_bank(class_features, n_components, seeds)
+        ])
+        for class_name in train.class_names
+    ]
+    seeds = [_gmm_seed(opts.gmm_seed, system_id, c) for c in range(len(train.class_names))]
+    bank = gmm_mod.fit_gmm_bank(class_features, _mixtures(extractor, opts), seeds)
     return SystemModel(
         system_id=system_id,
         extractor=extractor,
@@ -375,6 +400,14 @@ def estimate_weights(
         if count < folds:
             raise ValueError(
                 f"class {class_name!r} has {count} training clips, fewer than {folds} folds"
+            )
+    # every fold's training part must fit every system, checked before any fit
+    fold_of = stratified_folds(labels, folds, seed)
+    for fold in range(folds):
+        part = train.subset(np.flatnonzero(fold_of != fold))
+        for system_id in system_ids:
+            _check_trainable(
+                system_id, store, part, opts, f" with fold {fold + 1} of {folds} held out"
             )
     confusions = [
         cross_validated_confusion(

@@ -12,9 +12,9 @@ allocates is the power it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct as _scipy_dct
 
 from .dataio import AudioClip
 
@@ -244,24 +244,41 @@ def apply_filterbank(spec: Spectrogram, fb: FilterbankMatrix) -> np.ndarray:
     return spec.power @ fb.weights.T
 
 
+@lru_cache(maxsize=None)
+def _dct_basis(n: int) -> np.ndarray:
+    """Read-only n x n orthonormal DCT-II basis: ``x @ basis`` transforms the
+    rows of x, and column k holds ``s_k cos(π (2m + 1) k / 2n)`` over m."""
+    m = np.arange(n)
+    basis = np.cos(np.pi * np.outer(2 * m + 1, m) / (2 * n)) * np.sqrt(2.0 / n)
+    basis[:, 0] = np.sqrt(1.0 / n)
+    basis.setflags(write=False)
+    return basis
+
+
 def cepstral_dct(log_powers: np.ndarray, n_coeffs: int) -> np.ndarray:
-    """Orthonormal DCT-II along the channel axis, keeping the first n_coeffs."""
+    """Orthonormal DCT-II along the channel axis, keeping the first n_coeffs.
+
+    The product is always taken with the full basis and sliced after it, so
+    a truncation is exactly the leading columns of the full transform (the
+    rounding of a matrix product depends on its output shape).
+    """
     log_powers = np.asarray(log_powers, dtype=np.float64)
     if n_coeffs > log_powers.shape[1]:
         raise ValueError(
             f"n_coeffs {n_coeffs} exceeds channel count {log_powers.shape[1]}"
         )
-    return _scipy_dct(log_powers, type=2, norm="ortho", axis=1)[:, :n_coeffs]
+    return (log_powers @ _dct_basis(log_powers.shape[1]))[:, :n_coeffs]
 
 
 def _regression_delta(values: np.ndarray, window: int) -> np.ndarray:
     """Regression-slope deltas with edge frames replicated."""
-    padded = np.pad(values, ((window, window), (0, 0)), mode="edge")
+    n = values.shape[0]
+    padded = np.concatenate([values[:1]] * window + [values] + [values[-1:]] * window)
     num = np.zeros_like(values)
     denom = 0.0
-    t = np.arange(values.shape[0]) + window
     for theta in range(1, window + 1):
-        num += theta * (padded[t + theta] - padded[t - theta])
+        num += theta * (padded[window + theta : window + theta + n]
+                        - padded[window - theta : window - theta + n])
         denom += 2.0 * theta * theta
     return num / denom
 

@@ -407,6 +407,37 @@ class TestGramSpan:
         self.assert_matches_svd(monkeypatch, embeddings, labels, queries)
 
 
+class TestGeneralizedEigh:
+    """fit_cdl's Cholesky-reduced solve against scipy.linalg.eigh(a, b)."""
+
+    def scatters(self, rng, rank, n_between):
+        rows = rng.standard_normal((n_between, rank)) * 10.0 ** rng.uniform(-3, 3, rank)
+        within = rng.standard_normal((3 * rank, rank)) * 10.0 ** rng.uniform(-3, 3, rank)
+        scatter_w = within.T @ within
+        gamma = 1e-2 * np.trace(scatter_w) / rank
+        return rows.T @ rows, scatter_w + gamma * np.eye(rank)
+
+    @pytest.mark.parametrize("rank, n_between", [(1, 1), (4, 2), (30, 4), (120, 4)])
+    def test_matches_scipy(self, rank, n_between):
+        a, b = self.scatters(np.random.default_rng(rank), rank, n_between)
+        lam, vecs = cdl_mod._generalized_eigh(a, b)
+        want = scipy.linalg.eigh(a, b, eigvals_only=True)
+        assert np.abs(lam - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(vecs.T @ b @ vecs - np.eye(rank)).max() <= 1e-10
+        assert np.abs(a @ vecs - (b @ vecs) * lam).max() <= 1e-10 * np.abs(a).max()
+
+    def test_fit_cdl_scores_match_scipy_solve(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        embeddings, labels, queries = TestGramSpan().problem(rng, 8, 6, n_classes=4)
+        got = fit_cdl(embeddings, labels)
+        monkeypatch.setattr(cdl_mod, "_generalized_eigh", scipy.linalg.eigh)
+        reference = fit_cdl(embeddings, labels)
+        got_scores = np.array([classify_cdl(got, q) for q in queries])
+        want_scores = np.array([classify_cdl(reference, q) for q in queries])
+        assert np.abs(got_scores - want_scores).max() <= 1e-10 * np.abs(want_scores).max()
+        assert np.array_equal(got_scores.argmax(axis=1), want_scores.argmax(axis=1))
+
+
 class TestClassify:
     def test_duplicated_training_descriptor_scores_zero(self):
         rng = np.random.default_rng(16)

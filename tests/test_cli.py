@@ -457,16 +457,66 @@ def test_classify_names_a_class_the_model_lacks(work, capsys):
     assert f"only in the model: ['{old}']" in err
 
 
-def test_importing_the_cli_leaves_scipy_signal_out():
+def test_cli_and_a_run_load_no_scipy(mini_dataset, tmp_path):
+    # WAV decoding, the cepstral DCT and the CDL eigensolve are numpy's own
     import scenefuse
 
     src = str(Path(scenefuse.__file__).resolve().parents[1])
-    probe = "import sys, scenefuse.cli; print('scipy.signal' in sys.modules)"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"manifest = {mini_dataset}\n"
+        f"out_dir = {tmp_path / 'out'}\n"
+        "train_fraction = 0.5\n"
+        "weights_folds = 2\n"
+        "mixtures_cepstral = 2\n"
+        "mixtures_plp = 2\n"
+    )
+    probe = (
+        "import sys, scenefuse.cli\n"
+        "from scenefuse.pipeline import run_pipeline\n"
+        f"run_pipeline({str(cfg)!r})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+    assert (tmp_path / "out" / "weights.csv").is_file()
+
+
+@pytest.fixture(scope="module")
+def two_clip_store(tmp_path_factory):
+    """Five classes of two 1 s clips at 32 kHz (30 frames each), cepscom extracted."""
+    work = tmp_path_factory.mktemp("two-clip")
+    assert main(["synth", "--profile", "benchmark", "--count", "2", "--duration", "1.0",
+                 "--sample-rate", "32000", "--seed", "5", "--out", str(work / "data")]) == 0
+    manifest = work / "data" / "manifest.tsv"
+    feats = work / "cepscom.sfs"
+    assert main(["extract", "--manifest", str(manifest), "--features", "cepscom",
+                 "--out", str(feats)]) == 0
+    return manifest, feats
+
+
+@pytest.mark.parametrize("system, shortfall", [
+    ("cepscom-cdl", "has 1 training clips with fold 1 of 2 held out, need at least 2"),
+    ("cepscom-gmm", "has 30 frames with fold 1 of 2 held out, fewer than 64 mixture components"),
+], ids=["cdl", "gmm"])
+def test_weights_checks_every_fold_before_any_fit(
+    two_clip_store, capsys, monkeypatch, tmp_path, system, shortfall
+):
+    # two clips a class pass the fold count, but each fold trains on one
+    manifest, feats = two_clip_store
+    capsys.readouterr()
+    monkeypatch.setattr(scenefuse.cdl, "log_embed", _no_work)
+    monkeypatch.setattr(scenefuse.gmm, "fit_gmm_bank", _no_work)
+    out = tmp_path / "weights.csv"
+    rc = main(["weights", "--features", str(feats), "--manifest", str(manifest),
+               "--systems", system, "--folds", "2", "--out", str(out)])
+    assert rc == 1
+    first = load_manifest(manifest).class_names[0]
+    assert f"error: {system}: class {first!r} {shortfall}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_subcommand_arguments_exit_two(capsys):

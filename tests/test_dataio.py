@@ -165,6 +165,166 @@ class TestWavRoundTrip:
             write_wav(tmp_path / "x.wav", clip, sample_format="int24")
 
 
+def riff(fmt: bytes, data: bytes, before_data: bytes = b"") -> bytes:
+    """A RIFF/WAVE file from a fmt chunk body, data bytes and raw chunks between."""
+    body = b"WAVE" + b"fmt " + pack_u32(len(fmt)) + fmt + before_data
+    body += b"data" + pack_u32(len(data)) + data + b"\0" * (len(data) & 1)
+    return b"RIFF" + pack_u32(len(body)) + body
+
+
+def pcm_fmt(channels, rate, width, bits=None, tag=1):
+    bits = 8 * width if bits is None else bits
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * channels * width,
+                       channels * width, bits)
+
+
+def extensible_fmt(channels, rate, width, tag, bits=None):
+    head = pcm_fmt(channels, rate, width, bits, tag=0xFFFE)
+    guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return head + struct.pack("<HHI", 22, 8 * width if bits is None else bits, 3) + guid
+
+
+def packed_24bit(values: np.ndarray) -> bytes:
+    """Little-endian 3-byte samples of int values in [-2^23, 2^23)."""
+    return values.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+
+
+def scipy_clip(path) -> np.ndarray:
+    """The mono float64 samples read_wav made through scipy.io.wavfile: the oracle."""
+    _, data = wavfile.read(str(path))
+    full_scale = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
+    if data.dtype == np.uint8:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype in full_scale:
+        samples = data.astype(np.float64) / full_scale[data.dtype]
+    else:
+        samples = data.astype(np.float64)
+    return samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+class TestWavCodecAgainstScipy:
+    @pytest.mark.parametrize("dtype", ["u1", "<i2", "<i4", "<f4", "<f8"])
+    @pytest.mark.parametrize("channels", [1, 2, 6])
+    def test_decodes_what_scipy_writes(self, tmp_path, dtype, channels):
+        rng = np.random.default_rng(channels)
+        values = rng.uniform(-0.9, 0.9, (257, channels))
+        if dtype == "u1":
+            data = (128 + 127 * values).astype(np.uint8)
+        elif dtype[1] == "i":
+            data = (values * np.iinfo(dtype).max).astype(dtype)
+        else:
+            data = values.astype(dtype)
+        path = tmp_path / "w.wav"
+        wavfile.write(str(path), 22050, data[:, 0] if channels == 1 else data)
+        clip = read_wav(path)
+        assert clip.sample_rate == 22050
+        assert np.array_equal(clip.samples, scipy_clip(path))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_24_bit(self, tmp_path, channels):
+        values = np.random.default_rng(3).integers(-(2**23), 2**23, (300, channels))
+        values[:4, 0] = [-(2**23), 2**23 - 1, -1, 0]
+        path = tmp_path / "p24.wav"
+        path.write_bytes(riff(pcm_fmt(channels, 48000, 3), packed_24bit(values.ravel())))
+        _, want = wavfile.read(str(path))
+        assert want.dtype == np.int32 and np.array_equal(want.reshape(300, -1) >> 8, values)
+        assert np.array_equal(read_wav(path).samples, scipy_clip(path))
+
+    @pytest.mark.parametrize(
+        "tag, width, bits", [(1, 2, 16), (1, 3, 24), (1, 3, 20), (1, 4, 32), (3, 4, 32), (3, 8, 64)]
+    )
+    def test_extensible_header(self, tmp_path, tag, width, bits):
+        rng = np.random.default_rng(width)
+        if tag == 3:
+            data = rng.uniform(-1, 1, 200).astype(f"<f{width}").tobytes()
+        elif width == 3:
+            data = packed_24bit(rng.integers(-(2**23), 2**23, 200))
+        else:
+            data = rng.integers(-(2**15), 2**15, 200).astype(f"<i{width}").tobytes()
+        path = tmp_path / "ext.wav"
+        path.write_bytes(riff(extensible_fmt(2, 44100, width, tag, bits), data))
+        clip = read_wav(path)
+        assert clip.samples.shape == (100,)
+        assert np.array_equal(clip.samples, scipy_clip(path))
+
+    def test_skips_unknown_chunks_and_their_pad_bytes(self, tmp_path):
+        data = np.arange(-50, 50, dtype="<i2").tobytes()
+        odd = b"junk" + pack_u32(3) + b"abc\0" + b"LIST" + pack_u32(4) + b"INFO"
+        path = tmp_path / "chunks.wav"
+        path.write_bytes(riff(pcm_fmt(1, 8000, 2), data, before_data=odd))
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            want = scipy_clip(path)
+        assert np.array_equal(read_wav(path).samples, want)
+        assert np.array_equal(want, np.arange(-50, 50) / 32768.0)
+
+    @pytest.mark.parametrize("sample_format", ["int16", "int32", "float32"])
+    def test_write_is_byte_identical_to_scipy(self, tmp_path, sample_format):
+        clip = AudioClip(np.random.default_rng(4).uniform(-1, 1, 1001), 44100)
+        write_wav(tmp_path / "ours.wav", clip, sample_format)
+        x = clip.samples
+        if sample_format == "int16":
+            data = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
+        elif sample_format == "int32":
+            data = np.clip(np.round(x * 2147483648.0), -2147483648, 2147483647).astype(np.int32)
+        else:
+            data = x.astype(np.float32)
+        wavfile.write(str(tmp_path / "scipy.wav"), 44100, data)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+
+class TestWavErrorsNameTheFile:
+    def expect(self, tmp_path, blob, match):
+        path = tmp_path / "broken.wav"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"broken.wav.*{match}"):
+            read_wav(path)
+
+    def test_truncated_data_chunk(self, tmp_path):
+        # scipy warns and returns 849 of the 1,000 samples
+        path = tmp_path / "full.wav"
+        write_wav(path, AudioClip(np.linspace(-0.5, 0.5, 1000), 16000))
+        self.expect(tmp_path, path.read_bytes()[:-301], "'data' chunk declares 2000 bytes")
+
+    def test_truncated_unknown_chunk(self, tmp_path):
+        blob = riff(pcm_fmt(1, 8000, 2), b"\0\0")[:12] + b"fmt " + pack_u32(16) + b"\0" * 10
+        self.expect(tmp_path, blob, "'fmt ' chunk declares 16 bytes")
+
+    def test_not_riff(self, tmp_path):
+        self.expect(tmp_path, b"RIFX" + b"\0" * 40, "not a RIFF/WAVE file")
+
+    def test_no_data_chunk(self, tmp_path):
+        blob = riff(pcm_fmt(1, 8000, 2), b"")
+        self.expect(tmp_path, blob[: blob.index(b"data")], "no data chunk")
+
+    def test_data_before_fmt(self, tmp_path):
+        blob = b"RIFF" + pack_u32(14) + b"WAVE" + b"data" + pack_u32(2) + b"\0\0"
+        self.expect(tmp_path, blob, "no fmt chunk")
+
+    def test_short_fmt_chunk(self, tmp_path):
+        self.expect(tmp_path, riff(pcm_fmt(1, 8000, 2)[:14], b"\0\0"), "fmt chunk of 14 bytes")
+
+    def test_zero_channels(self, tmp_path):
+        self.expect(tmp_path, riff(pcm_fmt(0, 8000, 2), b"\0\0"), "invalid fmt chunk")
+
+    @pytest.mark.parametrize("fmt", [
+        pcm_fmt(1, 8000, 2, tag=2),  # ADPCM
+        pcm_fmt(1, 8000, 8, tag=1),  # 64-bit PCM
+        pcm_fmt(1, 8000, 4, bits=24, tag=3),  # 24-bit float
+    ], ids=["adpcm", "pcm64", "float24"])
+    def test_unsupported_format(self, tmp_path, fmt):
+        self.expect(tmp_path, riff(fmt, b"\0" * 8), "unsupported WAV sample format")
+
+    def test_bad_extensible_guid(self, tmp_path):
+        fmt = extensible_fmt(1, 8000, 2, 1)[:-1] + b"\x00"
+        self.expect(tmp_path, riff(fmt, b"\0\0"), "WAVE_FORMAT_EXTENSIBLE")
+
+    def test_partial_frame(self, tmp_path):
+        self.expect(tmp_path, riff(pcm_fmt(2, 8000, 2), b"\0" * 6), "whole number of 4-byte frames")
+
+    def test_zero_length(self, tmp_path):
+        self.expect(tmp_path, riff(pcm_fmt(1, 8000, 2), b""), "zero-length audio")
+
+
 class TestManifest:
     def test_load_save_round_trip(self, tmp_path):
         path = tmp_path / "m.tsv"

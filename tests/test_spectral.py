@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from scenefuse.dataio import AudioClip
 from scenefuse.spectral import (
@@ -309,13 +310,18 @@ class TestCepstralDct:
         for t in range(6):
             assert np.allclose(got[t], naive_dct2_ortho(mat[t]), atol=1e-10)
 
-    def test_orthonormal_round_trip(self):
-        from scipy.fft import idct
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 20), (300, 40), (5, 64)])
+    def test_matches_scipy_dct(self, shape):
+        # scipy's FFT-based DCT-II is the oracle for the cached matrix basis
+        x = 30.0 * np.random.default_rng(shape[1]).standard_normal(shape)
+        want = scipy.fft.dct(x, type=2, norm="ortho", axis=1)
+        assert np.abs(cepstral_dct(x, shape[1]) - want).max() <= 1e-12 * np.abs(x).max()
 
+    def test_orthonormal_round_trip(self):
         rng = np.random.default_rng(9)
         mat = rng.standard_normal((5, 40))
         coeffs = cepstral_dct(mat, 40)
-        back = idct(coeffs, type=2, norm="ortho", axis=1)
+        back = scipy.fft.idct(coeffs, type=2, norm="ortho", axis=1)
         assert np.abs(back - mat).max() < 1e-10
 
     def test_constant_row(self):
@@ -371,6 +377,22 @@ class TestDeltas:
             want[t] = acc / denom
         out = append_deltas(FeatureMatrix(vals, "x"), window)
         assert np.allclose(out.values[:, 2:4], want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 42, 1290])
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_bit_equal_to_the_padded_fancy_index_form(self, n, window):
+        vals = np.random.default_rng(n).standard_normal((n, 20))
+        want = [vals]
+        for _ in range(2):
+            prev = want[-1]
+            padded = np.pad(prev, ((window, window), (0, 0)), mode="edge")
+            t = np.arange(n) + window
+            num = np.zeros_like(prev)
+            for theta in range(1, window + 1):
+                num += theta * (padded[t + theta] - padded[t - theta])
+            want.append(num / (2.0 * sum(k * k for k in range(1, window + 1))))
+        out = append_deltas(FeatureMatrix(vals, "x"), window)
+        assert np.array_equal(out.values, np.hstack(want))
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
