@@ -81,9 +81,9 @@ def _cmd_weights(args) -> None:
 
 def _cmd_classify(args) -> None:
     manifest = load_manifest(args.manifest)
-    # the model's feature family decides which records to read
-    model = load_system_model(args.model, args.system_id, manifest.class_names)
-    store = load_features(args.features, stored_families([model.extractor]))
+    # the system the model file holds decides which records to read
+    model = load_system_model(args.model, manifest.class_names)
+    store = load_features(args.features, stored_families(required_extractors([model.system_id])))
     scores = score_system(model, store, manifest)
     save_score_csv(args.out, scores)
     print(f"scored {scores.n_clips} clips with {model.system_id}; written to {args.out}")
@@ -178,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True,
                    help="supplies class names and the clips to score")
     p.add_argument("--out", required=True)
-    p.add_argument("--system-id", default=None,
-                   help="system id for the score rows (default: the system "
-                   "built from the model's feature family and back-end)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("fuse", help="weighted fusion of per-system score files")

@@ -321,10 +321,21 @@ class DatasetManifest:
         )
 
 
+def check_csv_field(value: str, what: str, where: str = "") -> str:
+    """``value``, if it may stand as a plain CSV field: clip ids, labels and
+    system ids travel through the score and weight files, which refuse
+    commas and line breaks.  ``where`` (``file:line: ``) opens the error."""
+    if "," in value or "\n" in value or "\r" in value:
+        raise ValueError(f"{where}{what} {value!r} may not contain commas or newlines")
+    return value
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse a ``path<TAB>label`` manifest; ``#`` lines are comments.
 
-    Class order is the order of first label appearance.
+    Class order is the order of first label appearance.  A path or label
+    with a comma is refused, since the score and weight files could not
+    carry it.
     """
     path = Path(path)
     entries: list[tuple[str, str]] = []
@@ -340,6 +351,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         clip_path, label = fields[0].strip(), fields[1].strip()
         if not clip_path or not label:
             raise ValueError(f"{path}:{lineno}: empty path or label")
+        check_csv_field(clip_path, "clip path", f"{path}:{lineno}: ")
+        check_csv_field(label, "label", f"{path}:{lineno}: ")
         if clip_path in seen_paths:
             raise ValueError(f"{path}:{lineno}: duplicate clip path {clip_path!r}")
         seen_paths.add(clip_path)

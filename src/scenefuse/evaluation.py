@@ -20,7 +20,6 @@ class EvaluationReport:
     per_class_accuracy: np.ndarray
     average_accuracy: float
     confusion: ConfusionMatrix
-    empty_classes: list
 
     @property
     def n_clips(self) -> int:
@@ -30,8 +29,8 @@ class EvaluationReport:
 def evaluate(predictions, truths, class_names, system_id: str = "") -> EvaluationReport:
     """Build the report for one system's predictions against ground truth.
 
-    Classes that never occur in the truth labels score 0 and are listed in
-    ``empty_classes``.
+    Every class must occur in the truth labels: a class without clips would
+    average in as 0% accuracy.
     """
     predictions = np.asarray(predictions, dtype=np.int64)
     truths = np.asarray(truths, dtype=np.int64)
@@ -41,21 +40,19 @@ def evaluate(predictions, truths, class_names, system_id: str = "") -> Evaluatio
         raise ValueError("nothing to evaluate")
     confusion = tally_confusion(truths, predictions, len(class_names))
     row_sums = confusion.counts.sum(axis=1)
-    diag = np.diag(confusion.counts)
-    per_class = np.divide(
-        diag,
-        row_sums,
-        out=np.zeros(len(class_names), dtype=np.float64),
-        where=row_sums > 0,
-    )
-    empty = [name for name, total in zip(class_names, row_sums) if total == 0]
+    missing = [name for name, total in zip(class_names, row_sums) if total == 0]
+    if missing:
+        raise ValueError(
+            f"scores of system {system_id!r} have no clip of class "
+            + ", ".join(repr(name) for name in missing)
+        )
+    per_class = np.diag(confusion.counts) / row_sums
     return EvaluationReport(
         system_id=system_id,
         class_names=list(class_names),
         per_class_accuracy=per_class,
         average_accuracy=float(per_class.mean()),
         confusion=confusion,
-        empty_classes=empty,
     )
 
 
@@ -69,12 +66,8 @@ def render_confusion(report: EvaluationReport) -> str:
         + "  ".join(f"{n:>{col_w}}" for n in names)
     ]
     counts = report.confusion.counts
-    row_sums = counts.sum(axis=1)
-    for name, row, total in zip(names, counts, row_sums):
-        if total > 0:
-            percents = 100.0 * row / total
-        else:
-            percents = np.zeros(len(names))
+    for name, row in zip(names, counts):
+        percents = 100.0 * row / row.sum()
         cells = "  ".join(f"{p:>{col_w}.2f}" for p in percents)
         lines.append(f"{name:<{label_w}}  {cells}")
     return "\n".join(lines) + "\n"
@@ -95,10 +88,7 @@ def render_report(report: EvaluationReport) -> str:
     for name, acc, correct, total in zip(
         names, report.per_class_accuracy, np.diag(counts), row_sums
     ):
-        note = "  (no clips)" if total == 0 else f"  ({correct}/{total})"
-        lines.append(f"  {name:<{label_w}}  {100.0 * acc:>6.2f}%{note}")
-    if report.empty_classes:
-        lines.append("classes without test clips: " + ", ".join(report.empty_classes))
+        lines.append(f"  {name:<{label_w}}  {100.0 * acc:>6.2f}%  ({correct}/{total})")
     lines.append("confusion matrix (rows: truth, columns: output, row %):")
     body = render_confusion(report)
     lines.extend("  " + line for line in body.splitlines())

@@ -103,7 +103,7 @@ def _subband(spec: Spectrogram, kind: str) -> np.ndarray:
 
 def _mfcc(logmel: np.ndarray) -> FeatureMatrix:
     static = cepstral_dct(logmel, N_STATIC)
-    return append_deltas(FeatureMatrix(static, "mfcc"), DELTA_WINDOW)
+    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
 
 
 # --- plp ---
@@ -183,7 +183,7 @@ def _plp(frames: FrameSequence, spec: Spectrogram) -> FeatureMatrix:
         energy[start : start + STFT_BLOCK] = (block**2).sum(axis=1)
     energy = np.log(np.maximum(energy, LOG_FLOOR))
     static = np.hstack([ceps, energy[:, None]])
-    return append_deltas(FeatureMatrix(static, "plp"), DELTA_WINDOW)
+    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
 
 
 # --- pncc ---
@@ -223,7 +223,7 @@ def pncc_power_stages(subband: np.ndarray) -> PnccStages:
 def _pncc(gammatone: np.ndarray) -> FeatureMatrix:
     stages = pncc_power_stages(gammatone)
     static = cepstral_dct(stages.normalized**PNCC_POWER_EXPONENT, N_STATIC)
-    return append_deltas(FeatureMatrix(static, "pncc"), DELTA_WINDOW)
+    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
 
 
 # --- rcgcc ---
@@ -263,7 +263,7 @@ def rcgcc_gains(subband: np.ndarray, smoothing: float) -> np.ndarray:
 def _rcgcc(gammatone: np.ndarray) -> FeatureMatrix:
     gains = rcgcc_gains(gammatone, RCGCC_SMOOTHING)
     static = cepstral_dct(np.cbrt(gains * gammatone), N_STATIC)
-    return append_deltas(FeatureMatrix(static, "rcgcc"), DELTA_WINDOW)
+    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
 
 
 # --- spcc ---
@@ -309,7 +309,7 @@ def subspace_project(matrix: np.ndarray, fraction: float) -> tuple[np.ndarray, i
 def _spcc(logmel: np.ndarray) -> FeatureMatrix:
     recon, _ = subspace_project(logmel, SPCC_ENERGY_FRACTION)
     static = cepstral_dct(recon, N_STATIC)
-    return append_deltas(FeatureMatrix(static, "spcc"), DELTA_WINDOW)
+    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
 
 
 # --- the extraction entry point ---

@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataio import check_csv_field
+
 
 @dataclass
 class ScoreMatrix:
@@ -215,23 +217,28 @@ def cross_validated_confusion(
     """
     labels = np.asarray(labels, dtype=np.int64)
     fold_of = stratified_folds(labels, n_folds, seed)
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    truths, predictions = [], []
     for fold in range(n_folds):
         test_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
         predicted = np.asarray(fit_and_classify(train_idx, test_idx), dtype=np.int64)
         if predicted.shape != test_idx.shape:
             raise ValueError("fit_and_classify returned the wrong number of labels")
-        np.add.at(counts, (labels[test_idx], predicted), 1)
-    return ConfusionMatrix(counts)
+        truths.append(labels[test_idx])
+        predictions.append(predicted)
+    return tally_confusion(np.concatenate(truths), np.concatenate(predictions), n_classes)
 
 
 # --- CSV interfaces ---
+# the writers refuse, before they open the file, any name that
+# ``check_csv_field`` refuses, and the loaders refuse it naming the line
 
-def _check_csv_field(value: str, what: str) -> str:
-    if "," in value or "\n" in value or "\r" in value:
-        raise ValueError(f"{what} {value!r} may not contain commas or newlines")
-    return value
+def _csv_records(path) -> list:
+    """The file's CSV records as (line number, fields); a record that
+    spans lines is numbered by its last."""
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader]
 
 
 def _csv_numbers(path, lineno: int, fields) -> list:
@@ -251,43 +258,42 @@ def _csv_numbers(path, lineno: int, fields) -> list:
 
 def save_score_csv(path, scores: ScoreMatrix) -> None:
     """One row per clip: clip_id, system_id, then per-class scores."""
-    _check_csv_field(scores.system_id, "system id")
+    check_csv_field(scores.system_id, "system id")
+    for name in scores.class_names:
+        check_csv_field(name, "class name")
+    for clip_id in scores.clip_ids:
+        check_csv_field(clip_id, "clip id")
     with open(path, "w", newline="") as fh:
         fh.write(f"#normalized={'true' if scores.normalized else 'false'}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["clip_id", "system_id"]
-            + [_check_csv_field(c, "class name") for c in scores.class_names]
-        )
+        writer.writerow(["clip_id", "system_id"] + list(scores.class_names))
         for clip_id, row in zip(scores.clip_ids, scores.values):
-            writer.writerow(
-                [_check_csv_field(clip_id, "clip id"), scores.system_id]
-                + [repr(float(v)) for v in row]
-            )
+            writer.writerow([clip_id, scores.system_id] + [repr(float(v)) for v in row])
 
 
 def load_score_csv(path) -> list:
     """Read score matrices grouped by system id, preserving row order."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#normalized="):
+    records = _csv_records(path)
+    preamble = records[0][1] if records else []
+    if len(preamble) != 1 or not preamble[0].startswith("#normalized="):
         raise ValueError(f"{path}: missing #normalized preamble")
-    flag = lines[0].split("=", 1)[1]
+    flag = preamble[0].split("=", 1)[1]
     if flag not in ("true", "false"):
         raise ValueError(f"{path}: bad #normalized value {flag!r}")
     normalized = flag == "true"
-    rows = list(csv.reader(lines[1:]))
-    if not rows or rows[0][:2] != ["clip_id", "system_id"]:
+    if len(records) < 2 or records[1][1][:2] != ["clip_id", "system_id"]:
         raise ValueError(f"{path}: bad or missing header")
-    class_names = rows[0][2:]
+    header_line, header = records[1]
+    class_names = [check_csv_field(c, "class name", f"{path}:{header_line}: ") for c in header[2:]]
     if not class_names:
         raise ValueError(f"{path}: no class columns")
     by_system: dict = {}
     seen: dict = {}
-    for lineno, row in enumerate(rows[1:], start=3):
+    for lineno, row in records[2:]:
         if len(row) != 2 + len(class_names):
             raise ValueError(f"{path}:{lineno}: expected {2 + len(class_names)} fields")
-        clip_id, system_id = row[0], row[1]
+        clip_id = check_csv_field(row[0], "clip id", f"{path}:{lineno}: ")
+        system_id = check_csv_field(row[1], "system id", f"{path}:{lineno}: ")
         first = seen.setdefault((system_id, clip_id), lineno)
         if first != lineno:
             raise ValueError(
@@ -310,30 +316,29 @@ def load_score_csv(path) -> list:
 
 
 def save_weights_csv(path, weights: FusionWeights) -> None:
+    for name in weights.class_names:
+        check_csv_field(name, "class name")
+    for system_id in weights.system_ids:
+        check_csv_field(system_id, "system id")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["system_id"]
-            + [_check_csv_field(c, "class name") for c in weights.class_names]
-        )
+        writer.writerow(["system_id"] + list(weights.class_names))
         for system_id, row in zip(weights.system_ids, weights.values):
-            writer.writerow(
-                [_check_csv_field(system_id, "system id")]
-                + [repr(float(v)) for v in row]
-            )
+            writer.writerow([system_id] + [repr(float(v)) for v in row])
 
 
 def load_weights_csv(path) -> FusionWeights:
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["system_id"]:
+    records = _csv_records(path)
+    if not records or records[0][1][:1] != ["system_id"]:
         raise ValueError(f"{path}: bad or missing header")
-    class_names = rows[0][1:]
+    header_line, header = records[0]
+    class_names = [check_csv_field(c, "class name", f"{path}:{header_line}: ") for c in header[1:]]
     first_line: dict = {}
     values = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in records[1:]:
         if len(row) != 1 + len(class_names):
             raise ValueError(f"{path}:{lineno}: expected {1 + len(class_names)} fields")
+        check_csv_field(row[0], "system id", f"{path}:{lineno}: ")
         first = first_line.setdefault(row[0], lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: system {row[0]!r} repeats line {first}")

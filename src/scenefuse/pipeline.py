@@ -184,17 +184,12 @@ def parse_config(path: str | Path) -> PipelineConfig:
 
 @dataclass
 class SystemModel:
-    """A trained classifier plus the bookkeeping to score clips with it."""
+    """A trained classifier of one ``SYSTEMS`` entry, which names its
+    feature family and back-end, with its classes in score-column order."""
 
     system_id: str
-    extractor: str
     class_names: list
-    gmm_bank: gmm_mod.GmmBank | None = None
-    cdl_model: cdl_mod.CdlProjection | None = None
-
-    @property
-    def kind(self) -> str:
-        return "cdl" if self.cdl_model is not None else "gmm"
+    model: gmm_mod.GmmBank | cdl_mod.CdlProjection
 
 
 def required_extractors(system_ids) -> list:
@@ -308,45 +303,34 @@ def fit_system(
 ) -> SystemModel:
     """Train one system on the given manifest's clips."""
     _check_trainable(system_id, store, train, opts)
-    extractor, backend = SYSTEMS[system_id]
-    labels = train.label_indices()
+    family, backend = SYSTEMS[system_id]
     if backend == "cdl":
         embeddings = [
-            _training_embedding(store, entry_path, extractor)
+            _training_embedding(store, entry_path, family)
             for entry_path, _ in train.entries
         ]
-        model = cdl_mod.fit_cdl(embeddings, labels, n_classes=len(train.class_names))
-        return SystemModel(
-            system_id=system_id,
-            extractor=extractor,
-            class_names=list(train.class_names),
-            cdl_model=model,
+        model = cdl_mod.fit_cdl(
+            embeddings, train.label_indices(), n_classes=len(train.class_names)
         )
-    class_features = [
-        np.vstack([
-            clip_features(store, entry_path, extractor)
-            for (entry_path, label) in train.entries
-            if label == class_name
-        ])
-        for class_name in train.class_names
-    ]
-    seeds = [_gmm_seed(opts.gmm_seed, system_id, c) for c in range(len(train.class_names))]
-    bank = gmm_mod.fit_gmm_bank(class_features, _mixtures(extractor, opts), seeds)
-    return SystemModel(
-        system_id=system_id,
-        extractor=extractor,
-        class_names=list(train.class_names),
-        gmm_bank=bank,
-    )
+    else:
+        class_features = [
+            np.vstack([
+                clip_features(store, entry_path, family)
+                for (entry_path, label) in train.entries
+                if label == class_name
+            ])
+            for class_name in train.class_names
+        ]
+        seeds = [_gmm_seed(opts.gmm_seed, system_id, c) for c in range(len(train.class_names))]
+        model = gmm_mod.fit_gmm_bank(class_features, _mixtures(family, opts), seeds)
+    return SystemModel(system_id, list(train.class_names), model)
 
 
 def _clip_scores(model: SystemModel, store: FeatureStore, entry_path: str) -> np.ndarray:
-    if model.kind == "gmm":
-        return gmm_mod.classify_gmm(
-            model.gmm_bank, clip_features(store, entry_path, model.extractor)
-        )
-    embedding = _clip_embedding(store, entry_path, model.extractor)
-    return cdl_mod.classify_cdl(model.cdl_model, embedding)
+    family, backend = SYSTEMS[model.system_id]
+    if backend == "gmm":
+        return gmm_mod.classify_gmm(model.model, clip_features(store, entry_path, family))
+    return cdl_mod.classify_cdl(model.model, _clip_embedding(store, entry_path, family))
 
 
 def score_system(model: SystemModel, store: FeatureStore, clips: DatasetManifest) -> ScoreMatrix:
@@ -367,14 +351,16 @@ def _fold_runner(
     train: DatasetManifest,
     opts: TrainOptions,
 ):
+    family, backend = SYSTEMS[system_id]
+
     def run(train_idx, test_idx):
         model = fit_system(system_id, store, train.subset(train_idx), opts)
         predictions = []
         for i in test_idx:
             entry_path = train.entries[i][0]
-            if model.kind == "cdl":
+            if backend == "cdl":
                 # held out of this fold, but a training clip of the run
-                _training_embedding(store, entry_path, model.extractor)
+                _training_embedding(store, entry_path, family)
             scores = _clip_scores(model, store, entry_path)
             predictions.append(int(np.argmax(scores)))
         return predictions
@@ -450,10 +436,8 @@ def fusion_scores(decision: FusionDecision) -> ScoreMatrix:
 
 
 def evaluate_scores(scores: ScoreMatrix, manifest: DatasetManifest) -> EvaluationReport:
-    """Report one system's argmax labels against the manifest's labels.
-
-    The scores must cover at least one clip of every manifest class.
-    """
+    """Report one system's argmax labels against the manifest's labels;
+    :func:`evaluate` refuses scores without a clip of some class."""
     if scores.class_names != list(manifest.class_names):
         raise ValueError(
             f"scores of system {scores.system_id!r} and the manifest disagree on class names"
@@ -464,14 +448,6 @@ def evaluate_scores(scores: ScoreMatrix, manifest: DatasetManifest) -> Evaluatio
         if clip_id not in label_of:
             raise ValueError(f"clip {clip_id!r} is not in the manifest")
         truths.append(label_of[clip_id])
-    # a class without clips would average in as 0% accuracy
-    present = set(truths)
-    missing = [name for i, name in enumerate(manifest.class_names) if i not in present]
-    if missing:
-        raise ValueError(
-            f"scores of system {scores.system_id!r} have no clip of class "
-            + ", ".join(repr(name) for name in missing)
-        )
     predictions = np.argmax(scores.values, axis=1)
     return evaluate(predictions, truths, manifest.class_names, scores.system_id)
 
@@ -495,38 +471,34 @@ def _model_path(out_dir: Path, system_id: str) -> Path:
 
 
 def save_system_model(path: str | Path, model: SystemModel) -> None:
-    if model.kind == "gmm":
-        gmm_mod.save_gmm_bank(path, model.gmm_bank, model.extractor, model.class_names)
-    else:
-        cdl_mod.save_cdl_model(path, model.cdl_model, model.extractor, model.class_names)
+    family, backend = SYSTEMS[model.system_id]
+    save = gmm_mod.save_gmm_bank if backend == "gmm" else cdl_mod.save_cdl_model
+    save(path, model.model, family, model.class_names)
 
 
-def load_system_model(path: str | Path, system_id: str | None, class_names) -> SystemModel:
+def load_system_model(path: str | Path, class_names) -> SystemModel:
     """Read a model written by :func:`save_system_model`, its classes put in
     ``class_names`` order.
 
     The back-end is read off the file's magic, the feature family and the
-    model's class names off its header.  A ``system_id`` of None names the
-    model by the ``SYSTEMS`` entry built from that family and back-end.  The
-    classes are matched by name, so ``class_names`` must hold the model's
-    classes, in any order.
+    model's class names off its header; the ``SYSTEMS`` entry built from
+    that family and back-end names the model.  The classes are matched by
+    name, so ``class_names`` must hold the model's classes, in any order.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == gmm_mod.GMM_BANK_MAGIC:
-        family, model_names, bank = gmm_mod.load_gmm_bank(path)
+        backend, (family, model_names, model) = "gmm", gmm_mod.load_gmm_bank(path)
     elif magic == cdl_mod.CDL_MODEL_MAGIC:
-        family, model_names, proj = cdl_mod.load_cdl_model(path)
+        backend, (family, model_names, model) = "cdl", cdl_mod.load_cdl_model(path)
     else:
         raise ValueError(f"{path}: unrecognized model magic {magic!r}")
+    spec = SystemSpec(family, backend)
+    system_id = next((name for name, built in SYSTEMS.items() if built == spec), None)
     if system_id is None:
-        spec = SystemSpec(family, "gmm" if magic == gmm_mod.GMM_BANK_MAGIC else "cdl")
-        system_id = next((name for name, built in SYSTEMS.items() if built == spec), None)
-        if system_id is None:
-            raise ValueError(
-                f"{path}: no system is built from {spec.family} features with a "
-                f"{spec.backend} back-end; name the system explicitly"
-            )
+        raise ValueError(
+            f"{path}: no system is built from {family} features with a {backend} back-end"
+        )
     class_names = list(class_names)
     if set(class_names) != set(model_names):
         raise ValueError(
@@ -535,12 +507,11 @@ def load_system_model(path: str | Path, system_id: str | None, class_names) -> S
             f"the model: {[n for n in model_names if n not in class_names]}"
         )
     order = [model_names.index(name) for name in class_names]
-    model = SystemModel(system_id=system_id, extractor=family, class_names=class_names)
-    if magic == gmm_mod.GMM_BANK_MAGIC:
-        model.gmm_bank = gmm_mod.GmmBank([bank.models[i] for i in order])
+    if backend == "gmm":
+        model = gmm_mod.GmmBank([model.models[i] for i in order])
     else:
-        model.cdl_model = replace(proj, class_centroids=proj.class_centroids[order])
-    return model
+        model = replace(model, class_centroids=model.class_centroids[order])
+    return SystemModel(system_id, class_names, model)
 
 
 def _write_summary(path: Path, result: RunResult, train_count: int, test_count: int) -> None:

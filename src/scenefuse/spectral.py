@@ -74,10 +74,9 @@ class FilterbankMatrix:
 
 @dataclass
 class FeatureMatrix:
-    """Frames-by-dimensions feature values for one clip and one extractor."""
+    """Frames-by-dimensions feature values of one clip and one family."""
 
     values: np.ndarray
-    extractor: str
 
     @property
     def dim(self) -> int:
@@ -289,7 +288,4 @@ def append_deltas(static: FeatureMatrix, window: int = 2) -> FeatureMatrix:
         raise ValueError(f"delta window must be >= 1, got {window}")
     delta = _regression_delta(static.values, window)
     accel = _regression_delta(delta, window)
-    return FeatureMatrix(
-        values=np.hstack([static.values, delta, accel]),
-        extractor=static.extractor,
-    )
+    return FeatureMatrix(np.hstack([static.values, delta, accel]))

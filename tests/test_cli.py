@@ -173,20 +173,6 @@ def test_stepwise_chain_reproduces_run(mini_dataset, tmp_path):
         assert (step / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
 
 
-def test_classify_with_explicit_system_id(work, capsys):
-    rc = main([
-        "classify", "--model", str(work / "mfcc-gmm.sfg"),
-        "--features", str(work / "feats.sfs"),
-        "--manifest", str(work / "data" / "manifest.tsv"),
-        "--system-id", "renamed",
-        "--out", str(work / "renamed.csv"),
-    ])
-    assert rc == 0
-    capsys.readouterr()
-    (scores,) = load_score_csv(work / "renamed.csv")
-    assert scores.system_id == "renamed"
-
-
 def test_classify_names_scores_by_the_system_the_model_holds(work, capsys):
     # whatever the model file is called, its family and back-end name the
     # system, so the weighted fusion finds its scores
@@ -247,6 +233,20 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     assert main(argv) == 1
     assert "scores.csv:4: clip 'c1.wav' of system 'x' repeats line 3" in capsys.readouterr().err
     assert not (tmp_path / "fused.csv").exists()
+
+
+def test_fuse_rejects_a_field_it_could_not_write(capsys, tmp_path):
+    # a quoted comma used to load, then fail the fused file part-way through
+    scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
+    scores.write_text('#normalized=true\nclip_id,system_id,a,b\n'
+                      'a.wav,x,1.0,0.0\n"b,c.wav",x,0.0,1.0\n')
+    weights.write_text("system_id,a,b\nx,1.0,1.0\n")
+    fused = tmp_path / "fused.csv"
+    assert main(["fuse", "--scores", str(scores), "--weights", str(weights),
+                 "--out", str(fused)]) == 1
+    assert ("scores.csv:4: clip id 'b,c.wav' may not contain commas"
+            in capsys.readouterr().err)
+    assert not fused.exists()
 
 
 def test_evaluate_rejects_scores_that_leave_a_class_out(capsys, tmp_path):
@@ -530,6 +530,9 @@ def test_bad_subcommand_arguments_exit_two(capsys):
          "--out", "w.csv", "--method", "cv"],
         ["classify", "--model", "m.sfg", "--features", "f.sfs", "--manifest", "m.tsv",
          "--out", "s.csv", "--extractor", "mfcc"],
+        # the model file's family and back-end name its system
+        ["classify", "--model", "m.sfg", "--features", "f.sfs", "--manifest", "m.tsv",
+         "--out", "s.csv", "--system-id", "renamed"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -384,6 +384,17 @@ class TestManifest:
         with pytest.raises(ValueError, match="duplicate clip path"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("line, what", [
+        ("a,b.wav\tx", "clip path 'a,b.wav'"),
+        ("a.wav\trumble,low", "label 'rumble,low'"),
+    ], ids=["path", "label"])
+    def test_load_rejects_a_comma(self, tmp_path, line, what):
+        # the score and weight files could not carry it
+        path = tmp_path / "m.tsv"
+        path.write_text(f"# clips\nok.wav\tx\n{line}\n")
+        with pytest.raises(ValueError, match=rf"m.tsv:3: {what} may not contain commas"):
+            load_manifest(path)
+
     def test_load_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("# nothing here\n")

@@ -16,7 +16,6 @@ class TestEvaluate:
         report = evaluate([0, 1, 2, 1], [0, 1, 2, 1], ["a", "b", "c"], "sys")
         assert np.array_equal(report.per_class_accuracy, [1.0, 1.0, 1.0])
         assert report.average_accuracy == 1.0
-        assert report.empty_classes == []
         assert report.n_clips == 4
         assert report.system_id == "sys"
 
@@ -34,13 +33,11 @@ class TestEvaluate:
         report = evaluate(preds, truths, ["a", "b"])
         assert report.average_accuracy == pytest.approx((1 / 9 + 1.0) / 2)
 
-    def test_empty_class_scores_zero_and_is_listed(self):
-        report = evaluate([0, 0, 1], [0, 0, 0], ["a", "b", "c"])
-        assert report.per_class_accuracy[1] == 0.0
-        assert report.per_class_accuracy[2] == 0.0
-        assert report.empty_classes == ["b", "c"]
-        # the zero still participates in the mean
-        assert report.average_accuracy == pytest.approx((2 / 3) / 3)
+    def test_class_without_clips_rejected(self):
+        # it would average in as 0%: a perfect classifier of class a alone
+        # would report 33.33
+        with pytest.raises(ValueError, match="system 'sys' have no clip of class 'b', 'c'"):
+            evaluate([0, 0, 1], [0, 0, 0], ["a", "b", "c"], "sys")
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="same length"):
@@ -74,11 +71,6 @@ class TestRenderConfusion:
             percents = [float(tok) for tok in line.split()[1:]]
             assert sum(percents) == pytest.approx(100.0, abs=0.02)
 
-    def test_empty_truth_row_renders_zeros(self):
-        report = evaluate([0, 0], [0, 0], ["a", "b"])
-        row_b = render_confusion(report).splitlines()[2]
-        assert row_b.split() == ["b", "0.00", "0.00"]
-
     def test_stable_output(self):
         report = evaluate([0, 1, 0], [0, 1, 1], ["a", "b"])
         assert render_confusion(report) == render_confusion(report)
@@ -98,12 +90,6 @@ class TestRenderReport:
         text = render_report(self.build())
         assert "  alpha   50.00%  (1/2)" in text
         assert "  beta   100.00%  (2/2)" in text
-
-    def test_empty_class_note(self):
-        report = evaluate([0, 0], [0, 0], ["a", "b"])
-        text = render_report(report)
-        assert "classes without test clips: b" in text
-        assert "(no clips)" in text
 
     def test_embeds_confusion(self):
         report = self.build()

@@ -1,5 +1,7 @@
 """Score normalization, reliability weights, fusion, and CV protocol."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,13 @@ class TestConfusionProtocols:
         assert cm.total == 27
         assert np.array_equal(cm.counts, np.diag([9, 9, 9]))
 
+    def test_out_of_range_prediction_rejected(self):
+        # -1 would index the last column
+        with pytest.raises(ValueError, match="prediction index out of range for 2 classes"):
+            cross_validated_confusion(
+                [0, 0, 1, 1], 2, 2, seed=0, fit_and_classify=lambda tr, te: [-1] * len(te)
+            )
+
     def test_wrong_length_rejected(self):
         labels = [0] * 4 + [1] * 4
         with pytest.raises(ValueError, match="wrong number"):
@@ -416,9 +425,26 @@ class TestScoreCsv:
             save_score_csv(
                 path, make_scores([[1.0]], class_names=["x,y"])
             )
-        bad_clip = ScoreMatrix("s", ["a,b"], ["x"], np.ones((1, 1)))
-        with pytest.raises(ValueError, match="clip id"):
+        # every field is checked before the file is opened
+        bad_clip = ScoreMatrix("s", ["a", "b,c"], ["x"], np.ones((2, 1)))
+        with pytest.raises(ValueError, match="clip id 'b,c'"):
             save_score_csv(path, bad_clip)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("body, where", [
+        ('c0,s,1.0,0.0\n"c1,b",s,0.0,1.0\n', ":4: clip id 'c1,b'"),
+        ('"c0\nc1",s,1.0,0.0\n', ":4: clip id 'c0\\nc1'"),
+        ('c0,"s,t",1.0,0.0\n', ":3: system id 's,t'"),
+    ], ids=["clip", "newline", "system"])
+    def test_loads_only_fields_the_writer_accepts(self, tmp_path, body, where):
+        path = tmp_path / "scores.csv"
+        path.write_text("#normalized=false\nclip_id,system_id,x,y\n" + body)
+        message = re.escape(f"scores.csv{where} may not contain commas")
+        with pytest.raises(ValueError, match=message):
+            load_score_csv(path)
+        path.write_text('#normalized=false\nclip_id,system_id,x,"y,z"\nc0,s,1.0,0.0\n')
+        with pytest.raises(ValueError, match="scores.csv:2: class name 'y,z'"):
+            load_score_csv(path)
 
 
 class TestWeightsCsv:
@@ -433,6 +459,22 @@ class TestWeightsCsv:
         assert back.system_ids == fw.system_ids
         assert back.class_names == fw.class_names
         assert np.array_equal(back.values, fw.values)
+
+    def test_comma_in_fields_rejected(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        for weights, what in (
+            (FusionWeights(["s"], ["x,y"], [[1.0]]), "class name 'x,y'"),
+            (FusionWeights(["s", "t,u"], ["x"], [[1.0], [0.5]]), "system id 't,u'"),
+        ):
+            with pytest.raises(ValueError, match=what):
+                save_weights_csv(path, weights)
+            assert not path.exists()
+        path.write_text('system_id,x\ns,1.0\n"t,u",0.5\n')
+        with pytest.raises(ValueError, match="weights.csv:3: system id 't,u' may not contain"):
+            load_weights_csv(path)
+        path.write_text('system_id,"x,y"\ns,1.0\n')
+        with pytest.raises(ValueError, match="weights.csv:1: class name 'x,y' may not contain"):
+            load_weights_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import scenefuse.pipeline
 from scenefuse import cdl as cdl_mod
 from scenefuse.dataio import (
     DatasetManifest,
@@ -16,9 +17,11 @@ from scenefuse.dataio import (
 )
 from scenefuse.features import CEPSCOM_PARTS, extract_selected
 from scenefuse.fusion import FusionWeights, ScoreMatrix, load_score_csv, load_weights_csv
+from scenefuse.gmm import GmmBank
 from scenefuse.pipeline import (
     ALL_SYSTEMS,
     DEFAULT_FUSED,
+    SYSTEMS,
     PipelineConfig,
     PipelineError,
     TrainOptions,
@@ -189,7 +192,7 @@ class TestExtractAndFit:
         train, test = split_dataset(manifest, 0.5, seed=1)
         opts = TrainOptions(mixtures_cepstral=2, gmm_seed=5)
         model = fit_system("mfcc-gmm", store, train, opts)
-        assert model.kind == "gmm"
+        assert isinstance(model.model, GmmBank)
         assert model.class_names == manifest.class_names
         scores = score_system(model, store, test)
         assert scores.values.shape == (len(test), 3)
@@ -331,7 +334,7 @@ class TestComputeOnce:
             n_classes=2,
         )
         blobs = []
-        for i, model in enumerate((first.cdl_model, second.cdl_model, fresh)):
+        for i, model in enumerate((first.model, second.model, fresh)):
             cdl_mod.save_cdl_model(tmp_path / f"{i}.sfc", model, "cepscom", train.class_names)
             blobs.append((tmp_path / f"{i}.sfc").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
@@ -347,9 +350,9 @@ class TestComputeOnce:
         replacement = clip_features(store, path, "cepscom")
         clip = DatasetManifest(entries=[train.entries[0]], class_names=train.class_names)
         got = score_system(model, store, clip).values[0]
-        want = cdl_mod.classify_cdl(model.cdl_model, fresh_embedding(replacement))
+        want = cdl_mod.classify_cdl(model.model, fresh_embedding(replacement))
         assert np.array_equal(got, want)
-        assert not np.array_equal(got, cdl_mod.classify_cdl(model.cdl_model, kept))
+        assert not np.array_equal(got, cdl_mod.classify_cdl(model.model, kept))
 
     def test_scoring_error_names_the_clip(self):
         store, train = embedding_store(np.random.default_rng(42))
@@ -393,21 +396,24 @@ def test_loaded_model_scores_in_the_given_class_order(system_id, tmp_path):
     save_system_model(path, model)
     want = score_system(model, store, train).values
     for names, cols in ((train.class_names, [0, 1]), (train.class_names[::-1], [1, 0])):
-        back = load_system_model(path, "renamed", names)
-        assert (back.extractor, back.class_names) == ("cepscom", names)
+        back = load_system_model(path, names)
+        # the model is the system its family and back-end build
+        assert (back.system_id, back.class_names) == (system_id, names)
         assert np.array_equal(score_system(back, store, train).values, want[:, cols])
-    # unnamed, the model is the system its family and back-end build
-    assert load_system_model(path, None, train.class_names).system_id == system_id
 
 
 def test_unnamed_model_no_system_builds_is_rejected(tmp_path):
     store, train = embedding_store(np.random.default_rng(44))
     model = fit_system("cepscom-cdl", store, train, TrainOptions())
     path = tmp_path / "model.sfc"
-    cdl_mod.save_cdl_model(path, model.cdl_model, "mfcc", train.class_names)
+    cdl_mod.save_cdl_model(path, model.model, "mfcc", train.class_names)
     with pytest.raises(ValueError, match="no system is built from mfcc features with a cdl"):
-        load_system_model(path, None, train.class_names)
-    assert load_system_model(path, "mfcc-cdl", train.class_names).system_id == "mfcc-cdl"
+        load_system_model(path, train.class_names)
+
+
+def test_each_system_is_one_family_and_back_end():
+    # a model file names its family and back-end, which name its system
+    assert len(set(SYSTEMS.values())) == len(SYSTEMS)
 
 
 MINI_SYSTEMS = ("cepscom-gmm", "plp-gmm", "cepscom-cdl")
@@ -515,6 +521,26 @@ class TestStageTags:
     def test_load_stage(self, tmp_path):
         config = PipelineConfig(manifest=tmp_path / "nope.tsv", out_dir=tmp_path / "o")
         with pytest.raises(PipelineError, match=r"\[load\]"):
+            run_pipeline(config)
+
+    def test_comma_in_the_manifest_fails_before_extraction(self, tmp_path, monkeypatch):
+        # the label would get through the cross-validation, then fail the
+        # weights file and leave it empty
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("".join(
+            f"{label.split(',')[0]}/{j}.wav\t{label}\n"
+            for label in ("park", "rumble,low") for j in range(4)
+        ))
+
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("extraction reached")
+
+        monkeypatch.setattr(scenefuse.pipeline, "extract_for_manifest", no_extraction)
+        config = PipelineConfig(manifest=manifest, out_dir=tmp_path / "o")
+        with pytest.raises(
+            PipelineError,
+            match=r"\[load\] .*manifest.tsv:5: label 'rumble,low' may not contain commas",
+        ):
             run_pipeline(config)
 
     def test_split_stage(self, mini_dataset, tmp_path):

@@ -343,21 +343,20 @@ class TestCepstralDct:
 
 class TestDeltas:
     def test_output_dim_triples(self):
-        static = FeatureMatrix(np.random.default_rng(0).standard_normal((9, 4)), "x")
+        static = FeatureMatrix(np.random.default_rng(0).standard_normal((9, 4)))
         out = append_deltas(static, 2)
         assert out.values.shape == (9, 12)
         assert np.array_equal(out.values[:, :4], static.values)
-        assert out.extractor == "x"
 
     def test_constant_input_zero_deltas(self):
-        static = FeatureMatrix(np.full((8, 3), 2.5), "x")
+        static = FeatureMatrix(np.full((8, 3), 2.5))
         out = append_deltas(static, 2)
         assert np.abs(out.values[:, 3:]).max() == 0.0
 
     def test_linear_ramp_interior_slope(self):
         slope = 0.7
         vals = slope * np.arange(20, dtype=np.float64)[:, None]
-        out = append_deltas(FeatureMatrix(vals, "x"), 2)
+        out = append_deltas(FeatureMatrix(vals), 2)
         # away from the replicated edges the regression recovers the slope
         assert np.allclose(out.values[2:-2, 1], slope)
         # and the acceleration of a line is zero there
@@ -375,7 +374,7 @@ class TestDeltas:
             for theta in range(1, window + 1):
                 acc += theta * (padded[t + window + theta] - padded[t + window - theta])
             want[t] = acc / denom
-        out = append_deltas(FeatureMatrix(vals, "x"), window)
+        out = append_deltas(FeatureMatrix(vals), window)
         assert np.allclose(out.values[:, 2:4], want, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 42, 1290])
@@ -391,9 +390,9 @@ class TestDeltas:
             for theta in range(1, window + 1):
                 num += theta * (padded[t + theta] - padded[t - theta])
             want.append(num / (2.0 * sum(k * k for k in range(1, window + 1))))
-        out = append_deltas(FeatureMatrix(vals, "x"), window)
+        out = append_deltas(FeatureMatrix(vals), window)
         assert np.array_equal(out.values, np.hstack(want))
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
-            append_deltas(FeatureMatrix(np.zeros((3, 2)), "x"), 0)
+            append_deltas(FeatureMatrix(np.zeros((3, 2))), 0)
