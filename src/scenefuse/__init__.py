@@ -37,7 +37,6 @@ from .features import (
 )
 from .fusion import (
     ConfusionMatrix,
-    FusionDecision,
     FusionWeights,
     ScoreMatrix,
     cross_validated_confusion,

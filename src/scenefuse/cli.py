@@ -6,20 +6,17 @@ import argparse
 import sys
 
 from .dataio import load_features, load_manifest, save_features
-from .evaluation import save_report
-from .features import EXTRACTOR_NAMES, FRAME_LEN, HOP, stored_families
-from .fusion import load_score_csv, load_weights_csv, save_score_csv, save_weights_csv
+from .evaluation import evaluate, save_report
+from .features import EXTRACTOR_NAMES, FRAME_LEN, HOP
+from .fusion import fuse, load_score_csv, load_weights_csv, save_score_csv, save_weights_csv
 from .pipeline import (
     ALL_SYSTEMS,
     PipelineConfig,
     PipelineError,
     TrainOptions,
     estimate_weights,
-    evaluate_scores,
     extract_for_manifest,
     fit_system,
-    fuse_systems,
-    fusion_scores,
     load_system_model,
     required_extractors,
     run_pipeline,
@@ -61,7 +58,7 @@ def _cmd_extract(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    store = load_features(args.features, stored_families(required_extractors([args.system])))
+    store = load_features(args.features, required_extractors([args.system]))
     manifest = load_manifest(args.manifest)
     opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
     model = fit_system(args.system, store, manifest, opts)
@@ -71,7 +68,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_weights(args) -> None:
     systems = _parse_names(args.systems, ALL_SYSTEMS, "system")
-    store = load_features(args.features, stored_families(required_extractors(systems)))
+    store = load_features(args.features, required_extractors(systems))
     manifest = load_manifest(args.manifest)
     opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
     weights = estimate_weights(store, manifest, systems, opts, folds=args.folds, seed=args.seed)
@@ -83,7 +80,7 @@ def _cmd_classify(args) -> None:
     manifest = load_manifest(args.manifest)
     # the system the model file holds decides which records to read
     model = load_system_model(args.model, manifest.class_names)
-    store = load_features(args.features, stored_families(required_extractors([model.system_id])))
+    store = load_features(args.features, required_extractors([model.system_id]))
     scores = score_system(model, store, manifest)
     save_score_csv(args.out, scores)
     print(f"scored {scores.n_clips} clips with {model.system_id}; written to {args.out}")
@@ -92,9 +89,9 @@ def _cmd_classify(args) -> None:
 def _cmd_fuse(args) -> None:
     weights = load_weights_csv(args.weights)
     scores = [matrix for path in args.scores for matrix in load_score_csv(path)]
-    decision = fuse_systems(scores, weights)
-    save_score_csv(args.out, fusion_scores(decision))
-    print(f"fused {len(weights.system_ids)} systems over {len(decision.clip_ids)} clips; "
+    fused = fuse(scores, weights)
+    save_score_csv(args.out, fused)
+    print(f"fused {len(weights.system_ids)} systems over {fused.n_clips} clips; "
           f"written to {args.out}")
 
 
@@ -105,7 +102,7 @@ def _cmd_evaluate(args) -> None:
             f"{args.pred}: expected scores for exactly one system, found "
             f"{[m.system_id for m in matrices]}"
         )
-    report = evaluate_scores(matrices[0], load_manifest(args.manifest))
+    report = evaluate(matrices[0], load_manifest(args.manifest))
     save_report(args.report, report)
     print(f"{report.system_id}: average accuracy "
           f"{100.0 * report.average_accuracy:.2f}% ({report.n_clips} clips); "

@@ -1,7 +1,10 @@
 """Accuracy reports and text confusion tables.
 
-The headline number is the unweighted mean of per-class accuracies, which
-coincides with overall accuracy when classes are equally sized.
+:func:`evaluate` reads one system's scores (a ``ScoreMatrix``, per-system
+or fused), takes each clip's argmax as its label and checks it against the
+manifest.  The headline number is the unweighted mean of per-class
+accuracies, which coincides with overall accuracy when classes are equally
+sized.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import ConfusionMatrix, tally_confusion
+from .dataio import DatasetManifest
+from .fusion import ConfusionMatrix, ScoreMatrix, tally_confusion
 
 
 @dataclass
@@ -26,21 +30,31 @@ class EvaluationReport:
         return self.confusion.total
 
 
-def evaluate(predictions, truths, class_names, system_id: str = "") -> EvaluationReport:
-    """Build the report for one system's predictions against ground truth.
+def evaluate(scores: ScoreMatrix, manifest: DatasetManifest) -> EvaluationReport:
+    """Report one system's argmax labels, a tie to the lowest class index,
+    against the labels the manifest gives its clips.
 
-    Every class must occur in the truth labels: a class without clips would
-    average in as 0% accuracy.
+    Every class must have a clip among the scores: a class without clips
+    would average in as 0% accuracy.
     """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    truths = np.asarray(truths, dtype=np.int64)
-    if predictions.shape != truths.shape or predictions.ndim != 1:
-        raise ValueError("predictions and truths must be 1-D and the same length")
-    if predictions.size == 0:
+    system_id = scores.system_id
+    if scores.class_names != list(manifest.class_names):
+        raise ValueError(
+            f"scores of system {system_id!r} and the manifest disagree on class names"
+        )
+    label_of = dict(zip((path for path, _ in manifest.entries), manifest.label_indices()))
+    truths = []
+    for clip_id in scores.clip_ids:
+        if clip_id not in label_of:
+            raise ValueError(f"clip {clip_id!r} is not in the manifest")
+        truths.append(label_of[clip_id])
+    if not truths:
         raise ValueError("nothing to evaluate")
-    confusion = tally_confusion(truths, predictions, len(class_names))
+    confusion = tally_confusion(
+        truths, np.argmax(scores.values, axis=1), len(scores.class_names)
+    )
     row_sums = confusion.counts.sum(axis=1)
-    missing = [name for name, total in zip(class_names, row_sums) if total == 0]
+    missing = [name for name, total in zip(scores.class_names, row_sums) if total == 0]
     if missing:
         raise ValueError(
             f"scores of system {system_id!r} have no clip of class "
@@ -49,7 +63,7 @@ def evaluate(predictions, truths, class_names, system_id: str = "") -> Evaluatio
     per_class = np.diag(confusion.counts) / row_sums
     return EvaluationReport(
         system_id=system_id,
-        class_names=list(class_names),
+        class_names=list(scores.class_names),
         per_class_accuracy=per_class,
         average_accuracy=float(per_class.mean()),
         confusion=confusion,

@@ -2,8 +2,9 @@
 
 Per-system scores are min-max normalized per clip, weighted by how often a
 system's output for a class really was that class in a stratified k-fold
-cross-validation on the training clips, and summed.  The fused argmax is the
-final label.
+cross-validation on the training clips, and summed by :func:`fuse` into the
+scores of one more system, ``fusion``.  Its argmax, which
+``evaluation.evaluate`` takes, is the final label.
 """
 
 from __future__ import annotations
@@ -89,20 +90,6 @@ class FusionWeights:
             raise ValueError(f"system {repeated[0]!r} has more than one row of weights")
 
 
-@dataclass
-class FusionDecision:
-    """Fused score vectors and the argmax label per clip."""
-
-    clip_ids: list
-    class_names: list
-    fused: np.ndarray
-    predicted: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.fused = np.asarray(self.fused, dtype=np.float64)
-        self.predicted = np.asarray(self.predicted, dtype=np.int64)
-
-
 def normalize_scores(raw: ScoreMatrix) -> ScoreMatrix:
     """Min-max normalize each clip row; a constant row becomes all ones."""
     values = raw.values
@@ -156,32 +143,37 @@ def fusion_weights(
     return FusionWeights(list(system_ids), list(class_names), values)
 
 
-def fuse(normalized: list, weights: FusionWeights) -> FusionDecision:
-    """Weighted score sum per class; argmax with lowest-index tie-break."""
-    if not normalized:
+def fuse(scores, weights: FusionWeights) -> ScoreMatrix:
+    """The scores of system ``fusion``: per class, the weighted sum of the
+    weighted systems' scores, found by system id among ``scores``.
+
+    Scores of systems without weights are ignored; a system given twice, or
+    a weighted system given none, is an error.  Raw scores are min-max
+    normalized first.  The sum runs in the weights' system order.
+    """
+    by_system: dict = {}
+    for matrix in scores:
+        if matrix.system_id in by_system:
+            raise ValueError(f"duplicate scores for system {matrix.system_id!r}")
+        by_system[matrix.system_id] = matrix
+    ordered = []
+    for system_id in weights.system_ids:
+        if system_id not in by_system:
+            raise ValueError(f"no scores supplied for weighted system {system_id!r}")
+        matrix = by_system[system_id]
+        ordered.append(matrix if matrix.normalized else normalize_scores(matrix))
+    if not ordered:
         raise ValueError("nothing to fuse")
-    if [s.system_id for s in normalized] != list(weights.system_ids):
-        raise ValueError(
-            f"score systems {[s.system_id for s in normalized]} do not match "
-            f"weight systems {list(weights.system_ids)}"
-        )
-    first = normalized[0]
-    for scores in normalized:
-        if not scores.normalized:
-            raise ValueError(f"system {scores.system_id!r} scores are not normalized")
-        if scores.clip_ids != first.clip_ids:
+    first = ordered[0]
+    for matrix in ordered:
+        if matrix.clip_ids != first.clip_ids:
             raise ValueError("systems disagree on clip ids or their order")
-        if scores.class_names != list(weights.class_names):
-            raise ValueError(f"system {scores.system_id!r} class names do not match weights")
+        if matrix.class_names != list(weights.class_names):
+            raise ValueError(f"system {matrix.system_id!r} class names do not match weights")
     fused = np.zeros_like(first.values)
-    for row, scores in zip(weights.values, normalized):
-        fused += row[None, :] * scores.values
-    return FusionDecision(
-        clip_ids=list(first.clip_ids),
-        class_names=list(weights.class_names),
-        fused=fused,
-        predicted=np.argmax(fused, axis=1).astype(np.int64),
-    )
+    for row, matrix in zip(weights.values, ordered):
+        fused += row[None, :] * matrix.values
+    return ScoreMatrix("fusion", list(first.clip_ids), list(weights.class_names), fused)
 
 
 def stratified_folds(labels, n_folds: int, seed: int) -> np.ndarray:

@@ -26,19 +26,18 @@ from .dataio import (
     split_dataset,
 )
 from .evaluation import EvaluationReport, evaluate, save_report
-from .features import CEPSCOM_PARTS, EXTRACTOR_NAMES, FRAME_LEN, HOP, extract_selected
+from .features import CEPSCOM_PARTS, FRAME_LEN, HOP, extract_selected, stored_families
 from .fusion import (
-    FusionDecision,
     FusionWeights,
     ScoreMatrix,
     cross_validated_confusion,
     fuse,
     fusion_weights,
-    normalize_scores,
     save_score_csv,
     save_weights_csv,
     stratified_folds,
 )
+from .spectral import check_framing
 
 class SystemSpec(NamedTuple):
     family: str  # the feature family the system consumes
@@ -130,6 +129,7 @@ class PipelineConfig(TrainOptions):
             raise ValueError("fused list contains duplicates")
         if self.weights_folds < 2:
             raise ValueError("weights_folds must be at least 2")
+        check_framing(self.frame_len, self.hop)
         super().__post_init__()
 
 
@@ -193,8 +193,8 @@ class SystemModel:
 
 
 def required_extractors(system_ids) -> list:
-    names = {SYSTEMS[s].family for s in system_ids}
-    return [n for n in EXTRACTOR_NAMES if n in names]
+    """The stored families the systems read, cepscom as its parts."""
+    return stored_families(SYSTEMS[s].family for s in system_ids)
 
 
 def extract_for_manifest(
@@ -404,54 +404,6 @@ def estimate_weights(
     return fusion_weights(confusions, list(system_ids), list(train.class_names))
 
 
-def fuse_systems(scores, weights: FusionWeights) -> FusionDecision:
-    """Fuse the weighted systems' scores, found by system id among ``scores``.
-
-    Scores of systems without weights are ignored; a system given twice, or
-    a weighted system given none, is an error.  Raw scores are min-max
-    normalized first.
-    """
-    by_system: dict = {}
-    for matrix in scores:
-        if matrix.system_id in by_system:
-            raise ValueError(f"duplicate scores for system {matrix.system_id!r}")
-        by_system[matrix.system_id] = matrix
-    ordered = []
-    for system_id in weights.system_ids:
-        if system_id not in by_system:
-            raise ValueError(f"no scores supplied for weighted system {system_id!r}")
-        matrix = by_system[system_id]
-        ordered.append(matrix if matrix.normalized else normalize_scores(matrix))
-    return fuse(ordered, weights)
-
-
-def fusion_scores(decision: FusionDecision) -> ScoreMatrix:
-    """The fused score vectors as the scores of system ``fusion``."""
-    return ScoreMatrix(
-        system_id="fusion",
-        clip_ids=decision.clip_ids,
-        class_names=decision.class_names,
-        values=decision.fused,
-    )
-
-
-def evaluate_scores(scores: ScoreMatrix, manifest: DatasetManifest) -> EvaluationReport:
-    """Report one system's argmax labels against the manifest's labels;
-    :func:`evaluate` refuses scores without a clip of some class."""
-    if scores.class_names != list(manifest.class_names):
-        raise ValueError(
-            f"scores of system {scores.system_id!r} and the manifest disagree on class names"
-        )
-    label_of = dict(zip((path for path, _ in manifest.entries), manifest.label_indices()))
-    truths = []
-    for clip_id in scores.clip_ids:
-        if clip_id not in label_of:
-            raise ValueError(f"clip {clip_id!r} is not in the manifest")
-        truths.append(label_of[clip_id])
-    predictions = np.argmax(scores.values, axis=1)
-    return evaluate(predictions, truths, manifest.class_names, scores.system_id)
-
-
 @dataclass
 class RunResult:
     """Everything a run produced, with the paths it was written to."""
@@ -461,7 +413,6 @@ class RunResult:
     reports: dict
     fusion_report: EvaluationReport
     weights: FusionWeights
-    decision: FusionDecision
     artifact_paths: dict = field(default_factory=dict)
 
 
@@ -578,18 +529,17 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             raw_scores[system_id] = scores
 
     with _stage("fuse"):
-        decision = fuse_systems(raw_scores.values(), weights)
-        fused = fusion_scores(decision)
+        fused = fuse(raw_scores.values(), weights)
         save_score_csv(out / "scores" / "fusion.csv", fused)
 
     with _stage("evaluate"):
         (out / "reports").mkdir(exist_ok=True)
         reports = {}
         for system_id, scores in raw_scores.items():
-            report = evaluate_scores(scores, test)
+            report = evaluate(scores, test)
             save_report(out / "reports" / f"{system_id}.txt", report)
             reports[system_id] = report
-        fusion_report = evaluate_scores(fused, test)
+        fusion_report = evaluate(fused, test)
         save_report(out / "reports" / "fusion.txt", fusion_report)
 
         result = RunResult(
@@ -598,7 +548,6 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             reports=reports,
             fusion_report=fusion_report,
             weights=weights,
-            decision=decision,
             artifact_paths={
                 "out_dir": out,
                 "weights": out / "weights.csv",

@@ -92,10 +92,15 @@ def frame_count(signal_len: int, frame_len: int, hop: int) -> int:
     return (signal_len - frame_len) // hop + 1
 
 
+def check_framing(frame_len: int, hop: int) -> None:
+    """Raise ``ValueError`` unless ``0 < hop <= frame_len``."""
+    if not 0 < hop <= frame_len:
+        raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
+
+
 def frame_signal(clip: AudioClip, frame_len: int, hop: int) -> FrameSequence:
     """Cut a clip into overlapping frames without padding, as a read-only view."""
-    if frame_len <= 0 or hop <= 0 or hop > frame_len:
-        raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
+    check_framing(frame_len, hop)
     if len(clip) < frame_len:
         raise ValueError(
             f"clip {clip.source_id!r} has {len(clip)} samples, shorter than frame_len {frame_len}"
@@ -282,7 +287,7 @@ def _regression_delta(values: np.ndarray, window: int) -> np.ndarray:
     return num / denom
 
 
-def append_deltas(static: FeatureMatrix, window: int = 2) -> FeatureMatrix:
+def append_deltas(static: FeatureMatrix, window: int) -> FeatureMatrix:
     """Append delta and acceleration blocks: output dim = 3 x static dim."""
     if window < 1:
         raise ValueError(f"delta window must be >= 1, got {window}")

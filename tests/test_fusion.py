@@ -190,25 +190,28 @@ class TestFuse:
         rng = np.random.default_rng(3)
         for _ in range(50):
             scores, weights = self.random_instance(rng)
-            decision = fuse(scores, weights)
+            fused = fuse(scores, weights)
             want_fused, want_pred = oracle_fuse(
                 weights.values, [s.values for s in scores]
             )
-            assert np.array_equal(decision.fused, want_fused)
-            assert np.array_equal(decision.predicted, want_pred)
+            assert fused.system_id == "fusion"
+            assert fused.clip_ids == scores[0].clip_ids
+            assert fused.class_names == weights.class_names
+            assert np.array_equal(fused.values, want_fused)
+            assert np.array_equal(np.argmax(fused.values, axis=1), want_pred)
 
     def test_single_system_identity(self):
         scores = normalize_scores(make_scores([[0.0, 1.0, 0.4], [1.0, 0.2, 0.0]]))
         weights = FusionWeights(["sys"], scores.class_names, np.ones((1, 3)))
-        decision = fuse([scores], weights)
-        assert np.array_equal(decision.fused, scores.values)
+        assert np.array_equal(fuse([scores], weights).values, scores.values)
 
     def test_tie_breaks_to_lowest_index(self):
+        # the fused row ties exactly, so the argmax takes the lowest index
         scores = make_scores([[1.0, 0.2, 1.0]], normalized=True)
         weights = FusionWeights(["sys"], scores.class_names, np.full((1, 3), 0.5))
-        decision = fuse([scores], weights)
-        assert decision.fused[0, 0] == decision.fused[0, 2]
-        assert decision.predicted[0] == 0
+        fused = fuse([scores], weights)
+        assert fused.values[0, 0] == fused.values[0, 2]
+        assert np.argmax(fused.values[0]) == 0
 
     def test_second_best_rescue(self):
         # no single system ranks class 3 first, fusion does
@@ -223,21 +226,38 @@ class TestFuse:
         weights = FusionWeights([f"s{k}" for k in range(3)], names, np.ones((3, 4)))
         for block in blocks:
             assert int(np.argmax(block.values)) != 3
-        decision = fuse(blocks, weights)
-        assert decision.predicted[0] == 3
+        assert np.argmax(fuse(blocks, weights).values[0]) == 3
+
+    def test_finds_systems_by_id_and_normalizes_raw_scores(self):
+        weights = FusionWeights(["a", "b"], ["x", "y"], [[1.0, 0.5], [0.25, 1.0]])
+        raw_a = make_scores([[3.0, 1.0], [0.0, 4.0]], "a", class_names=["x", "y"])
+        norm_b = make_scores(
+            [[0.0, 1.0], [1.0, 0.0]], "b", normalized=True, class_names=["x", "y"]
+        )
+        unweighted = make_scores([[9.0, 0.0], [9.0, 0.0]], "c", class_names=["x", "y"])
+        fused = fuse([unweighted, norm_b, raw_a], weights)
+        # a min-max normalizes to [[1, 0], [0, 1]]; b is used as given
+        assert np.array_equal(fused.values, [[1.0, 1.0], [0.25, 0.5]])
+        assert not fused.normalized
+
+    def test_repeated_system_rejected(self):
+        a = make_scores([[1.0, 0.0]], "a")
+        b = make_scores([[1.0, 0.0]], "b")
+        weights = FusionWeights(["a", "b"], a.class_names, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="duplicate scores for system 'a'"):
+            fuse([a, b, a], weights)
+
+    def test_weighted_system_without_scores_rejected(self):
+        a = make_scores([[1.0, 0.0]], "a")
+        weights = FusionWeights(["a", "b"], a.class_names, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="no scores supplied for weighted system 'b'"):
+            fuse([a], weights)
 
     def test_error_paths(self):
         scores = normalize_scores(make_scores([[0.0, 1.0]]))
         weights = FusionWeights(["sys"], scores.class_names, np.ones((1, 2)))
         with pytest.raises(ValueError, match="nothing to fuse"):
-            fuse([], weights)
-        other = ScoreMatrix("other", scores.clip_ids, scores.class_names,
-                            scores.values, normalized=True)
-        with pytest.raises(ValueError, match="do not match"):
-            fuse([other], weights)
-        raw = make_scores([[0.0, 1.0]])
-        with pytest.raises(ValueError, match="not normalized"):
-            fuse([raw], weights)
+            fuse([scores], FusionWeights([], scores.class_names, np.zeros((0, 2))))
         moved = ScoreMatrix("other", ["elsewhere"], scores.class_names,
                             scores.values, normalized=True)
         pair_weights = FusionWeights(

@@ -16,7 +16,7 @@ from scenefuse.dataio import (
     split_dataset,
 )
 from scenefuse.features import CEPSCOM_PARTS, extract_selected
-from scenefuse.fusion import FusionWeights, ScoreMatrix, load_score_csv, load_weights_csv
+from scenefuse.fusion import load_score_csv, load_weights_csv
 from scenefuse.gmm import GmmBank
 from scenefuse.pipeline import (
     ALL_SYSTEMS,
@@ -27,10 +27,8 @@ from scenefuse.pipeline import (
     TrainOptions,
     clip_features,
     estimate_weights,
-    evaluate_scores,
     extract_for_manifest,
     fit_system,
-    fuse_systems,
     load_system_model,
     parse_config,
     required_extractors,
@@ -159,17 +157,24 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="positive"):
             self.good(mixtures_plp=0)
 
+    def test_bad_framing(self):
+        with pytest.raises(ValueError, match="got hop=1024, frame_len=512"):
+            self.good(frame_len=512)
+        with pytest.raises(ValueError, match="got hop=-1, frame_len=2048"):
+            self.good(hop=-1)
+
 
 class TestRequiredExtractors:
     def test_dedupe_and_order(self):
-        # both cepscom systems share one extraction; canonical order holds
-        # no matter how the systems are listed
+        # both cepscom systems read its stored parts, once; canonical order
+        # holds no matter how the systems are listed
         got = required_extractors(("cepscom-cdl", "spcc-gmm", "cepscom-gmm", "mfcc-gmm"))
-        assert got == ["mfcc", "spcc", "cepscom"]
+        assert got == ["mfcc", "pncc", "rcgcc", "spcc"]
+        assert required_extractors(("spcc-gmm", "mfcc-gmm")) == ["mfcc", "spcc"]
 
     def test_all_systems(self):
         got = required_extractors(ALL_SYSTEMS)
-        assert got == ["mfcc", "plp", "pncc", "rcgcc", "spcc", "cepscom"]
+        assert got == ["mfcc", "plp", "pncc", "rcgcc", "spcc"]
 
 
 @pytest.fixture(scope="module")
@@ -215,64 +220,6 @@ class TestExtractAndFit:
         assert weights.system_ids == ["mfcc-gmm"]
         assert weights.values.shape == (1, 3)
         assert np.all((weights.values >= 0.0) & (weights.values <= 1.0))
-
-
-def score_matrix(system_id, values, normalized=False):
-    values = np.asarray(values, dtype=np.float64)
-    return ScoreMatrix(
-        system_id=system_id,
-        clip_ids=[f"clip{i}" for i in range(values.shape[0])],
-        class_names=["x", "y"],
-        values=values,
-        normalized=normalized,
-    )
-
-
-class TestFuseSystems:
-    weights = FusionWeights(["a", "b"], ["x", "y"], [[1.0, 0.5], [0.25, 1.0]])
-
-    def test_finds_systems_by_id_and_normalizes_raw_scores(self):
-        raw_a = score_matrix("a", [[3.0, 1.0], [0.0, 4.0]])
-        norm_b = score_matrix("b", [[0.0, 1.0], [1.0, 0.0]], normalized=True)
-        unweighted = score_matrix("c", [[9.0, 0.0], [9.0, 0.0]])
-        decision = fuse_systems([unweighted, norm_b, raw_a], self.weights)
-        # a min-max normalizes to [[1, 0], [0, 1]]; b is used as given
-        assert np.array_equal(decision.fused, [[1.0, 1.0], [0.25, 0.5]])
-        assert decision.predicted.tolist() == [0, 1]
-
-    def test_repeated_system_rejected(self):
-        a = score_matrix("a", [[1.0, 0.0]])
-        b = score_matrix("b", [[1.0, 0.0]])
-        with pytest.raises(ValueError, match="duplicate scores for system 'a'"):
-            fuse_systems([a, b, a], self.weights)
-
-    def test_weighted_system_without_scores_rejected(self):
-        a = score_matrix("a", [[1.0, 0.0]])
-        with pytest.raises(ValueError, match="no scores supplied for weighted system 'b'"):
-            fuse_systems([a], self.weights)
-
-
-class TestEvaluateScores:
-    manifest = DatasetManifest(
-        entries=[("p.wav", "x"), ("q.wav", "y"), ("r.wav", "y")], class_names=["x", "y"]
-    )
-
-    def test_labels_found_by_clip_id(self):
-        scores = ScoreMatrix("s", ["r.wav", "p.wav"], ["x", "y"], [[0.0, 1.0], [0.0, 1.0]])
-        report = evaluate_scores(scores, self.manifest)
-        assert report.system_id == "s"
-        assert report.per_class_accuracy.tolist() == [0.0, 1.0]
-        assert report.n_clips == 2
-
-    def test_unknown_clip_rejected(self):
-        scores = ScoreMatrix("s", ["p.wav", "z.wav"], ["x", "y"], np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="clip 'z.wav' is not in the manifest"):
-            evaluate_scores(scores, self.manifest)
-
-    def test_class_names_must_match(self):
-        scores = ScoreMatrix("s", ["p.wav"], ["y", "x"], np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="'s' and the manifest disagree on class names"):
-            evaluate_scores(scores, self.manifest)
 
 
 def add_cepscom(store, path, values):
@@ -441,7 +388,7 @@ class TestRunPipeline:
         assert result.class_names == ["rumble", "chime", "drone"]
         assert set(result.reports) == set(MINI_SYSTEMS)
         assert result.fusion_report.system_id == "fusion"
-        assert len(result.decision.predicted) == 12
+        assert result.fusion_report.n_clips == 12
         # separable classes, so even this tiny setup should mostly work
         assert result.fusion_report.average_accuracy >= 0.5
 
@@ -517,6 +464,17 @@ class TestStageTags:
     def test_config_stage(self, tmp_path):
         with pytest.raises(PipelineError, match=r"\[config\]"):
             run_pipeline(tmp_path / "missing.cfg")
+
+    def test_bad_framing_fails_before_any_file_is_written(self, mini_dataset, tmp_path):
+        # a manifest that loads and splits, so the framing is all that is wrong
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"manifest = {mini_dataset}\nout_dir = out\nhop = 0\n")
+        with pytest.raises(
+            PipelineError,
+            match=r"\[config\] need 0 < hop <= frame_len, got hop=0, frame_len=2048",
+        ):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_load_stage(self, tmp_path):
         config = PipelineConfig(manifest=tmp_path / "nope.tsv", out_dir=tmp_path / "o")
