@@ -8,7 +8,7 @@ seed pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,12 @@ TILT_REFERENCE_HZ = 1000.0
 
 #: bed gain below this frequency is held at the floor's value
 TILT_FLOOR_HZ = 20.0
+
+#: a channel bump's centre is log-uniform over this band (Hz)
+CHANNEL_BUMP_BAND_HZ = (200.0, 8000.0)
+
+#: a channel bump's width as a fraction of its centre
+CHANNEL_BUMP_WIDTH = 0.3
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,10 @@ class SceneProfile:
     """Statistical recipe for one scene class.
 
     ``emphases`` are (center_hz, width_hz, gain_db) gaussian bumps added to
-    the bed's spectral tilt.  All stochastic choices inside a clip derive
-    from (profile seed, clip seed), never from global state.
+    the bed's spectral tilt.  ``channel_tilt_db`` and ``channel_gain_db``
+    give each clip its own recording channel (see :func:`channel`).  All
+    stochastic choices inside a clip derive from (profile seed, clip seed),
+    never from global state.
     """
 
     name: str
@@ -63,6 +71,60 @@ class SceneProfile:
     noise_bursts: tuple = ()
     transient_rate_hz: float = 0.0
     transient_level_db: float = 0.0
+    channel_tilt_db: float = 0.0
+    channel_gain_db: float = 0.0
+
+
+def soft(profile: SceneProfile, alpha: float, delta_db: float) -> SceneProfile:
+    """The profile with its bed shape scaled by ``alpha`` and its events
+    moved by ``delta_db``: the tilt and every emphasis gain are multiplied by
+    ``alpha``, and ``delta_db`` is added to every tone-burst, noise-burst and
+    transient level.  Small ``alpha`` and negative ``delta_db`` make classes
+    that differ only faintly."""
+    return replace(
+        profile,
+        tilt_db_per_octave=alpha * profile.tilt_db_per_octave,
+        emphases=tuple((c, w, alpha * g) for c, w, g in profile.emphases),
+        tone_bursts=tuple(
+            replace(b, level_db=b.level_db + delta_db) for b in profile.tone_bursts
+        ),
+        noise_bursts=tuple(
+            replace(b, level_db=b.level_db + delta_db) for b in profile.noise_bursts
+        ),
+        transient_level_db=profile.transient_level_db + delta_db,
+    )
+
+
+def channel(profile: SceneProfile, tilt_db: float, gain_db: float) -> SceneProfile:
+    """The profile heard through a different channel in every clip.
+
+    Clip seed ``s`` draws, in this order, from
+    ``default_rng([profile.seed, s, 99])``: an extra tilt ~ U(-tilt_db,
+    tilt_db) dB/octave, a centre log-uniform over ``CHANNEL_BUMP_BAND_HZ``
+    and a gain ~ U(-gain_db, gain_db) dB; the bump (centre,
+    ``CHANNEL_BUMP_WIDTH`` * centre, gain) joins the emphases.  So the same
+    scene class sounds different from clip to clip, as the same sound heard
+    in different places does.
+    """
+    if tilt_db < 0.0 or gain_db < 0.0:
+        raise ValueError("channel ranges must be nonnegative")
+    return replace(profile, channel_tilt_db=tilt_db, channel_gain_db=gain_db)
+
+
+def _clip_channel(profile: SceneProfile, seed: int) -> SceneProfile:
+    """The profile with clip ``seed``'s channel drawn into its tilt and
+    emphases (see :func:`channel`)."""
+    rng = np.random.default_rng([profile.seed, seed, 99])
+    tilt = rng.uniform(-profile.channel_tilt_db, profile.channel_tilt_db)
+    center = float(np.exp(rng.uniform(*np.log(CHANNEL_BUMP_BAND_HZ))))
+    gain = rng.uniform(-profile.channel_gain_db, profile.channel_gain_db)
+    return replace(
+        profile,
+        tilt_db_per_octave=profile.tilt_db_per_octave + tilt,
+        emphases=profile.emphases + ((center, CHANNEL_BUMP_WIDTH * center, gain),),
+        channel_tilt_db=0.0,
+        channel_gain_db=0.0,
+    )
 
 
 def _validate_profile(profile: SceneProfile, sample_rate: int) -> None:
@@ -86,6 +148,8 @@ def _validate_profile(profile: SceneProfile, sample_rate: int) -> None:
             raise ValueError("noise bursts need positive rate and duration")
     if profile.transient_rate_hz < 0.0:
         raise ValueError("transient rate must be nonnegative")
+    if profile.channel_tilt_db < 0.0 or profile.channel_gain_db < 0.0:
+        raise ValueError("channel ranges must be nonnegative")
 
 
 def envelope_gain_db(profile: SceneProfile, freqs_hz) -> np.ndarray:
@@ -117,6 +181,9 @@ def synth_scene(
     if seed < 0:
         raise ValueError("clip seed must be nonnegative")
     _validate_profile(profile, sample_rate)
+    if profile.channel_tilt_db or profile.channel_gain_db:
+        profile = _clip_channel(profile, seed)
+        _validate_profile(profile, sample_rate)
 
     rng = np.random.default_rng([profile.seed, seed])
     n = int(round(duration_s * sample_rate))

@@ -1,4 +1,4 @@
-"""Release gate: nine criteria, each announcing PASS or FAIL on its own line.
+"""Release gate: ten criteria, each announcing PASS or FAIL on its own line.
 
 The announcements bypass pytest's capture so the verdicts always reach the
 terminal.  Everything here runs from synthesized audio except the first
@@ -48,7 +48,7 @@ from scenefuse.spectral import (
     hamming_periodic,
     power_spectrum,
 )
-from scenefuse.synth import benchmark_profiles, synthesize_dataset
+from scenefuse.synth import benchmark_profiles, channel, soft, synthesize_dataset
 
 EXTERNAL_MANIFEST_VAR = "SCENEFUSE_DCASE_MANIFEST"
 
@@ -64,6 +64,45 @@ EXTERNAL_REFERENCE = {
     "fusion": 76.36,
 }
 EXTERNAL_TOLERANCE_PTS = 5.0
+
+#: two transforms of the benchmark profiles that no system gets all right,
+#: and that fail in opposite directions: on "channel" every clip has its own
+#: tilt and spectral bump, which a covariance ignores and the GMMs do not;
+#: on "soft" the classes differ only in a faint bed shape and quiet events
+HARD_SETS = {
+    "channel 8/12/1/-10": lambda p: channel(soft(p, 1.0, -10.0), 8.0, 12.0),
+    "soft 0.05/-25": lambda p: soft(p, 0.05, -25.0),
+}
+
+#: average accuracies (percent) on the hard sets (40 clips x 3 s per class
+#: at 44.1 kHz, seed 7, default config), so one test clip is 0.67 points
+HARD_SET_REFERENCE = {
+    "channel 8/12/1/-10": {
+        "mfcc-gmm": 71.33,
+        "pncc-gmm": 60.67,
+        "rcgcc-gmm": 81.33,
+        "spcc-gmm": 72.67,
+        "cepscom-gmm": 74.67,
+        "plp-gmm": 75.33,
+        "cepscom-cdl": 96.67,
+        "fusion": 89.33,
+    },
+    "soft 0.05/-25": {
+        "mfcc-gmm": 80.67,
+        "pncc-gmm": 28.00,
+        "rcgcc-gmm": 75.33,
+        "spcc-gmm": 79.33,
+        "cepscom-gmm": 80.67,
+        "plp-gmm": 69.33,
+        "cepscom-cdl": 30.67,
+        "fusion": 68.00,
+    },
+}
+
+#: each hard-set accuracy stays within this many points (three clips) of its
+#: reference; a value outside either regressed or changed for a reason that
+#: has to be stated and re-recorded
+HARD_SET_TOLERANCE_PTS = 2.0
 
 
 _CAPTURE = None
@@ -420,4 +459,29 @@ def test_c9_fusion_rescues_unanimous_second_choice():
         c["ok"] = no_single_winner and bool(np.all(np.argmax(fused.values, axis=1) == 3))
         c["detail"] = (
             "class ranked second by every system wins all 3 fused clips"
+        )
+
+
+def test_c10_hard_sets_hold_their_accuracies(tmp_path_factory):
+    with criterion("C10") as c:
+        gaps = {}
+        for set_name, transform in HARD_SETS.items():
+            root = tmp_path_factory.mktemp("hard")
+            profiles = [transform(p) for p in benchmark_profiles()]
+            manifest = synthesize_dataset(profiles, 40, 3.0, 44100, root / "data", 7)
+            result = run_pipeline(PipelineConfig(manifest=manifest, out_dir=root / "run"))
+            for system_id, want in HARD_SET_REFERENCE[set_name].items():
+                report = (
+                    result.fusion_report if system_id == "fusion"
+                    else result.reports[system_id]
+                )
+                got = 100.0 * report.average_accuracy
+                gaps[f"{set_name} {system_id}"] = (got - want, got, want)
+        worst = max(gaps, key=lambda key: abs(gaps[key][0]))
+        gap, got, want = gaps[worst]
+        c["ok"] = all(abs(g) <= HARD_SET_TOLERANCE_PTS for g, _, _ in gaps.values())
+        c["detail"] = (
+            f"{len(gaps)} accuracies on {len(HARD_SETS)} hard sets; worst gap "
+            f"{gap:+.2f} pts ({worst}: {got:.2f} against {want:.2f}), "
+            f"tolerance {HARD_SET_TOLERANCE_PTS}"
         )

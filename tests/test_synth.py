@@ -11,8 +11,10 @@ from scenefuse.synth import (
     TARGET_PEAK,
     ToneBurst,
     benchmark_profiles,
+    channel,
     envelope_gain_db,
     profile_by_name,
+    soft,
     synth_scene,
     synthesize_dataset,
 )
@@ -169,6 +171,60 @@ class TestBenchmarkProfiles:
     def test_profile_by_name_error(self):
         with pytest.raises(ValueError, match="unknown profile 'street'"):
             profile_by_name("street")
+
+
+class TestHardTransforms:
+    def test_soft_scales_the_bed_and_shifts_the_events(self):
+        base = profile_by_name("chime")
+        got = soft(base, 0.5, -10.0)
+        assert got.tilt_db_per_octave == 0.5 * base.tilt_db_per_octave
+        assert got.emphases == tuple((c, w, 0.5 * g) for c, w, g in base.emphases)
+        assert [b.level_db for b in got.tone_bursts] == [
+            b.level_db - 10.0 for b in base.tone_bursts
+        ]
+        assert [b.freq_hz for b in got.tone_bursts] == [b.freq_hz for b in base.tone_bursts]
+        assert got.transient_level_db == base.transient_level_db - 10.0
+        assert got.transient_rate_hz == base.transient_rate_hz
+        noisy = profile_by_name("clatter")
+        assert soft(noisy, 1.0, 4.0).noise_bursts[0].level_db == (
+            noisy.noise_bursts[0].level_db + 4.0
+        )
+
+    def test_soft_identity(self):
+        for profile in benchmark_profiles():
+            assert soft(profile, 1.0, 0.0) == profile
+
+    def test_channel_draws_one_bump_and_tilt_per_clip(self):
+        base = plain_profile(tilt_db_per_octave=-2.0, emphases=((500.0, 100.0, 4.0),))
+        for seed in (0, 5):
+            rng = np.random.default_rng([base.seed, seed, 99])
+            tilt = rng.uniform(-8.0, 8.0)
+            center = np.exp(rng.uniform(np.log(200.0), np.log(8000.0)))
+            gain = rng.uniform(-12.0, 12.0)
+            explicit = plain_profile(
+                tilt_db_per_octave=-2.0 + tilt,
+                emphases=((500.0, 100.0, 4.0), (center, 0.3 * center, gain)),
+            )
+            got = synth_scene(channel(base, 8.0, 12.0), 1.0, 32000, seed)
+            want = synth_scene(explicit, 1.0, 32000, seed)
+            assert np.array_equal(got.samples, want.samples)
+
+    def test_channel_changes_every_clip_and_zero_ranges_change_none(self):
+        base = profile_by_name("drone")
+        for seed in (0, 1):
+            plain = synth_scene(base, 1.0, 32000, seed).samples
+            assert not np.array_equal(
+                synth_scene(channel(base, 8.0, 12.0), 1.0, 32000, seed).samples, plain
+            )
+            assert np.array_equal(
+                synth_scene(channel(base, 0.0, 0.0), 1.0, 32000, seed).samples, plain
+            )
+
+    def test_channel_ranges_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="channel ranges"):
+            channel(plain_profile(), -1.0, 12.0)
+        with pytest.raises(ValueError, match="channel ranges"):
+            synth_scene(plain_profile(channel_gain_db=-3.0), 1.0, 16000, 0)
 
 
 class TestSynthesizeDataset:
