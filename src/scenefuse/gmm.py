@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataio import (
+    FeatureStoreError,
     pack_floats,
     pack_model_header,
     pack_u32,
@@ -70,19 +71,19 @@ class GmmModel:
 
     @cached_property
     def _scoring_terms(self) -> tuple:
-        """1/var, mean/var, sum(mean^2/var) and log w + log-normaliser, per
-        component; built on first use and kept, so a scored model's arrays
-        must not change."""
+        """``(A, B, c)`` with ``A = mean/var``, ``B = -0.5/var`` and ``c = log
+        w + log-normaliser - 0.5 * sum(mean^2/var)``, per component, so that
+        ``log(w_k N(x | k)) = x . A_k + x^2 . B_k + c_k``.  Built on first use
+        and kept, so a scored model's arrays must not change."""
         inv_var = 1.0 / self.variances
+        mean_inv_var = self.means * inv_var
         log_norm = -0.5 * (
             self.dim * np.log(2.0 * np.pi) + np.log(self.variances).sum(axis=1)
         )
-        return (
-            inv_var,
-            self.means * inv_var,
-            (self.means**2 * inv_var).sum(axis=1),
-            np.log(self.weights) + log_norm,
+        const = (
+            np.log(self.weights) + log_norm - 0.5 * (self.means * mean_inv_var).sum(axis=1)
         )
+        return mean_inv_var, -0.5 * inv_var, const
 
 
 @dataclass
@@ -95,6 +96,11 @@ class GmmBank:
         dims = {m.dim for m in self.models}
         if len(dims) > 1:
             raise ValueError(f"bank models disagree on dim: {sorted(dims)}")
+        counts = {m.n_components for m in self.models}
+        if len(counts) > 1:
+            raise ValueError(
+                f"bank models disagree on component count: {sorted(counts)}"
+            )
 
     @property
     def n_classes(self) -> int:
@@ -106,49 +112,60 @@ class GmmBank:
             raise ValueError("empty bank has no dim")
         return self.models[0].dim
 
+    @cached_property
+    def _scoring_terms(self) -> tuple:
+        """Every model's ``(A, B, c)`` stacked in bank order, so the terms of
+        class ``j`` are rows ``j*K`` to ``(j+1)*K``."""
+        return tuple(
+            np.concatenate(parts) for parts in zip(*(m._scoring_terms for m in self.models))
+        )
+
 
 def _component_log_likelihoods(
-    model: GmmModel, features: np.ndarray, sq: np.ndarray
+    terms: tuple, features: np.ndarray, sq: np.ndarray
 ) -> np.ndarray:
-    """log(w_k * N(x_t)) as a frames x components matrix; ``sq`` is features**2."""
-    inv_var, mean_inv_var, mean_sq_inv_var, log_const = model._scoring_terms
-    # expand the quadratic form so everything is a frames x K matmul
-    quad = (
-        sq @ inv_var.T
-        - 2.0 * (features @ mean_inv_var.T)
-        + mean_sq_inv_var[None, :]
-    )
-    return log_const[None, :] - 0.5 * quad
+    """log(w_k * N(x_t)) as a frames x components matrix, from a model's or a
+    bank's ``_scoring_terms``; ``sq`` is features**2."""
+    mean_inv_var, neg_half_inv_var, const = terms
+    out = features @ mean_inv_var.T
+    out += sq @ neg_half_inv_var.T
+    out += const
+    return out
 
 
-def _exp_normal(values: np.ndarray) -> np.ndarray:
-    """``np.exp(values)`` where that is a normal double, exactly 0 below
-    ``LOG_TINY``.
+def _exp_normal(values: np.ndarray, cut: float = LOG_TINY) -> np.ndarray:
+    """``np.exp(values)``, exactly 0 where ``values`` is below ``cut``.
 
-    A subnormal result costs ``exp`` over 100x a normal one (``exp(-inf)``
-    is fast), and subnormal operands slow every GEMM that reads them.
-    Dropping them leaves the bytes of every model and score unchanged: each
-    dropped term is below 2**-1022 and is only ever added into a sum that
-    dwarfs it -- a log-sum-exp row, which holds exp(0) = 1; a component's
-    responsibility mass, which is at least ``EMPTY_COMPONENT_MASS`` or is
-    reseeded with its column zeroed; and the M-step sums weighted by that
-    mass.  Such a sum could change only if it fell within about 2**-1016
-    of a rounding midpoint; the artifact digests of the benchmark workloads
-    confirm that none does.
+    With the default cut every term kept is a normal double.  A subnormal
+    result costs ``exp`` over 100x a normal one (``exp(-inf)`` is fast), and
+    subnormal operands slow every GEMM that reads them.  A dropped term is
+    at most ``exp(cut)`` and is only added into a sum that dwarfs it: a
+    log-sum-exp row, which holds exp(0) = 1; a component's responsibility
+    mass, which is at least ``EMPTY_COMPONENT_MASS`` or is reseeded with its
+    column zeroed; and the M-step sums weighted by that mass.  So models
+    and scores are bit-identical to keeping every term unless such a sum
+    falls within about 2**-1016 of a rounding midpoint; tests check this
+    against a plain-``exp`` copy of the EM loop and of the scoring.
     """
-    out = np.where(values < LOG_TINY, -np.inf, values)
+    out = np.where(values < cut, -np.inf, values)
     return np.exp(out, out=out)
 
 
-def _logsumexp_rows(values: np.ndarray) -> np.ndarray:
-    peak = values.max(axis=1)
-    return peak + np.log(_exp_normal(values - peak[:, None]).sum(axis=1))
+def _exp_below_peak(comp: np.ndarray, cut: float = LOG_TINY) -> tuple:
+    """``(peak, e)``: each row's largest entry along the last axis, and
+    ``e = exp(comp - peak)`` with terms below ``cut`` dropped; ``comp`` is
+    overwritten with ``comp - peak``."""
+    peak = comp.max(axis=-1)
+    comp -= peak[..., None]
+    return peak, _exp_normal(comp, cut)
 
 
 def frame_log_likelihoods(model: GmmModel, features: np.ndarray) -> np.ndarray:
     """Per-frame mixture log-density."""
     features = _check_features(features, model.dim)
-    return _logsumexp_rows(_component_log_likelihoods(model, features, features**2))
+    comp = _component_log_likelihoods(model._scoring_terms, features, features**2)
+    peak, e = _exp_below_peak(comp)
+    return peak + np.log(e.sum(axis=1))
 
 
 def log_likelihood(model: GmmModel, features: np.ndarray) -> float:
@@ -158,8 +175,10 @@ def log_likelihood(model: GmmModel, features: np.ndarray) -> float:
 
 def _check_features(features: np.ndarray, dim: int | None = None) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("features must be a nonempty frames x dim matrix")
+    if features.ndim != 2 or 0 in features.shape:
+        raise ValueError(
+            f"features must be a nonempty frames x dim matrix, got shape {features.shape}"
+        )
     if not np.all(np.isfinite(features)):
         raise ValueError("features contain non-finite values")
     if dim is not None and features.shape[1] != dim:
@@ -221,7 +240,16 @@ def fit_gmm(
     Components whose responsibility mass collapses are reseeded at the
     frames the current model likes least.  Stops when the relative
     log-likelihood gain drops below ``tol``.
+
+    Each iteration takes one ``exp`` over the frames x components matrix:
+    the responsibilities are its terms divided by their row total.  Terms
+    below ``LOG_TINY + log K`` are dropped, so that division (by at most K)
+    never makes a responsibility subnormal.
     """
+    if n_components < 1:
+        raise ValueError(f"n_components must be at least 1, got {n_components}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
     features = _check_features(features)
     n_frames, dim = features.shape
     if n_frames < n_components:
@@ -239,16 +267,19 @@ def fit_gmm(
     trace: list = []
     prev_ll = -np.inf
     sq = features**2
+    cut = LOG_TINY + np.log(n_components)
     for _ in range(max_iters):
-        comp_ll = _component_log_likelihoods(model, features, sq)
-        frame_ll = _logsumexp_rows(comp_ll)
+        comp = _component_log_likelihoods(model._scoring_terms, features, sq)
+        peak, resp = _exp_below_peak(comp, cut)
+        total = resp.sum(axis=1)
+        frame_ll = peak + np.log(total)
         ll = float(frame_ll.sum())
         trace.append(ll)
         if np.isfinite(prev_ll) and ll - prev_ll < tol * abs(prev_ll):
             break
         prev_ll = ll
 
-        resp = _exp_normal(comp_ll - frame_ll[:, None])
+        resp /= total[:, None]
         mass = resp.sum(axis=0)
         empty = np.flatnonzero(mass < EMPTY_COMPONENT_MASS)
         if empty.size:
@@ -281,15 +312,14 @@ def fit_gmm_bank(
 
 
 def classify_gmm(bank: GmmBank, features: np.ndarray) -> np.ndarray:
-    """Raw per-class scores (summed frame log-likelihoods) for one clip."""
+    """Raw per-class scores (summed frame log-likelihoods) for one clip,
+    from one frames x (classes * components) matrix."""
     if not bank.models:
         raise ValueError("cannot classify with an empty bank")
     features = _check_features(features, bank.dim)
-    sq = features**2
-    return np.array([
-        float(_logsumexp_rows(_component_log_likelihoods(model, features, sq)).sum())
-        for model in bank.models
-    ])
+    comp = _component_log_likelihoods(bank._scoring_terms, features, features**2)
+    peak, e = _exp_below_peak(comp.reshape(features.shape[0], bank.n_classes, -1))
+    return (peak + np.log(e.sum(axis=2))).sum(axis=0)
 
 
 def save_gmm_bank(path, bank: GmmBank, family: str, class_names) -> None:
@@ -310,15 +340,19 @@ def save_gmm_bank(path, bank: GmmBank, family: str, class_names) -> None:
 
 def _parse_bank(reader) -> tuple:
     family, class_names = read_model_header(reader)
-    models = []
+    arrays = []
     for _ in range(reader.u32()):
         k = reader.u32()
         dim = reader.u32()
         weights = reader.floats(k)
         means = reader.floats(k * dim).reshape(k, dim)
         variances = reader.floats(k * dim).reshape(k, dim)
-        models.append(GmmModel(weights, means, variances))
-    return family, class_names, GmmBank(models)
+        arrays.append((weights, means, variances))
+    try:
+        bank = GmmBank([GmmModel(*model) for model in arrays])
+    except ValueError as exc:
+        raise FeatureStoreError(f"{reader.context}: {exc}") from exc
+    return family, class_names, bank
 
 
 def load_gmm_bank(path) -> tuple:

@@ -106,8 +106,6 @@ def channel(profile: SceneProfile, tilt_db: float, gain_db: float) -> SceneProfi
     scene class sounds different from clip to clip, as the same sound heard
     in different places does.
     """
-    if tilt_db < 0.0 or gain_db < 0.0:
-        raise ValueError("channel ranges must be nonnegative")
     return replace(profile, channel_tilt_db=tilt_db, channel_gain_db=gain_db)
 
 

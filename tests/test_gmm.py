@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from scenefuse.dataio import FeatureStoreError
 from scenefuse.gmm import (
     EMPTY_COMPONENT_MASS,
     GmmBank,
     GmmModel,
     VARIANCE_FLOOR_ABS,
     VARIANCE_FLOOR_SCALE,
-    _component_log_likelihoods,
     _exp_normal,
     _kmeanspp_centers,
     classify_gmm,
@@ -44,10 +44,46 @@ def naive_log_likelihood(model, features):
     return total
 
 
-def inline_exp_terms(model, features):
-    """exp(component ll - frame peak) with every model term rebuilt and a
-    plain ``np.exp``, as classify_gmm read before it kept its terms and
-    dropped subnormal ones; returns ``(peak, terms)``."""
+def stacked_terms(models):
+    """Every model's (mean/var, -0.5/var, log w + log-normaliser -
+    0.5 sum(mean^2/var)), rebuilt from its arrays and stacked in order."""
+    parts = []
+    for model in models:
+        inv_var = 1.0 / model.variances
+        mean_inv_var = model.means * inv_var
+        log_norm = -0.5 * (
+            model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
+        )
+        const = (
+            np.log(model.weights) + log_norm - 0.5 * (model.means * mean_inv_var).sum(axis=1)
+        )
+        parts.append((mean_inv_var, -0.5 * inv_var, const))
+    return [np.concatenate(stack) for stack in zip(*parts)]
+
+
+def inline_exp_terms(models, features):
+    """exp(component ll - peak) over each model's components, from the
+    stacked terms and a plain ``np.exp``, which keeps subnormal terms;
+    returns ``(peak, terms)`` as frames x models (x components)."""
+    mean_inv_var, neg_half_inv_var, const = stacked_terms(models)
+    comp = features @ mean_inv_var.T
+    comp += features**2 @ neg_half_inv_var.T
+    comp += const
+    comp = comp.reshape(features.shape[0], len(models), -1)
+    peak = comp.max(axis=2)
+    return peak, np.exp(comp - peak[:, :, None])
+
+
+def inline_formula_scores(bank, features):
+    """The bit-for-bit oracle for classify_gmm: one stacked pass per clip,
+    every term kept."""
+    peak, terms = inline_exp_terms(bank.models, features)
+    return (peak + np.log(terms.sum(axis=2))).sum(axis=0)
+
+
+def two_pass_component_ll(model, features):
+    """Component log-likelihoods as they read before the terms were folded
+    into one constant: five frames x K passes."""
     inv_var = 1.0 / model.variances
     quad = (
         features**2 @ inv_var.T
@@ -57,36 +93,87 @@ def inline_exp_terms(model, features):
     log_norm = -0.5 * (
         model.dim * np.log(2.0 * np.pi) + np.log(model.variances).sum(axis=1)
     )
-    comp = np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * quad
-    peak = comp.max(axis=1)
-    return peak, np.exp(comp - peak[:, None])
+    return np.log(model.weights)[None, :] + log_norm[None, :] - 0.5 * quad
 
 
-def inline_formula_scores(bank, features):
-    """The bit-for-bit oracle for classify_gmm's kept terms and its exp."""
+def per_model_scores(bank, features):
+    """classify_gmm as it read before one pass scored every class: each
+    model's frames summed on their own, with a plain ``np.exp``."""
     out = []
     for model in bank.models:
-        peak, terms = inline_exp_terms(model, features)
-        out.append(float((peak + np.log(terms.sum(axis=1))).sum()))
+        comp = two_pass_component_ll(model, features)
+        peak = comp.max(axis=1)
+        out.append(float((peak + np.log(np.exp(comp - peak[:, None]).sum(axis=1))).sum()))
     return np.array(out)
 
 
-def plain_exp_fit(features, n_components, seed, max_iters=100, tol=1e-5):
-    """fit_gmm's EM loop as it read with a plain ``np.exp``, which keeps
-    subnormal terms; returns the model and how many subnormal
-    responsibilities it made."""
+#: distance allowed, relative to the largest entry, between fit_gmm's model
+#: arrays and the two-exp EM's: the formulas round differently, and up to
+#: 100 EM iterations carry the differences (1.5e-12 seen in the tests here)
+EM_RTOL = 1e-9
+
+#: distance allowed, relative to the largest score, between classify_gmm
+#: and the per-model formula: a few roundings over one clip (7e-16 seen)
+SCORE_RTOL = 1e-12
+
+
+def em_start(features, n_components, seed):
     rng = np.random.default_rng(seed)
     global_var = features.var(axis=0)
     floor = np.maximum(VARIANCE_FLOOR_SCALE * global_var, VARIANCE_FLOOR_ABS)
-    weights = np.full(n_components, 1.0 / n_components)
     means = _kmeanspp_centers(features, n_components, rng)
     variances = np.maximum(np.tile(global_var, (n_components, 1)), floor)
-    model = GmmModel(weights, means, variances)
-    trace, subnormals = [], 0
+    return GmmModel(np.full(n_components, 1.0 / n_components), means, variances), floor
+
+
+def m_step(resp, frame_ll, features, sq, floor):
+    mass = resp.sum(axis=0)
+    empty = np.flatnonzero(mass < EMPTY_COMPONENT_MASS)
+    if empty.size:
+        worst = np.argsort(frame_ll)[: empty.size]
+        for comp, frame in zip(empty, worst):
+            resp[:, comp] = 0.0
+            resp[frame, comp] = 1.0
+        mass = resp.sum(axis=0)
+    weights = mass / mass.sum()
+    means = (resp.T @ features) / mass[:, None]
+    variances = np.maximum((resp.T @ sq) / mass[:, None] - means**2, floor)
+    return GmmModel(weights, means, variances)
+
+
+def plain_exp_fit(features, n_components, seed, max_iters=100, tol=1e-5):
+    """fit_gmm's one-exp EM loop with a plain ``np.exp``, which keeps the
+    terms fit_gmm drops; returns the model and how many nonzero terms fell
+    below fit_gmm's cut, exp(LOG_TINY) * K."""
+    model, floor = em_start(features, n_components, seed)
+    trace, dropped = [], 0
     prev_ll = -np.inf
     sq = features**2
     for _ in range(max_iters):
-        comp_ll = _component_log_likelihoods(model, features, sq)
+        peak, terms = inline_exp_terms([model], features)
+        peak, terms = peak[:, 0], terms[:, 0]
+        dropped += int(np.count_nonzero((terms != 0.0) & (terms < TINY * n_components)))
+        total = terms.sum(axis=1)
+        frame_ll = peak + np.log(total)
+        ll = float(frame_ll.sum())
+        trace.append(ll)
+        if np.isfinite(prev_ll) and ll - prev_ll < tol * abs(prev_ll):
+            break
+        prev_ll = ll
+        model = m_step(terms / total[:, None], frame_ll, features, sq, floor)
+    model.train_log_likelihoods = trace
+    return model, dropped
+
+
+def two_exp_fit(features, n_components, seed, max_iters=100, tol=1e-5):
+    """fit_gmm's EM loop as it read with one ``exp`` for the log-sum-exp and
+    a second for the responsibilities, both plain."""
+    model, floor = em_start(features, n_components, seed)
+    trace = []
+    prev_ll = -np.inf
+    sq = features**2
+    for _ in range(max_iters):
+        comp_ll = two_pass_component_ll(model, features)
         peak = comp_ll.max(axis=1)
         frame_ll = peak + np.log(np.exp(comp_ll - peak[:, None]).sum(axis=1))
         ll = float(frame_ll.sum())
@@ -94,24 +181,9 @@ def plain_exp_fit(features, n_components, seed, max_iters=100, tol=1e-5):
         if np.isfinite(prev_ll) and ll - prev_ll < tol * abs(prev_ll):
             break
         prev_ll = ll
-
-        resp = np.exp(comp_ll - frame_ll[:, None])
-        subnormals += count_subnormal(resp)
-        mass = resp.sum(axis=0)
-        empty = np.flatnonzero(mass < EMPTY_COMPONENT_MASS)
-        if empty.size:
-            worst = np.argsort(frame_ll)[: empty.size]
-            for comp, frame in zip(empty, worst):
-                resp[:, comp] = 0.0
-                resp[frame, comp] = 1.0
-            mass = resp.sum(axis=0)
-
-        weights = mass / mass.sum()
-        means = (resp.T @ features) / mass[:, None]
-        variances = np.maximum((resp.T @ sq) / mass[:, None] - means**2, floor)
-        model = GmmModel(weights, means, variances)
+        model = m_step(np.exp(comp_ll - frame_ll[:, None]), frame_ll, features, sq, floor)
     model.train_log_likelihoods = trace
-    return model, subnormals
+    return model
 
 
 def two_blobs(rng, separation=100.0, n=200, dim=3):
@@ -189,6 +261,12 @@ class TestModelValidation:
             GmmBank([m1, m2])
         with pytest.raises(ValueError):
             GmmBank([]).dim
+
+    def test_bank_component_count_agreement(self):
+        two = GmmModel(np.full(2, 0.5), np.zeros((2, 3)), np.ones((2, 3)))
+        three = GmmModel(np.full(3, 1.0 / 3.0), np.zeros((3, 3)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match=r"disagree on component count: \[2, 3\]"):
+            GmmBank([two, three])
 
 
 class TestLikelihood:
@@ -325,18 +403,49 @@ class TestFitGmm:
         with pytest.raises(ValueError, match="cannot support"):
             fit_gmm(np.zeros((3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize("n_components", [0, -1])
+    def test_component_count_must_be_positive(self, n_components):
+        with pytest.raises(ValueError, match=f"n_components must be at least 1, got {n_components}"):
+            fit_gmm(np.ones((10, 2)), n_components, seed=0)
+
+    def test_max_iters_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iters must be at least 1, got 0"):
+            fit_gmm(np.random.default_rng(0).standard_normal((10, 2)), 2, seed=0, max_iters=0)
+
+    def test_zero_width_features_rejected(self):
+        with pytest.raises(ValueError, match=r"features must be .* got shape \(5, 0\)"):
+            fit_gmm(np.zeros((5, 0)), 1, seed=0)
+
     @pytest.mark.parametrize("n_components", [2, 4])
     def test_equals_plain_exp_em_bit_for_bit(self, n_components):
-        # clusters 38 sd apart put many responsibilities in the subnormal
-        # range, which fit_gmm drops and the plain-exp loop keeps
+        # clusters 38 sd apart put many terms below the cut, which fit_gmm
+        # drops and the plain-exp copy of its loop keeps
         feats, _, _ = two_blobs(np.random.default_rng(0), separation=22.0)
-        want, subnormals = plain_exp_fit(feats, n_components, seed=1)
+        want, dropped = plain_exp_fit(feats, n_components, seed=1)
         got = fit_gmm(feats, n_components, seed=1)
-        assert subnormals > 0
+        assert dropped > 0
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.means, want.means)
         assert np.array_equal(got.variances, want.variances)
         assert got.train_log_likelihoods == want.train_log_likelihoods
+
+    @pytest.mark.parametrize(
+        "shifted, n_components", [(False, 2), (False, 4), (True, 8)],
+        ids=["blobs-2", "blobs-4", "shifted-8"],
+    )
+    def test_near_two_exp_em(self, shifted, n_components):
+        if shifted:
+            rng = np.random.default_rng(15)
+            feats = rng.standard_normal((800, 24)) * rng.uniform(0.5, 3.0, 24)
+            feats += rng.integers(0, 4, size=(800, 1))
+        else:
+            feats, _, _ = two_blobs(np.random.default_rng(0), separation=22.0)
+        want = two_exp_fit(feats, n_components, seed=1)
+        got = fit_gmm(feats, n_components, seed=1)
+        assert len(got.train_log_likelihoods) == len(want.train_log_likelihoods)
+        for name in ("weights", "means", "variances", "train_log_likelihoods"):
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert np.abs(a - b).max() <= EM_RTOL * np.abs(b).max(), name
 
     def test_duplicate_frames_fit(self):
         # all-identical data collapses every component onto one point
@@ -431,9 +540,36 @@ class TestBankFile:
             [two_blobs(rng, separation=22.0)[0] for _ in range(2)], 2, seeds=[1, 2]
         )
         clip = two_blobs(rng, separation=22.0, n=30)[0]
-        peak, terms = inline_exp_terms(bank.models[0], clip)
+        peak, terms = inline_exp_terms(bank.models[:1], clip)
         assert count_subnormal(terms) > 0
         assert np.array_equal(
-            frame_log_likelihoods(bank.models[0], clip), peak + np.log(terms.sum(axis=1))
+            frame_log_likelihoods(bank.models[0], clip),
+            peak[:, 0] + np.log(terms[:, 0].sum(axis=1)),
         )
         assert np.array_equal(classify_gmm(bank, clip), inline_formula_scores(bank, clip))
+
+    def test_scores_near_per_model_formula(self):
+        rng = np.random.default_rng(16)
+        feats = [rng.standard_normal((400, 24)) + shift for shift in (0.0, 0.5, 1.0)]
+        bank = fit_gmm_bank(feats, 8, seeds=[1, 2, 3])
+        for frames in (1, 40, 1290):
+            clip = rng.standard_normal((frames, 24)) + 0.5
+            want = per_model_scores(bank, clip)
+            got = classify_gmm(bank, clip)
+            assert np.abs(got - want).max() <= SCORE_RTOL * np.abs(want).max()
+
+    def test_mixed_component_counts_fail_to_load_naming_the_file(self, tmp_path):
+        bank = self.build_bank()
+        bank.models[1] = GmmModel(np.full(2, 0.5), np.zeros((2, 4)), np.ones((2, 4)))
+        path = tmp_path / "mixed.sfg"
+        save_gmm_bank(path, bank, "mfcc", ["hum", "rain"])
+        with pytest.raises(FeatureStoreError, match=f"{path}: .*component count: \\[2, 3\\]"):
+            load_gmm_bank(path)
+
+    def test_invalid_model_fails_to_load_naming_the_file(self, tmp_path):
+        bank = self.build_bank()
+        bank.models[0].variances[1, 2] = 0.0
+        path = tmp_path / "flat.sfg"
+        save_gmm_bank(path, bank, "mfcc", ["hum", "rain"])
+        with pytest.raises(FeatureStoreError, match=f"{path}: variances must be positive"):
+            load_gmm_bank(path)

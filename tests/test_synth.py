@@ -221,10 +221,9 @@ class TestHardTransforms:
             )
 
     def test_channel_ranges_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="channel ranges"):
-            channel(plain_profile(), -1.0, 12.0)
-        with pytest.raises(ValueError, match="channel ranges"):
-            synth_scene(plain_profile(channel_gain_db=-3.0), 1.0, 16000, 0)
+        for ranges in ((-1.0, 12.0), (8.0, -3.0)):
+            with pytest.raises(ValueError, match="channel ranges"):
+                synth_scene(channel(plain_profile(), *ranges), 1.0, 16000, 0)
 
 
 class TestSynthesizeDataset:
