@@ -1,14 +1,18 @@
 """Audio decoding, dataset manifests, deterministic splits, and binary feature storage.
 
-WAV files are read and written by a small RIFF/WAVE codec on :mod:`struct`
-and :func:`numpy.frombuffer`: PCM u8, i16, i24 and i32 and IEEE float32 and
-float64, any channel count, plain or ``WAVE_FORMAT_EXTENSIBLE`` headers.
-Every decoded clip is reduced to a mono float64 signal in [-1, 1].  Manifests are plain
-tab-separated text (``relative/path<TAB>label``).  Feature stores and the
-model files share one checksummed binary framing, written and read by
-:func:`write_container` and :func:`read_container`.  A model file is one
-such container; a feature store is a table of contents followed by one
-container per feature family, so a load reads only the families it needs.
+WAV files are read by a small RIFF/WAVE codec on :mod:`struct` and
+:func:`numpy.frombuffer`: PCM u8, i16, i24 and i32 and IEEE float32 and
+float64, any channel count, plain or ``WAVE_FORMAT_EXTENSIBLE`` headers; they
+are written as 16-bit PCM.  Every decoded clip is reduced to a mono float64
+signal in [-1, 1].  Manifests are plain tab-separated text
+(``relative/path<TAB>label``).  Feature stores and the model files share one
+checksummed binary framing, written and read by :func:`write_container` and
+:func:`read_container`.  A model file is one such container; a feature store
+is a table of contents followed by one container per feature family, so a
+load reads only the families it needs.  Every family is ``[static | delta |
+delta-delta]``, so a store holds only the static columns and a load derives
+the rest with the same :func:`~scenefuse.spectral.append_deltas` call that
+extraction makes.
 """
 
 from __future__ import annotations
@@ -21,11 +25,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import DELTA_WINDOW
+from .spectral import FeatureMatrix, append_deltas
+
 FEATURE_STORE_MAGIC = b"SFS1"
-#: version 4 puts each family in a container of its own behind a table of
-#: contents; version 3 no longer stores cepscom, which is derived from its
-#: parts; version 2 checksums the whole body; version 1 checksummed each record
-FEATURE_STORE_VERSION = 4
+#: version 5 stores only each record's static columns, and a load derives its
+#: deltas; version 4 puts each family in a container of its own behind a
+#: table of contents; version 3 no longer stores cepscom, which is derived
+#: from its parts; version 2 checksums the whole body; version 1 checksummed
+#: each record
+FEATURE_STORE_VERSION = 5
 
 #: bytes a container adds to its payload: magic, version and checksum
 _CONTAINER_OVERHEAD = 4 + 4 + 8
@@ -43,8 +52,8 @@ _FNV_PRIME_LOW = _FNV_PRIME & 0xFF
 
 
 class FeatureStoreError(ValueError):
-    """Malformed, truncated, or incompatible feature/model file, or a
-    feature record the store does not hold."""
+    """Malformed, truncated, or incompatible feature/model file, a feature
+    record the store does not hold, or one a feature file cannot hold."""
 
 
 class ChecksumError(FeatureStoreError):
@@ -155,12 +164,6 @@ _WAV_DTYPES = {
     (_WAVE_FORMAT_IEEE_FLOAT, 4): np.dtype("<f4"),
     (_WAVE_FORMAT_IEEE_FLOAT, 8): np.dtype("<f8"),
 }
-#: write_wav's sample formats -> (dtype, format tag, full-scale value or None)
-_WAV_WRITE_FORMATS = {
-    "int16": (np.dtype("<i2"), _WAVE_FORMAT_PCM, 32768.0),
-    "int32": (np.dtype("<i4"), _WAVE_FORMAT_PCM, 2147483648.0),
-    "float32": (np.dtype("<f4"), _WAVE_FORMAT_IEEE_FLOAT, None),
-}
 
 
 def _to_unit_range(data: np.ndarray) -> np.ndarray:
@@ -259,25 +262,12 @@ def read_wav(path: str | Path) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=rate, source_id=path.name)
 
 
-def write_wav(path: str | Path, clip: AudioClip, sample_format: str = "int16") -> None:
-    """Write a clip as PCM16/PCM32 or IEEE float32 WAV; an IEEE float file
-    carries the ``cbSize`` field and a ``fact`` chunk."""
-    if sample_format not in _WAV_WRITE_FORMATS:
-        raise ValueError(f"unsupported sample_format: {sample_format!r}")
-    dtype, tag, full_scale = _WAV_WRITE_FORMATS[sample_format]
-    x = clip.samples
-    if full_scale is not None:
-        info = np.iinfo(dtype)
-        x = np.clip(np.round(x * full_scale), info.min, info.max)
-    data = x.astype(dtype).tobytes()
-    width = dtype.itemsize
+def write_wav(path: str | Path, clip: AudioClip) -> None:
+    """Write a clip as 16-bit PCM WAV, rounded and clipped to full scale."""
+    data = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
     rate = clip.sample_rate
-    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width)
-    extra = b""
-    if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        fmt += b"\x00\x00"
-        extra = b"fact" + struct.pack("<II", 4, len(x))
-    chunks = b"fmt " + pack_u32(len(fmt)) + fmt + extra + b"data" + pack_u32(len(data))
+    fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16)
+    chunks = b"fmt " + pack_u32(len(fmt)) + fmt + b"data" + pack_u32(len(data))
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + pack_u32(4 + len(chunks) + len(data)) + b"WAVE" + chunks)
         fh.write(data)
@@ -576,10 +566,31 @@ def read_container(fh, magic: bytes, version: int, parse, size: int | None = Non
 
 # --- feature stores: a table of contents, then one container per family ---
 
+def _check_deltas(source_id: str, family: str, values: np.ndarray) -> None:
+    """Refuse a record that is not ``[static | delta | delta-delta]`` as
+    extraction makes it, which a load could not rebuild from its static part."""
+    width = values.shape[1]
+    if width % 3:
+        raise FeatureStoreError(
+            f"clip {source_id!r}, {family!r} features: width {width} is not "
+            f"3 x a static width"
+        )
+    static = FeatureMatrix(values[:, : width // 3])
+    if not np.array_equal(append_deltas(static, DELTA_WINDOW).values, values):
+        raise FeatureStoreError(
+            f"clip {source_id!r}, {family!r} features: the last {2 * static.dim} "
+            f"columns are not the deltas and delta-deltas of the first "
+            f"{static.dim} at window {DELTA_WINDOW}"
+        )
+
+
 def _block_parts(family: str, records: list) -> list:
-    parts = [pack_str(family), pack_u32(records[0][1].shape[1]), pack_u32(len(records))]
+    """Block header (family, static width, delta window, record count), then
+    each record's clip, frame count and static columns."""
+    static = records[0][1].shape[1] // 3
+    parts = [pack_str(family), pack_u32(static), pack_u32(DELTA_WINDOW), pack_u32(len(records))]
     for source_id, values in records:
-        parts += [pack_str(source_id), pack_u32(values.shape[0]), pack_floats(values)]
+        parts += [pack_str(source_id), pack_u32(values.shape[0]), pack_floats(values[:, :static])]
     return parts
 
 
@@ -587,11 +598,16 @@ def save_features(store: FeatureStore, path: str | Path) -> None:
     """Write the store as a table of contents, then one container per family
     (bit-exact round-trip).
 
-    The table gives each block's family and size, so a load can seek past
-    the families it does not need.  Blocks are joined one at a time.
+    Each record keeps only its static columns.  Every record is checked
+    before the file is opened: one whose delta and delta-delta columns are
+    not exactly ``append_deltas`` of its static part at ``DELTA_WINDOW`` is
+    refused, naming the clip and family.  The table gives each block's
+    family and size, so a load can seek past the families it does not need.
+    Blocks are joined one at a time.
     """
     by_family: dict[str, list] = {}
     for (source_id, family), values in store.records.items():
+        _check_deltas(source_id, family, values)
         by_family.setdefault(family, []).append((source_id, values))
     blocks = {family: _block_parts(family, records) for family, records in by_family.items()}
     entries = b"".join(
@@ -623,7 +639,8 @@ def _parse_toc(reader: _Reader) -> dict[str, int]:
 
 
 def _block_parser(store: FeatureStore, family: str):
-    """Parser of the block the table of contents lists as ``family``."""
+    """Parser of the block the table of contents lists as ``family``: each
+    record's static columns, with its deltas derived at the block's window."""
 
     def parse(reader: _Reader) -> None:
         found = reader.string()
@@ -632,13 +649,16 @@ def _block_parser(store: FeatureStore, family: str):
                 f"{reader.context}: holds {found!r} features, not the ones the "
                 f"table of contents lists"
             )
-        dim = reader.u32()
+        static, window = reader.u32(), reader.u32()
+        if window < 1:
+            raise FeatureStoreError(f"{reader.context}: delta window {window}, need at least 1")
         for _ in range(reader.u32()):
             source_id = reader.string()
             if (source_id, family) in store:
                 raise FeatureStoreError(f"{reader.context}: clip {source_id!r} appears twice")
             rows = reader.u32()
-            store.add(source_id, family, reader.floats(rows * dim).reshape(rows, dim))
+            values = FeatureMatrix(reader.floats(rows * static).reshape(rows, static))
+            store.add(source_id, family, append_deltas(values, window).values)
 
     return parse
 
@@ -649,7 +669,9 @@ def load_features(path: str | Path, families=None) -> FeatureStore:
     The magic and version are checked first, then the table of contents,
     then the file size against the table.  Each wanted block is verified
     before it is parsed; the others are skipped unread.  A named family the
-    file lacks is an error that says what the file holds.
+    file lacks is an error that says what the file holds.  Each record's
+    deltas are rebuilt from its static columns, so a loaded matrix is
+    bit-identical to the one extraction made.
     """
     store = FeatureStore()
     with open(path, "rb") as fh:

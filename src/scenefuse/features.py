@@ -19,11 +19,10 @@ pipeline joins them where a system reads cepscom.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dataio import AudioClip
 from .spectral import (
     LOG_FLOOR,
     STFT_BLOCK,
@@ -38,6 +37,9 @@ from .spectral import (
     make_filterbank,
     power_spectrum,
 )
+
+if TYPE_CHECKING:
+    from .dataio import AudioClip
 
 EXTRACTOR_NAMES = ("mfcc", "plp", "pncc", "rcgcc", "spcc", "cepscom")
 

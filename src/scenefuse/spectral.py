@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataio import AudioClip
+if TYPE_CHECKING:
+    from .dataio import AudioClip
 
 #: log() floor applied wherever a subband power logarithm is taken
 LOG_FLOOR = 1e-20

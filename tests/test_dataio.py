@@ -35,7 +35,10 @@ from scenefuse.dataio import (
     split_dataset,
     write_wav,
 )
+from scenefuse.features import DELTA_WINDOW
 from scenefuse.gmm import fit_gmm_bank, load_gmm_bank, save_gmm_bank
+from scenefuse.pipeline import extract_for_manifest
+from scenefuse.spectral import FeatureMatrix, append_deltas
 
 
 def reference_fnv1a64(data) -> int:
@@ -118,20 +121,6 @@ class TestWavRoundTrip:
         assert back.source_id == "c.wav"
         assert np.abs(back.samples - clip.samples).max() <= 1.0 / 32768 + 1e-12
 
-    def test_float32(self, tmp_path):
-        clip = AudioClip(np.linspace(-0.9, 0.9, 500), 8000)
-        path = tmp_path / "f.wav"
-        write_wav(path, clip, sample_format="float32")
-        back = read_wav(path)
-        assert np.abs(back.samples - clip.samples).max() < 1e-6
-
-    def test_int32(self, tmp_path):
-        clip = AudioClip(np.linspace(-0.5, 0.5, 300), 16000)
-        path = tmp_path / "i.wav"
-        write_wav(path, clip, sample_format="int32")
-        back = read_wav(path)
-        assert np.abs(back.samples - clip.samples).max() <= 1.0 / 2**31 + 1e-12
-
     def test_stereo_is_averaged(self, tmp_path):
         left = np.full(100, 0.25, dtype=np.float32)
         right = np.full(100, 0.75, dtype=np.float32)
@@ -158,11 +147,6 @@ class TestWavRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")
-
-    def test_bad_sample_format(self, tmp_path):
-        clip = AudioClip(np.zeros(10), 8000)
-        with pytest.raises(ValueError):
-            write_wav(tmp_path / "x.wav", clip, sample_format="int24")
 
 
 def riff(fmt: bytes, data: bytes, before_data: bytes = b"") -> bytes:
@@ -257,17 +241,10 @@ class TestWavCodecAgainstScipy:
         assert np.array_equal(read_wav(path).samples, want)
         assert np.array_equal(want, np.arange(-50, 50) / 32768.0)
 
-    @pytest.mark.parametrize("sample_format", ["int16", "int32", "float32"])
-    def test_write_is_byte_identical_to_scipy(self, tmp_path, sample_format):
+    def test_write_is_byte_identical_to_scipy(self, tmp_path):
         clip = AudioClip(np.random.default_rng(4).uniform(-1, 1, 1001), 44100)
-        write_wav(tmp_path / "ours.wav", clip, sample_format)
-        x = clip.samples
-        if sample_format == "int16":
-            data = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
-        elif sample_format == "int32":
-            data = np.clip(np.round(x * 2147483648.0), -2147483648, 2147483647).astype(np.int32)
-        else:
-            data = x.astype(np.float32)
+        write_wav(tmp_path / "ours.wav", clip)
+        data = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype(np.int16)
         wavfile.write(str(tmp_path / "scipy.wav"), 44100, data)
         assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
@@ -520,12 +497,17 @@ class TestFeatureStore:
         assert store.extractors() == ["mfcc", "pncc"]
 
 
+def with_deltas(static: np.ndarray) -> np.ndarray:
+    """``[static | delta | delta-delta]``, the layout of every stored family."""
+    return append_deltas(FeatureMatrix(static), DELTA_WINDOW).values
+
+
 def feature_store():
     rng = np.random.default_rng(9)
     store = FeatureStore()
-    store.add("one.wav", "mfcc", rng.standard_normal((7, 6)))
-    store.add("two.wav", "mfcc", rng.standard_normal((3, 6)))
-    store.add("one.wav", "plp", rng.standard_normal((7, 5)))
+    store.add("one.wav", "mfcc", with_deltas(rng.standard_normal((7, 2))))
+    store.add("two.wav", "mfcc", with_deltas(rng.standard_normal((3, 2))))
+    store.add("one.wav", "plp", with_deltas(rng.standard_normal((7, 1))))
     return store
 
 
@@ -570,7 +552,7 @@ class TestFeatureFile:
         blob += values + pack_u64(fnv1a64(values))
         path = tmp_path / "old.sfs"
         path.write_bytes(blob)
-        with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 4"):
+        with pytest.raises(FeatureStoreError, match="format version 1 does not match expected 5"):
             load_features(path)
 
     def test_version_2_rejected(self, tmp_path):
@@ -580,7 +562,7 @@ class TestFeatureFile:
         body += pack_str("one.wav") + pack_str("cepscom") + pack_u32(2) + pack_u32(3) + values
         path = tmp_path / "v2.sfs"
         path.write_bytes(b"SFS1" + body + pack_u64(fnv1a64(body)))
-        with pytest.raises(FeatureStoreError, match="format version 2 does not match expected 4"):
+        with pytest.raises(FeatureStoreError, match="format version 2 does not match expected 5"):
             load_features(path)
 
     def test_version_3_rejected(self, tmp_path):
@@ -592,8 +574,45 @@ class TestFeatureFile:
             body += pack_u32(values.shape[0]) + pack_u32(values.shape[1]) + values.tobytes()
         path = tmp_path / "v3.sfs"
         path.write_bytes(b"SFS1" + body + pack_u64(fnv1a64(body)))
-        with pytest.raises(FeatureStoreError, match="format version 3 does not match expected 4"):
+        with pytest.raises(FeatureStoreError, match="format version 3 does not match expected 5"):
             load_features(path)
+
+    def test_version_4_rejected(self, tmp_path):
+        # version 4: version 5's table of contents and family blocks, but
+        # each block header gave the full width and each record stored every
+        # column
+        def container(payload):
+            body = pack_u32(4) + payload
+            return b"SFS1" + body + pack_u64(fnv1a64(body))
+
+        by_family = {}
+        for (source_id, family), values in feature_store().records.items():
+            by_family.setdefault(family, []).append((source_id, values))
+        blocks = {}
+        for family, records in by_family.items():
+            payload = pack_str(family) + pack_u32(records[0][1].shape[1]) + pack_u32(len(records))
+            for source_id, values in records:
+                payload += pack_str(source_id) + pack_u32(values.shape[0]) + values.tobytes()
+            blocks[family] = container(payload)
+        entries = b"".join(pack_str(family) + pack_u64(len(b)) for family, b in blocks.items())
+        toc = container(pack_u32(16 + 8 + len(entries)) + pack_u32(len(blocks)) + entries)
+        path = tmp_path / "v4.sfs"
+        path.write_bytes(toc + b"".join(blocks.values()))
+        with pytest.raises(FeatureStoreError, match="format version 4 does not match expected 5"):
+            load_features(path)
+
+    def test_records_store_only_their_static_columns(self, tmp_path):
+        store = feature_store()
+        path = tmp_path / "f.sfs"
+        save_features(store, path)
+        blob = path.read_bytes()
+        (_, mfcc_start, mfcc_end), _ = sfs_blocks(blob)
+        block = blob[mfcc_start + 8 : mfcc_end - 8]
+        header = pack_str("mfcc") + pack_u32(2) + pack_u32(DELTA_WINDOW) + pack_u32(2)
+        assert block.startswith(header)
+        static = store.get("one.wav", "mfcc")[:, :2]
+        record = pack_str("one.wav") + pack_u32(7) + static.astype("<f8").tobytes()
+        assert block[len(header) :].startswith(record)
 
     def test_table_of_contents_lists_each_family_block(self, tmp_path):
         path = tmp_path / "f.sfs"
@@ -607,7 +626,7 @@ class TestFeatureFile:
             # the table names the family and gives its block's size
             assert blob[field - 4 - len(family) : field] == pack_str(family)
             assert struct.unpack_from("<Q", blob, field)[0] == end - start
-            assert blob[start : start + 8] == b"SFS1" + pack_u32(4)
+            assert blob[start : start + 8] == b"SFS1" + pack_u32(5)
             assert blob[start + 8 : end - 8].startswith(pack_str(family))
 
     def test_named_families_only(self, tmp_path):
@@ -669,8 +688,8 @@ class TestFeatureFile:
 
     def test_repeated_family_in_the_table_rejected(self, tmp_path):
         store = FeatureStore()
-        store.add("one.wav", "mfcc", np.zeros((2, 3)))
-        store.add("one.wav", "pncc", np.ones((2, 3)))
+        store.add("one.wav", "mfcc", with_deltas(np.zeros((2, 1))))
+        store.add("one.wav", "pncc", with_deltas(np.ones((2, 1))))
         path = tmp_path / "f.sfs"
         save_features(store, path)
         blob = path.read_bytes()
@@ -682,8 +701,8 @@ class TestFeatureFile:
 
     def test_block_family_must_match_the_table(self, tmp_path):
         store = FeatureStore()
-        store.add("one.wav", "mfcc", np.zeros((2, 3)))
-        store.add("one.wav", "pncc", np.ones((2, 3)))
+        store.add("one.wav", "mfcc", with_deltas(np.zeros((2, 1))))
+        store.add("one.wav", "pncc", with_deltas(np.ones((2, 1))))
         path = tmp_path / "f.sfs"
         save_features(store, path)
         blob = path.read_bytes()
@@ -712,6 +731,59 @@ class TestFeatureFile:
         with pytest.raises(FeatureStoreError, match="truncated"):
             load_features(path)
         assert hashed == []
+
+    @pytest.mark.parametrize("column", [3, 5], ids=["delta", "delta-delta"])
+    def test_record_with_an_edited_delta_is_refused_before_the_file_opens(
+        self, tmp_path, column
+    ):
+        store = feature_store()
+        values = store.get("two.wav", "mfcc").copy()
+        values[1, column] = np.nextafter(values[1, column], np.inf)
+        store.add("two.wav", "mfcc", values)
+        path = tmp_path / "f.sfs"
+        with pytest.raises(
+            FeatureStoreError,
+            match="clip 'two.wav', 'mfcc' features: the last 4 columns are not the deltas "
+                  "and delta-deltas of the first 2 at window 2",
+        ):
+            save_features(store, path)
+        assert not path.exists()
+
+    def test_width_not_a_multiple_of_three_is_refused(self, tmp_path):
+        store = feature_store()
+        store.add("one.wav", "pncc", np.zeros((7, 5)))
+        path = tmp_path / "f.sfs"
+        with pytest.raises(
+            FeatureStoreError, match="clip 'one.wav', 'pncc' features: width 5 is not 3 x"
+        ):
+            save_features(store, path)
+        assert not path.exists()
+
+    def test_delta_window_below_one_rejected(self, tmp_path):
+        path = tmp_path / "f.sfs"
+        save_features(feature_store(), path)
+        blob = bytearray(path.read_bytes())
+        _, (_, plp_start, _) = sfs_blocks(blob)
+        window = plp_start + 8 + len(pack_str("plp")) + 4
+        assert blob[window : window + 4] == pack_u32(DELTA_WINDOW)
+        blob[window : window + 4] = pack_u32(0)
+        path.write_bytes(reframe("sfs", blob))
+        with pytest.raises(FeatureStoreError, match="'plp' block: delta window 0, need at least 1"):
+            load_features(path)
+
+
+@pytest.mark.parametrize("frame_len, hop", [(2048, 1024), (512, 256)])
+def test_a_load_reproduces_extraction_bit_for_bit(mini_dataset, tmp_path, frame_len, hop):
+    manifest = load_manifest(mini_dataset).subset(range(0, 24, 4))
+    families = ["mfcc", "plp", "pncc", "rcgcc", "spcc"]
+    store = extract_for_manifest(manifest, mini_dataset, families, frame_len=frame_len, hop=hop)
+    path = tmp_path / "f.sfs"
+    save_features(store, path)
+    back = load_features(path)
+    assert set(back.records) == set(store.records)
+    assert {family for _, family in back.records} == set(families)
+    for key, values in store.records.items():
+        assert np.array_equal(back.records[key], values), key
 
 
 def _cdl_model():
