@@ -51,7 +51,6 @@ from .gmm import (
     fit_gmm,
     fit_gmm_bank,
     load_gmm_bank,
-    log_likelihood,
     save_gmm_bank,
 )
 from .pipeline import (

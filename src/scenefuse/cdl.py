@@ -196,13 +196,13 @@ def log_embed(desc: CovarianceDescriptor) -> np.ndarray:
     (n x dim), m = n - 1 and ρ its ridge, Σ = CᵀC/m + ρI, and the nonzero
     eigenvalues μ of CᵀC are those of the n x n Gram matrix C Cᵀ = U M Uᵀ,
     with orthonormal eigenvectors V = Cᵀ U M^(-1/2) (kept under the rank
-    rule of :func:`_span`). On span(V) Σ has eigenvalues μ/m + ρ, and on
-    its orthogonal complement, the null space of the frames, only the
-    ridge ρ. So ``log Σ = log(ρ) I + V diag(log1p(μ/(mρ))) Vᵀ``, the same
-    matrix the dense decomposition gives; ``log1p`` keeps the directions
-    whose μ is small beside mρ exact instead of rounding ``log(μ/m + ρ)``
-    against ``log ρ``. With n >= dim, μ and V are the eigenpairs of CᵀC
-itself, under the same rank rule.
+    rule of :func:`_gram_eigenpairs`). On span(V) Σ has eigenvalues
+    μ/m + ρ, and on its orthogonal complement, the null space of the
+    frames, only the ridge ρ. So ``log Σ = log(ρ) I + V diag(log1p(μ/(mρ)))
+    Vᵀ``, the same matrix the dense decomposition gives; ``log1p`` keeps
+    the directions whose μ is small beside mρ exact instead of rounding
+    ``log(μ/m + ρ)`` against ``log ρ``. With n >= dim, μ and V are the
+    eigenpairs of CᵀC itself, under the same rank rule.
     """
     if desc.centered is None:
         lam, vec = np.linalg.eigh(desc.matrix)
@@ -239,13 +239,6 @@ def _gram_eigenpairs(rows: np.ndarray) -> tuple:
     # max(n, width)·ε·λ_max is rounding
     keep = lam > lam.max(initial=0.0) * max(rows.shape) * np.finfo(np.float64).eps
     return lam[keep], u[:, keep]
-
-
-def _span(centered: np.ndarray) -> tuple:
-    """``(u, root)`` with ``(u / root)ᵀ @ centered`` an orthonormal basis of
-    the rows' span, from the eigenpairs of their n x n Gram matrix."""
-    lam, u = _gram_eigenpairs(centered)
-    return u, np.sqrt(lam)
 
 
 def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
@@ -302,7 +295,8 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     train_mean = centered.mean(axis=0)
     centered -= train_mean
 
-    u, root = _span(centered)
+    lam, u = _gram_eigenpairs(centered)
+    root = np.sqrt(lam)
     rank = root.size
     if rank == 0:
         raise ValueError("all embeddings are identical; scatter is degenerate")

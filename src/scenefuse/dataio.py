@@ -9,10 +9,9 @@ signal in [-1, 1].  Manifests are plain tab-separated text
 checksummed binary framing, written and read by :func:`write_container` and
 :func:`read_container`.  A model file is one such container; a feature store
 is a table of contents followed by one container per feature family, so a
-load reads only the families it needs.  Every family is ``[static | delta |
-delta-delta]``, so a store holds only the static columns and a load derives
-the rest with the same :func:`~scenefuse.spectral.append_deltas` call that
-extraction makes.
+load reads only the families it needs.  A store, in memory and on disk,
+holds each family's static columns only; the pipeline derives the deltas
+where it reads a clip.
 """
 
 from __future__ import annotations
@@ -26,14 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .features import DELTA_WINDOW
-from .spectral import FeatureMatrix, append_deltas
 
 FEATURE_STORE_MAGIC = b"SFS1"
-#: version 5 stores only each record's static columns, and a load derives its
-#: deltas; version 4 puts each family in a container of its own behind a
-#: table of contents; version 3 no longer stores cepscom, which is derived
-#: from its parts; version 2 checksums the whole body; version 1 checksummed
-#: each record
+#: version 5 stores only each record's static columns, and each block names
+#: the delta window; version 4 puts each family in a container of its own
+#: behind a table of contents; version 3 no longer stores cepscom, which is
+#: derived from its parts; version 2 checksums the whole body; version 1
+#: checksummed each record
 FEATURE_STORE_VERSION = 5
 
 #: bytes a container adds to its payload: magic, version and checksum
@@ -402,7 +400,8 @@ def split_dataset(
 
 @dataclass
 class FeatureStore:
-    """In-memory map from (source_id, extractor name) to a feature matrix."""
+    """In-memory map from (source_id, family name) to a clip's static
+    feature columns, frames x static width, one width per family."""
 
     records: dict[tuple[str, str], np.ndarray] = field(default_factory=dict, init=False)
     _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -441,10 +440,6 @@ class FeatureStore:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def source_ids(self) -> list[str]:
-        """Distinct source ids in insertion order."""
-        return list(dict.fromkeys(source_id for source_id, _ in self.records))
 
     def extractors(self) -> list[str]:
         return list(dict.fromkeys(name for _, name in self.records))
@@ -566,31 +561,13 @@ def read_container(fh, magic: bytes, version: int, parse, size: int | None = Non
 
 # --- feature stores: a table of contents, then one container per family ---
 
-def _check_deltas(source_id: str, family: str, values: np.ndarray) -> None:
-    """Refuse a record that is not ``[static | delta | delta-delta]`` as
-    extraction makes it, which a load could not rebuild from its static part."""
-    width = values.shape[1]
-    if width % 3:
-        raise FeatureStoreError(
-            f"clip {source_id!r}, {family!r} features: width {width} is not "
-            f"3 x a static width"
-        )
-    static = FeatureMatrix(values[:, : width // 3])
-    if not np.array_equal(append_deltas(static, DELTA_WINDOW).values, values):
-        raise FeatureStoreError(
-            f"clip {source_id!r}, {family!r} features: the last {2 * static.dim} "
-            f"columns are not the deltas and delta-deltas of the first "
-            f"{static.dim} at window {DELTA_WINDOW}"
-        )
-
-
 def _block_parts(family: str, records: list) -> list:
     """Block header (family, static width, delta window, record count), then
     each record's clip, frame count and static columns."""
-    static = records[0][1].shape[1] // 3
-    parts = [pack_str(family), pack_u32(static), pack_u32(DELTA_WINDOW), pack_u32(len(records))]
+    width = records[0][1].shape[1]
+    parts = [pack_str(family), pack_u32(width), pack_u32(DELTA_WINDOW), pack_u32(len(records))]
     for source_id, values in records:
-        parts += [pack_str(source_id), pack_u32(values.shape[0]), pack_floats(values[:, :static])]
+        parts += [pack_str(source_id), pack_u32(values.shape[0]), pack_floats(values)]
     return parts
 
 
@@ -598,16 +575,13 @@ def save_features(store: FeatureStore, path: str | Path) -> None:
     """Write the store as a table of contents, then one container per family
     (bit-exact round-trip).
 
-    Each record keeps only its static columns.  Every record is checked
-    before the file is opened: one whose delta and delta-delta columns are
-    not exactly ``append_deltas`` of its static part at ``DELTA_WINDOW`` is
-    refused, naming the clip and family.  The table gives each block's
-    family and size, so a load can seek past the families it does not need.
-    Blocks are joined one at a time.
+    Records are written as the store holds them, static columns only; each
+    block header names ``DELTA_WINDOW``, the window their deltas are derived
+    at.  The table gives each block's family and size, so a load can seek
+    past the families it does not need.  Blocks are joined one at a time.
     """
     by_family: dict[str, list] = {}
     for (source_id, family), values in store.records.items():
-        _check_deltas(source_id, family, values)
         by_family.setdefault(family, []).append((source_id, values))
     blocks = {family: _block_parts(family, records) for family, records in by_family.items()}
     entries = b"".join(
@@ -640,7 +614,7 @@ def _parse_toc(reader: _Reader) -> dict[str, int]:
 
 def _block_parser(store: FeatureStore, family: str):
     """Parser of the block the table of contents lists as ``family``: each
-    record's static columns, with its deltas derived at the block's window."""
+    record's static columns, added to the store as they are."""
 
     def parse(reader: _Reader) -> None:
         found = reader.string()
@@ -649,16 +623,18 @@ def _block_parser(store: FeatureStore, family: str):
                 f"{reader.context}: holds {found!r} features, not the ones the "
                 f"table of contents lists"
             )
-        static, window = reader.u32(), reader.u32()
-        if window < 1:
-            raise FeatureStoreError(f"{reader.context}: delta window {window}, need at least 1")
+        width, window = reader.u32(), reader.u32()
+        if window != DELTA_WINDOW:
+            raise FeatureStoreError(
+                f"{reader.context}: delta window {window}, but features are "
+                f"read with window {DELTA_WINDOW}"
+            )
         for _ in range(reader.u32()):
             source_id = reader.string()
             if (source_id, family) in store:
                 raise FeatureStoreError(f"{reader.context}: clip {source_id!r} appears twice")
             rows = reader.u32()
-            values = FeatureMatrix(reader.floats(rows * static).reshape(rows, static))
-            store.add(source_id, family, append_deltas(values, window).values)
+            store.add(source_id, family, reader.floats(rows * width).reshape(rows, width))
 
     return parse
 
@@ -669,9 +645,10 @@ def load_features(path: str | Path, families=None) -> FeatureStore:
     The magic and version are checked first, then the table of contents,
     then the file size against the table.  Each wanted block is verified
     before it is parsed; the others are skipped unread.  A named family the
-    file lacks is an error that says what the file holds.  Each record's
-    deltas are rebuilt from its static columns, so a loaded matrix is
-    bit-identical to the one extraction made.
+    file lacks is an error that says what the file holds.  A block whose
+    delta window is not ``DELTA_WINDOW`` is refused: its records would be
+    read with deltas at another window than the one they were written for.
+    Each loaded record is bit-identical to the one extraction made.
     """
     store = FeatureStore()
     with open(path, "rb") as fh:

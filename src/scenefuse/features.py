@@ -4,16 +4,22 @@ Five families share one framing and power-spectrum front end, and the
 families on one bank share its product: mfcc and spcc read one mel
 log-power, pncc and rcgcc one gammatone subband power.
 
-* mfcc    log mel subband power, DCT, 20 static -> 60 with deltas
-* plp     bark bank, equal-loudness, cube root, LPC cepstra + energy -> 39
-* pncc    gammatone bank, medium-time bias subtraction, x^(1/15) -> 60
-* rcgcc   gammatone bank, smoothed noise-suppression gains, cube root -> 60
-* spcc    log mel power projected onto its dominant subspace -> 60
+Extraction yields each family's static columns only (widths below).  A
+system reads ``[static | delta | delta-delta]``, three times as wide; the
+pipeline derives the deltas at ``DELTA_WINDOW`` where it reads a clip
+(``pipeline.clip_features``).
+
+* mfcc    log mel subband power, DCT -> 20
+* plp     bark bank, equal-loudness, cube root, LPC cepstra + energy -> 13
+* pncc    gammatone bank, medium-time bias subtraction, x^(1/15) -> 20
+* rcgcc   gammatone bank, smoothed noise-suppression gains, cube root -> 20
+* spcc    log mel power projected onto its dominant subspace -> 20
 
 The paper's combined family ``cepscom`` is the frame-wise concatenation
-[mfcc | pncc | rcgcc | spcc] -> 240.  It is never extracted or stored on its
-own: a request for it computes its four parts (``CEPSCOM_PARTS``), and the
-pipeline joins them where a system reads cepscom.
+[mfcc | pncc | rcgcc | spcc] of the parts with their deltas -> 240.  It is
+never extracted or stored on its own: a request for it computes its four
+parts (``CEPSCOM_PARTS``), and the pipeline joins them where a system reads
+cepscom.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .spectral import (
     FilterbankMatrix,
     FrameSequence,
     Spectrogram,
-    append_deltas,
     apply_filterbank,
     cepstral_dct,
     frame_signal,
@@ -82,6 +87,8 @@ PLP_MODEL_ORDER = 12
 
 
 def expected_dim(extractor: str) -> int:
+    """Width of a family as a system reads it, static columns plus deltas
+    and delta-deltas: the width ``pipeline.clip_features`` returns."""
     if extractor == "plp":
         return 3 * (PLP_MODEL_ORDER + 1)
     if extractor == "cepscom":
@@ -104,8 +111,7 @@ def _subband(spec: Spectrogram, kind: str) -> np.ndarray:
 # --- mfcc ---
 
 def _mfcc(logmel: np.ndarray) -> FeatureMatrix:
-    static = cepstral_dct(logmel, N_STATIC)
-    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
+    return FeatureMatrix(cepstral_dct(logmel, N_STATIC))
 
 
 # --- plp ---
@@ -184,8 +190,7 @@ def _plp(frames: FrameSequence, spec: Spectrogram) -> FeatureMatrix:
         block = frames.frames[start : start + STFT_BLOCK]
         energy[start : start + STFT_BLOCK] = (block**2).sum(axis=1)
     energy = np.log(np.maximum(energy, LOG_FLOOR))
-    static = np.hstack([ceps, energy[:, None]])
-    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
+    return FeatureMatrix(np.hstack([ceps, energy[:, None]]))
 
 
 # --- pncc ---
@@ -224,8 +229,7 @@ def pncc_power_stages(subband: np.ndarray) -> PnccStages:
 
 def _pncc(gammatone: np.ndarray) -> FeatureMatrix:
     stages = pncc_power_stages(gammatone)
-    static = cepstral_dct(stages.normalized**PNCC_POWER_EXPONENT, N_STATIC)
-    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
+    return FeatureMatrix(cepstral_dct(stages.normalized**PNCC_POWER_EXPONENT, N_STATIC))
 
 
 # --- rcgcc ---
@@ -264,8 +268,7 @@ def rcgcc_gains(subband: np.ndarray, smoothing: float) -> np.ndarray:
 
 def _rcgcc(gammatone: np.ndarray) -> FeatureMatrix:
     gains = rcgcc_gains(gammatone, RCGCC_SMOOTHING)
-    static = cepstral_dct(np.cbrt(gains * gammatone), N_STATIC)
-    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
+    return FeatureMatrix(cepstral_dct(np.cbrt(gains * gammatone), N_STATIC))
 
 
 # --- spcc ---
@@ -310,8 +313,7 @@ def subspace_project(matrix: np.ndarray, fraction: float) -> tuple[np.ndarray, i
 
 def _spcc(logmel: np.ndarray) -> FeatureMatrix:
     recon, _ = subspace_project(logmel, SPCC_ENERGY_FRACTION)
-    static = cepstral_dct(recon, N_STATIC)
-    return append_deltas(FeatureMatrix(static), DELTA_WINDOW)
+    return FeatureMatrix(cepstral_dct(recon, N_STATIC))
 
 
 # --- the extraction entry point ---
@@ -336,8 +338,9 @@ def extract_selected(
     """Requested families only, all from one shared framing and spectrum,
     with each filterbank product computed once.
 
-    A request for ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a
-    concatenated copy.  The result follows ``EXTRACTOR_NAMES`` order.
+    Each family's matrix holds its static columns only.  A request for
+    ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a concatenated
+    copy.  The result follows ``EXTRACTOR_NAMES`` order.
     """
     wanted = set(stored_families(names))
     frames = frame_signal(clip, frame_len, hop)

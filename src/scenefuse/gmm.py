@@ -160,19 +160,6 @@ def _exp_below_peak(comp: np.ndarray, cut: float = LOG_TINY) -> tuple:
     return peak, _exp_normal(comp, cut)
 
 
-def frame_log_likelihoods(model: GmmModel, features: np.ndarray) -> np.ndarray:
-    """Per-frame mixture log-density."""
-    features = _check_features(features, model.dim)
-    comp = _component_log_likelihoods(model._scoring_terms, features, features**2)
-    peak, e = _exp_below_peak(comp)
-    return peak + np.log(e.sum(axis=1))
-
-
-def log_likelihood(model: GmmModel, features: np.ndarray) -> float:
-    """Total log-likelihood of a feature matrix, summed over frames."""
-    return float(frame_log_likelihoods(model, features).sum())
-
-
 def _check_features(features: np.ndarray, dim: int | None = None) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or 0 in features.shape:

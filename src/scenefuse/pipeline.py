@@ -26,7 +26,14 @@ from .dataio import (
     split_dataset,
 )
 from .evaluation import EvaluationReport, evaluate, save_report
-from .features import CEPSCOM_PARTS, FRAME_LEN, HOP, extract_selected, stored_families
+from .features import (
+    CEPSCOM_PARTS,
+    DELTA_WINDOW,
+    FRAME_LEN,
+    HOP,
+    extract_selected,
+    stored_families,
+)
 from .fusion import (
     FusionWeights,
     ScoreMatrix,
@@ -37,7 +44,7 @@ from .fusion import (
     save_weights_csv,
     stratified_folds,
 )
-from .spectral import check_framing
+from .spectral import FeatureMatrix, append_deltas, check_framing
 
 class SystemSpec(NamedTuple):
     family: str  # the feature family the system consumes
@@ -221,18 +228,23 @@ def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
 
 
 def clip_features(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
-    """A clip's frames x dims matrix of one family; cepscom is joined,
-    frame by frame, from its stored parts."""
-    if family != "cepscom":
-        return store.get(entry_path, family)
-    parts = [store.get(entry_path, name) for name in CEPSCOM_PARTS]
+    """A clip's frames x dims matrix of one family as a system reads it,
+    ``[static | delta | delta-delta]``; cepscom is joined, frame by frame,
+    from its parts.
+
+    The store holds static columns only, and this is the one place their
+    deltas are derived, at ``DELTA_WINDOW``.
+    """
+    names = CEPSCOM_PARTS if family == "cepscom" else (family,)
+    parts = [store.get(entry_path, name) for name in names]
     frames = [part.shape[0] for part in parts]
     if len(set(frames)) != 1:
         raise ValueError(
             f"clip {entry_path!r}: the cepscom parts {CEPSCOM_PARTS} have "
             f"{frames} frames; they must agree"
         )
-    return np.hstack(parts)
+    derived = [append_deltas(FeatureMatrix(part), DELTA_WINDOW).values for part in parts]
+    return derived[0] if len(derived) == 1 else np.hstack(derived)
 
 
 def _clip_embedding(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:

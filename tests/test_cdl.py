@@ -348,14 +348,14 @@ class TestFitCdl:
             fit_cdl(embed([desc, desc, desc, desc]), [0, 0, 1, 1])
 
 
-def svd_span(centered):
-    """The span step in SVD form, as ``(u, sigma)`` of the centered stack,
-    with the rank rule on the singular values: the reference that
-    :func:`fit_cdl`'s Gram-matrix span must match."""
+def svd_eigenpairs(centered):
+    """The span step in SVD form, as ``(sigma**2, u)`` of the centered
+    stack, with the rank rule on the singular values: the reference that
+    :func:`fit_cdl`'s Gram-matrix eigenpairs must match."""
     u, svals, _ = np.linalg.svd(centered, full_matrices=False)
     tol = svals.max(initial=0.0) * max(centered.shape) * np.finfo(np.float64).eps
     keep = svals > tol
-    return u[:, keep], svals[keep]
+    return svals[keep] ** 2, u[:, keep]
 
 
 class TestGramSpan:
@@ -364,10 +364,10 @@ class TestGramSpan:
 
     def assert_matches_svd(self, monkeypatch, embeddings, labels, queries):
         centered = np.array(embeddings) - np.mean(embeddings, axis=0)
-        assert cdl_mod._span(centered)[1].size == svd_span(centered)[1].size
+        assert cdl_mod._gram_eigenpairs(centered)[0].size == svd_eigenpairs(centered)[0].size
         gram = fit_cdl(embeddings, labels)
         with monkeypatch.context() as patched:
-            patched.setattr(cdl_mod, "_span", svd_span)
+            patched.setattr(cdl_mod, "_gram_eigenpairs", svd_eigenpairs)
             reference = fit_cdl(embeddings, labels)
         assert gram.d_out == reference.d_out
         got = np.array([classify_cdl(gram, q) for q in queries])

@@ -1,5 +1,6 @@
 """Audio IO, manifests, splits, and the binary containers."""
 
+import re
 import struct
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from scenefuse.dataio import (
 from scenefuse.features import DELTA_WINDOW
 from scenefuse.gmm import fit_gmm_bank, load_gmm_bank, save_gmm_bank
 from scenefuse.pipeline import extract_for_manifest
-from scenefuse.spectral import FeatureMatrix, append_deltas
 
 
 def reference_fnv1a64(data) -> int:
@@ -463,7 +463,7 @@ class TestFeatureStore:
         store.add("clip1", "mfcc", mat)
         assert ("clip1", "mfcc") in store
         assert np.array_equal(store.get("clip1", "mfcc"), mat)
-        assert store.source_ids() == ["clip1"]
+        assert list(store.records) == [("clip1", "mfcc")]
         assert store.extractors() == ["mfcc"]
 
     def test_rejects_1d(self):
@@ -493,21 +493,17 @@ class TestFeatureStore:
         store.add("b", "mfcc", np.zeros((1, 2)))
         store.add("a", "mfcc", np.zeros((1, 2)))
         store.add("b", "pncc", np.zeros((1, 3)))
-        assert store.source_ids() == ["b", "a"]
+        assert list(store.records) == [("b", "mfcc"), ("a", "mfcc"), ("b", "pncc")]
         assert store.extractors() == ["mfcc", "pncc"]
 
 
-def with_deltas(static: np.ndarray) -> np.ndarray:
-    """``[static | delta | delta-delta]``, the layout of every stored family."""
-    return append_deltas(FeatureMatrix(static), DELTA_WINDOW).values
-
-
 def feature_store():
+    """Static columns, as extraction stores them: mfcc 2 wide, plp 1."""
     rng = np.random.default_rng(9)
     store = FeatureStore()
-    store.add("one.wav", "mfcc", with_deltas(rng.standard_normal((7, 2))))
-    store.add("two.wav", "mfcc", with_deltas(rng.standard_normal((3, 2))))
-    store.add("one.wav", "plp", with_deltas(rng.standard_normal((7, 1))))
+    store.add("one.wav", "mfcc", rng.standard_normal((7, 2)))
+    store.add("two.wav", "mfcc", rng.standard_normal((3, 2)))
+    store.add("one.wav", "plp", rng.standard_normal((7, 1)))
     return store
 
 
@@ -610,7 +606,7 @@ class TestFeatureFile:
         block = blob[mfcc_start + 8 : mfcc_end - 8]
         header = pack_str("mfcc") + pack_u32(2) + pack_u32(DELTA_WINDOW) + pack_u32(2)
         assert block.startswith(header)
-        static = store.get("one.wav", "mfcc")[:, :2]
+        static = store.get("one.wav", "mfcc")
         record = pack_str("one.wav") + pack_u32(7) + static.astype("<f8").tobytes()
         assert block[len(header) :].startswith(record)
 
@@ -688,8 +684,8 @@ class TestFeatureFile:
 
     def test_repeated_family_in_the_table_rejected(self, tmp_path):
         store = FeatureStore()
-        store.add("one.wav", "mfcc", with_deltas(np.zeros((2, 1))))
-        store.add("one.wav", "pncc", with_deltas(np.ones((2, 1))))
+        store.add("one.wav", "mfcc", np.zeros((2, 1)))
+        store.add("one.wav", "pncc", np.ones((2, 1)))
         path = tmp_path / "f.sfs"
         save_features(store, path)
         blob = path.read_bytes()
@@ -701,8 +697,8 @@ class TestFeatureFile:
 
     def test_block_family_must_match_the_table(self, tmp_path):
         store = FeatureStore()
-        store.add("one.wav", "mfcc", with_deltas(np.zeros((2, 1))))
-        store.add("one.wav", "pncc", with_deltas(np.ones((2, 1))))
+        store.add("one.wav", "mfcc", np.zeros((2, 1)))
+        store.add("one.wav", "pncc", np.ones((2, 1)))
         path = tmp_path / "f.sfs"
         save_features(store, path)
         blob = path.read_bytes()
@@ -732,44 +728,30 @@ class TestFeatureFile:
             load_features(path)
         assert hashed == []
 
-    @pytest.mark.parametrize("column", [3, 5], ids=["delta", "delta-delta"])
-    def test_record_with_an_edited_delta_is_refused_before_the_file_opens(
-        self, tmp_path, column
-    ):
-        store = feature_store()
-        values = store.get("two.wav", "mfcc").copy()
-        values[1, column] = np.nextafter(values[1, column], np.inf)
-        store.add("two.wav", "mfcc", values)
-        path = tmp_path / "f.sfs"
-        with pytest.raises(
-            FeatureStoreError,
-            match="clip 'two.wav', 'mfcc' features: the last 4 columns are not the deltas "
-                  "and delta-deltas of the first 2 at window 2",
-        ):
-            save_features(store, path)
-        assert not path.exists()
-
-    def test_width_not_a_multiple_of_three_is_refused(self, tmp_path):
-        store = feature_store()
-        store.add("one.wav", "pncc", np.zeros((7, 5)))
-        path = tmp_path / "f.sfs"
-        with pytest.raises(
-            FeatureStoreError, match="clip 'one.wav', 'pncc' features: width 5 is not 3 x"
-        ):
-            save_features(store, path)
-        assert not path.exists()
-
-    def test_delta_window_below_one_rejected(self, tmp_path):
+    def test_delta_window_other_than_the_recipes_rejected(self, tmp_path):
+        # the records would be read with deltas at DELTA_WINDOW, not at the
+        # window they were written for
         path = tmp_path / "f.sfs"
         save_features(feature_store(), path)
         blob = bytearray(path.read_bytes())
         _, (_, plp_start, _) = sfs_blocks(blob)
-        window = plp_start + 8 + len(pack_str("plp")) + 4
-        assert blob[window : window + 4] == pack_u32(DELTA_WINDOW)
-        blob[window : window + 4] = pack_u32(0)
-        path.write_bytes(reframe("sfs", blob))
-        with pytest.raises(FeatureStoreError, match="'plp' block: delta window 0, need at least 1"):
-            load_features(path)
+        field = plp_start + 8 + len(pack_str("plp")) + 4
+        assert blob[field : field + 4] == pack_u32(DELTA_WINDOW)
+        for window in (0, 1, DELTA_WINDOW + 1):
+            blob[field : field + 4] = pack_u32(window)
+            path.write_bytes(reframe("sfs", blob))
+            with pytest.raises(
+                FeatureStoreError,
+                match=re.escape(
+                    f"{path}, 'plp' block: delta window {window}, but features are "
+                    f"read with window {DELTA_WINDOW}"
+                ),
+            ):
+                load_features(path)
+            # a load that skips the block never reads its window
+            assert set(load_features(path, families=["mfcc"]).records) == {
+                ("one.wav", "mfcc"), ("two.wav", "mfcc")
+            }
 
 
 @pytest.mark.parametrize("frame_len, hop", [(2048, 1024), (512, 256)])

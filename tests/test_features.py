@@ -11,7 +11,7 @@ from scipy.linalg import solve_toeplitz
 from scipy.signal import lfilter
 
 from conftest import make_noise_clip, make_tone_clip
-from scenefuse.dataio import AudioClip
+from scenefuse.dataio import AudioClip, FeatureStore
 from scenefuse.features import (
     CEPSCOM_PARTS,
     EXTRACTOR_NAMES,
@@ -19,6 +19,7 @@ from scenefuse.features import (
     HOP,
     N_CHANNELS,
     N_STATIC,
+    PLP_MODEL_ORDER,
     PNCC_POWER_EXPONENT,
     RCGCC_SEED_FRAMES,
     equal_loudness,
@@ -33,6 +34,7 @@ from scenefuse.features import (
     subspace_project,
     subspace_rank,
 )
+from scenefuse.pipeline import clip_features
 from scenefuse.spectral import (
     LOG_FLOOR,
     apply_filterbank,
@@ -48,9 +50,27 @@ from scenefuse.synth import profile_by_name, synth_scene
 FAMILIES = ("mfcc", "plp", "pncc", "rcgcc", "spcc")
 
 
+#: static columns each family extracts; a system reads three times as many
+STATIC_WIDTHS = {"mfcc": N_STATIC, "plp": PLP_MODEL_ORDER + 1, "pncc": N_STATIC,
+                 "rcgcc": N_STATIC, "spcc": N_STATIC}
+
+
 def extract(name, clip):
     """One family through the extraction entry point."""
     return extract_selected(clip, [name])[name]
+
+
+def as_read(bundle, name, source_id="clip"):
+    """One family of an extracted bundle as a system reads it: stored, then
+    read through ``clip_features``, which derives its deltas."""
+    store = FeatureStore()
+    for family, mat in bundle.items():
+        store.add(source_id, family, mat.values)
+    return clip_features(store, source_id, name)
+
+
+def extract_as_read(name, clip):
+    return as_read(extract_selected(clip, [name]), name)
 
 
 def comb_clip(seconds=3.0, sample_rate=44100, seed=5):
@@ -113,8 +133,8 @@ def test_default_recipe_reproduces_recorded_values(chime_bundle, name):
     # the helper oracles pass their own parameters and would not notice
     n_samples, bundle = chime_bundle
     static_means, delta_magnitudes = RECORDED_FAMILY_VALUES[name]
-    values = bundle[name].values
-    n_static = values.shape[1] // 3
+    values = as_read(bundle, name)
+    n_static = STATIC_WIDTHS[name]
     assert values.shape == (frame_count(n_samples, FRAME_LEN, HOP), expected_dim(name))
     np.testing.assert_allclose(values[:, :3].mean(axis=0), static_means, rtol=1e-9)
     np.testing.assert_allclose(
@@ -132,9 +152,10 @@ class TestDimensions:
         assert list(bundle) == list(FAMILIES)
         for name in FAMILIES:
             mat = bundle[name]
-            assert mat.dim == expected_dim(name)
+            assert mat.dim == STATIC_WIDTHS[name]
+            assert expected_dim(name) == 3 * mat.dim
             assert np.all(np.isfinite(mat.values))
-        assert expected_dim("cepscom") == sum(bundle[n].dim for n in CEPSCOM_PARTS)
+        assert expected_dim("cepscom") == sum(expected_dim(n) for n in CEPSCOM_PARTS)
 
     def test_frame_counts_agree(self, bundle):
         n = frame_count(2 * 44100, 2048, 1024)
@@ -159,7 +180,7 @@ class TestSelection:
         clip = make_noise_clip(1.0, 16000, seed=3)
         out = extract_selected(clip, ["cepscom"])
         assert list(out) == list(CEPSCOM_PARTS) == ["mfcc", "pncc", "rcgcc", "spcc"]
-        assert all(out[name].dim == 60 for name in CEPSCOM_PARTS)
+        assert all(out[name].dim == N_STATIC for name in CEPSCOM_PARTS)
 
     def test_shared_products_change_no_family(self, chime_bundle):
         # mfcc/spcc share one mel product and pncc/rcgcc one gammatone
@@ -186,7 +207,7 @@ class TestSelection:
 class TestMfcc:
     def test_silence(self):
         clip = AudioClip(np.zeros(44100), 44100, "silence")
-        mat = extract("mfcc", clip).values
+        mat = extract_as_read("mfcc", clip)
         want_c0 = np.log(LOG_FLOOR) * np.sqrt(40)
         assert np.allclose(mat[:, 0], want_c0, atol=1e-9)
         assert np.abs(mat[:, 1:20]).max() < 1e-9
@@ -311,11 +332,11 @@ class TestLpcToCepstrum:
 class TestPlp:
     def test_dim(self):
         mat = extract("plp", make_noise_clip(1.0, 44100, seed=17))
-        assert mat.dim == 39
+        assert mat.dim == 13
 
     def test_silence(self):
         clip = AudioClip(np.zeros(44100), 44100, "silence")
-        mat = extract("plp", clip).values
+        mat = extract_as_read("plp", clip)
         assert np.abs(mat[:, :12]).max() < 1e-12
         assert np.allclose(mat[:, 12], np.log(LOG_FLOOR))
         assert np.abs(mat[:, 13:]).max() < 1e-9
@@ -343,7 +364,7 @@ class TestPlp:
 
 class TestPncc:
     def test_dim(self):
-        assert extract("pncc", make_noise_clip(1.0, 44100, seed=20)).dim == 60
+        assert extract("pncc", make_noise_clip(1.0, 44100, seed=20)).dim == 20
 
     def test_medium_time_power_oracle(self):
         rng = np.random.default_rng(21)
@@ -419,7 +440,7 @@ class TestRcgcc:
             assert np.array_equal(rcgcc_gains(sub, smoothing), lfilter_gains(sub, smoothing))
 
     def test_dim(self):
-        assert extract("rcgcc", make_noise_clip(1.0, 44100, seed=24)).dim == 60
+        assert extract("rcgcc", make_noise_clip(1.0, 44100, seed=24)).dim == 20
 
     def test_constant_input_settles_at_floor(self):
         sub = np.full((200, 5), 7.0)
@@ -529,7 +550,7 @@ class TestSpcc:
             assert extract(name, clip).n_frames == 1
 
     def test_dim(self):
-        assert extract("spcc", make_noise_clip(1.0, 44100, seed=31)).dim == 60
+        assert extract("spcc", make_noise_clip(1.0, 44100, seed=31)).dim == 20
 
 
 class TestCepscom:

@@ -15,9 +15,7 @@ from scenefuse.gmm import (
     classify_gmm,
     fit_gmm,
     fit_gmm_bank,
-    frame_log_likelihoods,
     load_gmm_bank,
-    log_likelihood,
     save_gmm_bank,
 )
 
@@ -269,11 +267,18 @@ class TestModelValidation:
             GmmBank([two, three])
 
 
+def log_likelihood(model, features):
+    """A clip's total log-likelihood under one model, as ``classify_gmm``
+    scores it in a one-model bank."""
+    return classify_gmm(GmmBank([model]), features)[0]
+
+
 class TestLikelihood:
     def test_standard_normal_value(self):
         model = GmmModel(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)))
-        got = frame_log_likelihoods(model, np.array([[0.0]]))
-        assert got[0] == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
+        assert log_likelihood(model, np.array([[0.0]])) == pytest.approx(
+            -0.5 * np.log(2 * np.pi), abs=1e-12
+        )
         assert log_likelihood(model, np.array([[1.0]])) == pytest.approx(
             -0.5 * np.log(2 * np.pi) - 0.5, abs=1e-12
         )
@@ -540,12 +545,10 @@ class TestBankFile:
             [two_blobs(rng, separation=22.0)[0] for _ in range(2)], 2, seeds=[1, 2]
         )
         clip = two_blobs(rng, separation=22.0, n=30)[0]
-        peak, terms = inline_exp_terms(bank.models[:1], clip)
+        single = GmmBank(bank.models[:1])
+        _, terms = inline_exp_terms(single.models, clip)
         assert count_subnormal(terms) > 0
-        assert np.array_equal(
-            frame_log_likelihoods(bank.models[0], clip),
-            peak[:, 0] + np.log(terms[:, 0].sum(axis=1)),
-        )
+        assert np.array_equal(classify_gmm(single, clip), inline_formula_scores(single, clip))
         assert np.array_equal(classify_gmm(bank, clip), inline_formula_scores(bank, clip))
 
     def test_scores_near_per_model_formula(self):

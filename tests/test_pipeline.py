@@ -15,7 +15,13 @@ from scenefuse.dataio import (
     resolve_clip_path,
     split_dataset,
 )
-from scenefuse.features import CEPSCOM_PARTS, extract_selected
+from scenefuse.features import (
+    CEPSCOM_PARTS,
+    DELTA_WINDOW,
+    EXTRACTOR_NAMES,
+    expected_dim,
+    extract_selected,
+)
 from scenefuse.fusion import load_score_csv, load_weights_csv
 from scenefuse.gmm import GmmBank
 from scenefuse.pipeline import (
@@ -36,6 +42,7 @@ from scenefuse.pipeline import (
     save_system_model,
     score_system,
 )
+from scenefuse.spectral import FeatureMatrix, append_deltas
 
 #: short framing that keeps the pipeline tests fast
 FAST = {"frame_len": 512, "hop": 256}
@@ -187,10 +194,10 @@ def small_store(mini_dataset):
 class TestExtractAndFit:
     def test_store_keys_are_entry_paths(self, small_store):
         manifest, store = small_store
-        assert store.source_ids() == [e[0] for e in manifest.entries]
+        assert [source_id for source_id, _ in store.records] == [e[0] for e in manifest.entries]
         assert store.extractors() == ["mfcc"]
         first = store.get(manifest.entries[0][0], "mfcc")
-        assert first.shape[1] == 60
+        assert first.shape[1] == 20
 
     def test_fit_and_score_gmm(self, small_store):
         manifest, store = small_store
@@ -312,17 +319,47 @@ class TestComputeOnce:
             score_system(model, store, clips)
 
 
+@pytest.fixture(scope="module")
+def static_store(mini_dataset):
+    manifest = load_manifest(mini_dataset).subset(range(0, 24, 8))
+    return manifest, extract_for_manifest(manifest, mini_dataset, EXTRACTOR_NAMES, **FAST)
+
+
+def test_store_holds_static_columns(static_store):
+    _, store = static_store
+    widths = {family: values.shape[1] for (_, family), values in store.records.items()}
+    assert widths == {"mfcc": 20, "plp": 13, "pncc": 20, "rcgcc": 20, "spcc": 20}
+
+
+@pytest.mark.parametrize("name", EXTRACTOR_NAMES)
+def test_clip_features_derives_deltas_of_the_stored_parts(static_store, name):
+    manifest, store = static_store
+    parts = CEPSCOM_PARTS if name == "cepscom" else (name,)
+    for entry_path, _ in manifest.entries:
+        want = np.hstack([
+            append_deltas(FeatureMatrix(store.get(entry_path, part)), DELTA_WINDOW).values
+            for part in parts
+        ])
+        got = clip_features(store, entry_path, name)
+        assert got.shape[1] == expected_dim(name)
+        assert np.array_equal(got, want), entry_path
+
+
 class TestCepscomRows:
     def test_joined_rows_equal_the_stored_concatenation(self, mini_dataset):
         # the rows equal what version 2 stores held for cepscom: the
-        # extracted [mfcc | pncc | rcgcc | spcc] matrices, hstacked
+        # extracted [mfcc | pncc | rcgcc | spcc] matrices with their deltas,
+        # hstacked
         manifest = load_manifest(mini_dataset)
         store = extract_for_manifest(manifest, mini_dataset, ["cepscom"], **FAST)
         assert store.extractors() == ["mfcc", "pncc", "rcgcc", "spcc"]
         for entry_path, _ in manifest.entries[:3]:
             clip = read_wav(resolve_clip_path(mini_dataset, entry_path))
             parts = extract_selected(clip, ["mfcc", "pncc", "rcgcc", "spcc"], **FAST)
-            stored = np.hstack([parts[n].values for n in ("mfcc", "pncc", "rcgcc", "spcc")])
+            stored = np.hstack([
+                append_deltas(parts[n], DELTA_WINDOW).values
+                for n in ("mfcc", "pncc", "rcgcc", "spcc")
+            ])
             rows = clip_features(store, entry_path, "cepscom")
             assert rows.shape == (stored.shape[0], 240)
             assert np.array_equal(rows, stored)
