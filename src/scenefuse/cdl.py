@@ -48,44 +48,19 @@ DESCRIPTOR_RIDGE_SCALE = 1e-3
 SHRINKAGE_SCALE = 1e-2
 
 
+@dataclass(eq=False)
 class CovarianceDescriptor:
-    """Symmetric positive-definite summary of one clip's feature frames.
+    """Symmetric positive-definite summary of one clip's feature frames,
+    kept as the clip's centered frames C (n x dim) and ridge ρ: it stands
+    for ``Cᵀ C / (n - 1) + ρ I``, which :func:`log_embed` never forms."""
 
-    Built either from a matrix or, by :func:`covariance_descriptor`, from a
-    clip's centered frames C (n x dim) and ridge ρ, standing for the matrix
-    ``Cᵀ C / (n - 1) + ρ I``. That matrix is formed only when ``matrix`` is
-    read; :func:`log_embed` works from the frames.
-    """
-
-    def __init__(
-        self, matrix=None, source_id: str = "", *, centered=None, ridge: float = 0.0
-    ) -> None:
-        self.source_id = source_id
-        self.centered = centered
-        self.ridge = ridge
-        self._matrix = None
-        if centered is None:
-            matrix = np.asarray(matrix, dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError(f"descriptor {source_id!r}: matrix must be square")
-            if not np.all(np.isfinite(matrix)):
-                raise ValueError(f"descriptor {source_id!r}: matrix contains non-finite values")
-            if np.abs(matrix - matrix.T).max() > 1e-10:
-                raise ValueError(f"descriptor {source_id!r}: matrix is not symmetric")
-            self._matrix = matrix
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            cov = self.centered.T @ self.centered / (self.centered.shape[0] - 1)
-            cov = 0.5 * (cov + cov.T)
-            self._matrix = cov + self.ridge * np.eye(self.dim)
-        return self._matrix
+    centered: np.ndarray
+    ridge: float
+    source_id: str = ""
 
     @property
     def dim(self) -> int:
-        source = self._matrix if self.centered is None else self.centered
-        return source.shape[1]
+        return self.centered.shape[1]
 
 
 @dataclass
@@ -180,19 +155,15 @@ def covariance_descriptor(features: np.ndarray, source_id: str = "") -> Covarian
     dim = features.shape[1]
     if trace <= 0.0:
         # constant features carry no covariance structure at all
-        return CovarianceDescriptor(
-            source_id=source_id, centered=np.zeros_like(centered), ridge=CONSTANT_FEATURE_EPS
-        )
-    return CovarianceDescriptor(
-        source_id=source_id, centered=centered, ridge=DESCRIPTOR_RIDGE_SCALE * trace / dim
-    )
+        return CovarianceDescriptor(np.zeros_like(centered), CONSTANT_FEATURE_EPS, source_id)
+    return CovarianceDescriptor(centered, DESCRIPTOR_RIDGE_SCALE * trace / dim, source_id)
 
 
 def log_embed(desc: CovarianceDescriptor) -> np.ndarray:
     """Half-vectorized matrix logarithm of an SPD descriptor.
 
-    A descriptor built from frames is never decomposed at dim x dim size
-    when it has fewer frames than dimensions. With C its centered frames
+    The descriptor is never decomposed at dim x dim size when it has
+    fewer frames than dimensions. With C its centered frames
     (n x dim), m = n - 1 and ρ its ridge, Σ = CᵀC/m + ρI, and the nonzero
     eigenvalues μ of CᵀC are those of the n x n Gram matrix C Cᵀ = U M Uᵀ,
     with orthonormal eigenvectors V = Cᵀ U M^(-1/2) (kept under the rank
@@ -204,24 +175,15 @@ def log_embed(desc: CovarianceDescriptor) -> np.ndarray:
     ``log(μ/m + ρ)`` against ``log ρ``. With n >= dim, μ and V are the
     eigenpairs of CᵀC itself, under the same rank rule.
     """
-    if desc.centered is None:
-        lam, vec = np.linalg.eigh(desc.matrix)
-        if lam[0] <= 0.0:
-            raise ValueError(
-                f"descriptor {desc.source_id!r} is not positive definite "
-                f"(smallest eigenvalue {lam[0]:.3e})"
-            )
-        log_mat = (vec * np.log(lam)[None, :]) @ vec.T
+    centered, ridge = desc.centered, desc.ridge
+    n, dim = centered.shape
+    if n < dim:
+        mu, u = _gram_eigenpairs(centered)
+        vec = centered.T @ (u / np.sqrt(mu))
     else:
-        centered, ridge = desc.centered, desc.ridge
-        n, dim = centered.shape
-        if n < dim:
-            mu, u = _gram_eigenpairs(centered)
-            vec = centered.T @ (u / np.sqrt(mu))
-        else:
-            mu, vec = _gram_eigenpairs(centered.T)
-        log_mat = (vec * np.log1p(mu / ((n - 1) * ridge))) @ vec.T
-        log_mat[np.diag_indices(dim)] += np.log(ridge)
+        mu, vec = _gram_eigenpairs(centered.T)
+    log_mat = (vec * np.log1p(mu / ((n - 1) * ridge))) @ vec.T
+    log_mat[np.diag_indices(dim)] += np.log(ridge)
     return half_vec(0.5 * (log_mat + log_mat.T))
 
 
@@ -257,6 +219,11 @@ def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
 def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     """Fisher discriminant over centered log embeddings (see :func:`log_embed`).
 
+    ``embeddings`` holds one embedding per clip. Given as an n x d_vec
+    float64 array, it is centred in place, with no copy made, and is left
+    holding the centered embeddings; any other form is stacked into a new
+    array first.
+
     The scatter matrices are never materialized at full size: all
     generalized eigenvectors of interest live in the span of the training
     embeddings, so the problem is solved in that span and mapped back.
@@ -289,8 +256,7 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
         raise ValueError(f"embeddings disagree on dim: {sorted(dims)}")
     dim = dims.pop()
 
-    # a fresh stack, centered in place: the callers' embeddings stay as they are
-    centered = np.array(embeddings, dtype=np.float64)
+    centered = np.asarray(embeddings, dtype=np.float64)
     d_vec = centered.shape[1]
     train_mean = centered.mean(axis=0)
     centered -= train_mean

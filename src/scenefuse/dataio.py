@@ -405,13 +405,6 @@ class FeatureStore:
 
     records: dict[tuple[str, str], np.ndarray] = field(default_factory=dict, init=False)
     _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: source_id -> {family: value} a later stage derives once and keeps (the
-    #: pipeline's CDL log-embeddings of training clips).  A derived family may
-    #: read several records of its clip, so adding any record of a clip drops
-    #: everything derived from that clip
-    _derived: dict[str, dict[str, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def add(self, source_id: str, extractor: str, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -423,7 +416,6 @@ class FeatureStore:
                 f"extractor {extractor!r} dimension mismatch: {dim} vs {values.shape[1]}"
             )
         self.records[(source_id, extractor)] = values
-        self._derived.pop(source_id, None)
 
     def get(self, source_id: str, extractor: str) -> np.ndarray:
         try:

@@ -227,44 +227,95 @@ def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
     return (base * 1000003 + system_index * 101 + class_index) & 0x7FFFFFFF
 
 
+def _stored_parts(family: str) -> tuple:
+    """The store names a family is read from: cepscom's parts, or itself."""
+    return CEPSCOM_PARTS if family == "cepscom" else (family,)
+
+
 def clip_features(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
     """A clip's frames x dims matrix of one family as a system reads it,
     ``[static | delta | delta-delta]``; cepscom is joined, frame by frame,
-    from its parts.
+    from its parts, each in that layout.
 
     The store holds static columns only, and this is the one place their
-    deltas are derived, at ``DELTA_WINDOW``.
+    deltas are derived, at ``DELTA_WINDOW``: in one call over the joined
+    static columns, since a column's deltas depend on that column alone.
     """
-    names = CEPSCOM_PARTS if family == "cepscom" else (family,)
-    parts = [store.get(entry_path, name) for name in names]
-    frames = [part.shape[0] for part in parts]
-    if len(set(frames)) != 1:
-        raise ValueError(
-            f"clip {entry_path!r}: the cepscom parts {CEPSCOM_PARTS} have "
-            f"{frames} frames; they must agree"
-        )
-    derived = [append_deltas(FeatureMatrix(part), DELTA_WINDOW).values for part in parts]
-    return derived[0] if len(derived) == 1 else np.hstack(derived)
+    parts = [store.get(entry_path, name) for name in _stored_parts(family)]
+    for what, sizes in (("frames", [p.shape[0] for p in parts]),
+                        ("columns", [p.shape[1] for p in parts])):
+        if len(set(sizes)) != 1:
+            raise ValueError(
+                f"clip {entry_path!r}: the cepscom parts {CEPSCOM_PARTS} have "
+                f"{sizes} {what}; they must agree"
+            )
+    static = parts[0] if len(parts) == 1 else np.hstack(parts)
+    derived = append_deltas(FeatureMatrix(static), DELTA_WINDOW).values
+    # [static | delta | delta-delta] of the joined columns, regrouped per part
+    n = static.shape[0]
+    return derived.reshape(n, 3, len(parts), -1).transpose(0, 2, 1, 3).reshape(n, -1)
 
 
 def _clip_embedding(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
-    """A clip's CDL log-embedding: the kept one if a training pass kept it."""
-    embedding = store._derived.get(entry_path, {}).get(family)
-    if embedding is None:
-        embedding = cdl_mod.log_embed(
-            cdl_mod.covariance_descriptor(
-                clip_features(store, entry_path, family), source_id=entry_path
-            )
+    """A clip's CDL log-embedding."""
+    return cdl_mod.log_embed(
+        cdl_mod.covariance_descriptor(
+            clip_features(store, entry_path, family), source_id=entry_path
         )
-    return embedding
+    )
 
 
-def _training_embedding(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
-    """:func:`_clip_embedding`, kept on the store: the CV folds and the final
-    fit see each training clip several times, test clips are scored once."""
-    embedding = _clip_embedding(store, entry_path, family)
-    store._derived.setdefault(entry_path, {})[family] = embedding
-    return embedding
+class TrainingEmbeddings:
+    """The CDL log-embeddings of a training manifest's clips: per feature
+    family, one clips x d_vec float64 matrix whose row i is clip i's,
+    embedded into that row when first read.
+
+    A run shares one between its weight estimation and its final fits, so
+    each training clip is embedded once per run: the CV folds fit on copies
+    of row subsets, held-out clips are scored from their rows, and the
+    final fit takes the matrix itself (see :meth:`rows`).  A row keeps the
+    store records it was made of, and is embedded again once any of them
+    has been replaced.
+    """
+
+    def __init__(self, store: FeatureStore, train: DatasetManifest) -> None:
+        self.store = store
+        self.paths = [entry_path for entry_path, _ in train.entries]
+        self._index = {entry_path: i for i, entry_path in enumerate(self.paths)}
+        self._matrices: dict = {}  # family -> clips x d_vec
+        self._made_of: dict = {}  # family -> per row, its records, or None
+
+    def _fill(self, family: str, idx) -> np.ndarray:
+        made_of = self._made_of.setdefault(family, [None] * len(self.paths))
+        for i in idx:
+            path = self.paths[i]
+            records = [self.store.get(path, name) for name in _stored_parts(family)]
+            if made_of[i] is not None and all(r is m for r, m in zip(records, made_of[i])):
+                continue
+            embedding = _clip_embedding(self.store, path, family)
+            if family not in self._matrices:
+                self._matrices[family] = np.empty((len(self.paths), embedding.size))
+            self._matrices[family][i] = embedding
+            made_of[i] = records
+        return self._matrices[family]
+
+    def row(self, family: str, entry_path: str) -> np.ndarray:
+        """A training clip's embedding, a view of its row."""
+        i = self._index[entry_path]
+        return self._fill(family, [i])[i]
+
+    def rows(self, family: str, clips: DatasetManifest) -> np.ndarray:
+        """The embeddings of ``clips``, training clips in any order, as a
+        matrix the caller may overwrite: a copy of their rows, or, when
+        ``clips`` is the whole training manifest in its order, the matrix
+        itself, which is then forgotten here."""
+        paths = [entry_path for entry_path, _ in clips.entries]
+        if paths != self.paths:
+            idx = [self._index[entry_path] for entry_path in paths]
+            return self._fill(family, idx)[idx]
+        matrix = self._fill(family, range(len(paths)))
+        del self._matrices[family], self._made_of[family]
+        return matrix
 
 
 def _mixtures(extractor: str, opts: TrainOptions) -> int:
@@ -295,7 +346,7 @@ def _check_trainable(
         return
     n_components = _mixtures(extractor, opts)
     # a cepscom clip has the frame count of each of its stored parts
-    stored = CEPSCOM_PARTS[0] if extractor == "cepscom" else extractor
+    stored = _stored_parts(extractor)[0]
     frames = np.zeros(n_classes, dtype=np.int64)
     for (entry_path, _), label in zip(train.entries, labels):
         frames[label] += store.get(entry_path, stored).shape[0]
@@ -307,34 +358,53 @@ def _check_trainable(
             )
 
 
+def _class_matrices(store: FeatureStore, train: DatasetManifest, family: str):
+    """Each class's training frames as one matrix, in class order, each
+    built only when asked for: preallocated to the class's frame count,
+    with each clip's rows written into it in turn."""
+    stored = _stored_parts(family)
+    for class_name in train.class_names:
+        matrix = None  # first on resuming: the previous class's matrix goes
+        paths = [entry_path for entry_path, label in train.entries if label == class_name]
+        frames = [store.get(entry_path, stored[0]).shape[0] for entry_path in paths]
+        stops = np.cumsum(frames)
+        # [static | delta | delta-delta] of each stored part
+        width = 3 * sum(store.get(paths[0], name).shape[1] for name in stored)
+        matrix = np.empty((stops[-1], width))
+        for entry_path, start, stop in zip(paths, stops - frames, stops):
+            matrix[start:stop] = clip_features(store, entry_path, family)
+        yield matrix
+
+
 def fit_system(
     system_id: str,
     store: FeatureStore,
     train: DatasetManifest,
     opts: TrainOptions,
+    *,
+    kept: TrainingEmbeddings | None = None,
 ) -> SystemModel:
-    """Train one system on the given manifest's clips."""
+    """Train one system on the given manifest's clips.
+
+    A CDL system reads its embeddings from ``kept``, those of a training
+    manifest that holds ``train``'s clips, when it is given (see
+    :class:`TrainingEmbeddings`), and embeds the clips into one matrix
+    otherwise.  A GMM system builds each class's frames just before that
+    class's EM, so only one class's matrix is alive at a time.
+    """
     _check_trainable(system_id, store, train, opts)
     family, backend = SYSTEMS[system_id]
     if backend == "cdl":
-        embeddings = [
-            _training_embedding(store, entry_path, family)
-            for entry_path, _ in train.entries
-        ]
+        if kept is None:
+            kept = TrainingEmbeddings(store, train)
         model = cdl_mod.fit_cdl(
-            embeddings, train.label_indices(), n_classes=len(train.class_names)
+            kept.rows(family, train), train.label_indices(), n_classes=len(train.class_names)
         )
     else:
-        class_features = [
-            np.vstack([
-                clip_features(store, entry_path, family)
-                for (entry_path, label) in train.entries
-                if label == class_name
-            ])
-            for class_name in train.class_names
-        ]
         seeds = [_gmm_seed(opts.gmm_seed, system_id, c) for c in range(len(train.class_names))]
-        model = gmm_mod.fit_gmm_bank(class_features, _mixtures(family, opts), seeds)
+        model = gmm_mod.fit_gmm_bank(
+            _class_matrices(store, train, family), _mixtures(family, opts), seeds
+        )
     return SystemModel(system_id, list(train.class_names), model)
 
 
@@ -362,18 +432,20 @@ def _fold_runner(
     store: FeatureStore,
     train: DatasetManifest,
     opts: TrainOptions,
+    kept: TrainingEmbeddings,
 ):
     family, backend = SYSTEMS[system_id]
 
     def run(train_idx, test_idx):
-        model = fit_system(system_id, store, train.subset(train_idx), opts)
+        model = fit_system(system_id, store, train.subset(train_idx), opts, kept=kept)
         predictions = []
         for i in test_idx:
             entry_path = train.entries[i][0]
             if backend == "cdl":
                 # held out of this fold, but a training clip of the run
-                _training_embedding(store, entry_path, family)
-            scores = _clip_scores(model, store, entry_path)
+                scores = cdl_mod.classify_cdl(model.model, kept.row(family, entry_path))
+            else:
+                scores = _clip_scores(model, store, entry_path)
             predictions.append(int(np.argmax(scores)))
         return predictions
 
@@ -388,9 +460,13 @@ def estimate_weights(
     *,
     folds: int,
     seed: int,
+    kept: TrainingEmbeddings | None = None,
 ) -> FusionWeights:
     """Reliability weights for the given systems from their stratified
-    ``folds``-fold cross-validated confusions on the training clips."""
+    ``folds``-fold cross-validated confusions on the training clips.
+
+    The CDL folds read ``kept``, :class:`TrainingEmbeddings` of ``train``,
+    which a later :func:`fit_system` on ``train`` can then take whole."""
     labels = train.label_indices()
     n_classes = len(train.class_names)
     counts = np.bincount(labels, minlength=n_classes)
@@ -407,9 +483,11 @@ def estimate_weights(
             _check_trainable(
                 system_id, store, part, opts, f" with fold {fold + 1} of {folds} held out"
             )
+    if kept is None:
+        kept = TrainingEmbeddings(store, train)
     confusions = [
         cross_validated_confusion(
-            labels, n_classes, folds, seed, _fold_runner(system_id, store, train, opts)
+            labels, n_classes, folds, seed, _fold_runner(system_id, store, train, opts, kept)
         )
         for system_id in system_ids
     ]
@@ -513,6 +591,8 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             manifest, config.manifest, extractors, frame_len=config.frame_len, hop=config.hop
         )
 
+    # the CDL embeddings of the training clips, from the CV folds to the final fit
+    kept = TrainingEmbeddings(store, train)
     with _stage("weights"):
         weights = estimate_weights(
             store,
@@ -521,6 +601,7 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             config,
             folds=config.weights_folds,
             seed=config.weights_seed,
+            kept=kept,
         )
         (out / "models").mkdir(exist_ok=True)
         save_weights_csv(out / "weights.csv", weights)
@@ -528,7 +609,7 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
     with _stage("train"):
         models = {}
         for system_id in config.systems:
-            model = fit_system(system_id, store, train, config)
+            model = fit_system(system_id, store, train, config, kept=kept)
             save_system_model(_model_path(out, system_id), model)
             models[system_id] = model
 

@@ -291,6 +291,12 @@ def test_c4_em_behaves():
         )
 
 
+def descriptor_matrix(desc):
+    """The matrix a descriptor stands for, ``Cᵀ C / (n - 1) + ρ I``, formed densely."""
+    cov = desc.centered.T @ desc.centered / (desc.centered.shape[0] - 1)
+    return 0.5 * (cov + cov.T) + desc.ridge * np.eye(desc.dim)
+
+
 def test_c5_descriptor_geometry():
     with criterion("C5") as c:
         rng = np.random.default_rng(5)
@@ -302,16 +308,15 @@ def test_c5_descriptor_geometry():
             feats = rng.standard_normal((frames, dim)) * rng.uniform(0.5, 2.0, dim)
             desc = covariance_descriptor(feats)
             descriptors.append(desc)
-            sym_ok &= np.abs(desc.matrix - desc.matrix.T).max() <= 1e-10
+            matrix = descriptor_matrix(desc)
+            sym_ok &= np.abs(matrix - matrix.T).max() <= 1e-10
             centered = feats - feats.mean(axis=0)
             cov = centered.T @ centered / (frames - 1)
             eps = 1e-3 * float(np.trace(0.5 * (cov + cov.T))) / dim
-            eig_ok &= float(np.linalg.eigvalsh(desc.matrix).min()) >= eps - 1e-9
+            eig_ok &= float(np.linalg.eigvalsh(matrix).min()) >= eps - 1e-9
             vec = log_embed(desc)
             back = scipy.linalg.expm(half_vec_inverse(vec, dim))
-            rel = np.linalg.norm(back - desc.matrix, "fro") / np.linalg.norm(
-                desc.matrix, "fro"
-            )
+            rel = np.linalg.norm(back - matrix, "fro") / np.linalg.norm(matrix, "fro")
             round_ok &= rel <= 1e-8
 
         dist_ok = True
@@ -322,7 +327,9 @@ def test_c5_descriptor_geometry():
                 continue
             got = np.linalg.norm(log_embed(d1) - log_embed(d2))
             want = np.linalg.norm(
-                scipy.linalg.logm(d1.matrix) - scipy.linalg.logm(d2.matrix), "fro"
+                scipy.linalg.logm(descriptor_matrix(d1))
+                - scipy.linalg.logm(descriptor_matrix(d2)),
+                "fro",
             )
             dist_ok &= abs(got - want) <= 1e-10
 

@@ -21,6 +21,35 @@ from scenefuse.cdl import (
 )
 
 
+def dense_matrix(desc):
+    """The matrix a descriptor stands for, ``Cᵀ C / (n - 1) + ρ I``, formed densely."""
+    cov = desc.centered.T @ desc.centered / (desc.centered.shape[0] - 1)
+    return 0.5 * (cov + cov.T) + desc.ridge * np.eye(desc.dim)
+
+
+def dense_log_embed(matrix):
+    """The dense oracle for :func:`log_embed`: the half-vectorized logarithm
+    of a symmetric positive-definite matrix, from its full ``eigh``."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("matrix contains non-finite values")
+    if np.abs(matrix - matrix.T).max() > 1e-10:
+        raise ValueError("matrix is not symmetric")
+    lam, vec = np.linalg.eigh(matrix)
+    if lam[0] <= 0.0:
+        raise ValueError(f"matrix is not positive definite (smallest eigenvalue {lam[0]:.3e})")
+    log_mat = (vec * np.log(lam)[None, :]) @ vec.T
+    return half_vec(0.5 * (log_mat + log_mat.T))
+
+
+def ridge_only(dim):
+    """A descriptor of frames that carry no covariance at all, standing for
+    the identity: two all-zero centered frames with ridge 1."""
+    return CovarianceDescriptor(np.zeros((2, dim)), 1.0)
+
+
 def random_descriptor(rng, dim, frames=None):
     frames = frames or (dim + 10)
     return covariance_descriptor(rng.standard_normal((frames, dim)))
@@ -79,19 +108,19 @@ class TestCovarianceDescriptor:
     def test_two_frame_hand_value(self):
         desc = covariance_descriptor(np.array([[0.0], [2.0]]))
         # variance 2 plus ridge 1e-3 * 2 / 1
-        assert desc.matrix[0, 0] == pytest.approx(2.002, rel=1e-12)
+        assert dense_matrix(desc)[0, 0] == pytest.approx(2.002, rel=1e-12)
 
     def test_white_frames_near_identity(self):
         rng = np.random.default_rng(2)
         desc = covariance_descriptor(rng.standard_normal((10000, 4)))
-        assert np.abs(desc.matrix - np.eye(4)).max() < 0.1
+        assert np.abs(dense_matrix(desc) - np.eye(4)).max() < 0.1
 
     def test_positive_definite(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             feats = rng.standard_normal((8, 6))  # fewer frames than needed for full rank
             desc = covariance_descriptor(feats)
-            lam = np.linalg.eigvalsh(desc.matrix)
+            lam = np.linalg.eigvalsh(dense_matrix(desc))
             trace = np.trace(np.cov(feats.T, bias=False))
             assert lam.min() >= 1e-3 * trace / 6 * (1 - 1e-9)
 
@@ -101,11 +130,11 @@ class TestCovarianceDescriptor:
         shuffled = feats[rng.permutation(30)]
         a = covariance_descriptor(feats)
         b = covariance_descriptor(shuffled)
-        assert np.allclose(a.matrix, b.matrix, atol=1e-12)
+        assert np.allclose(dense_matrix(a), dense_matrix(b), atol=1e-12)
 
     def test_constant_features(self):
         desc = covariance_descriptor(np.full((10, 3), 2.0))
-        assert np.array_equal(desc.matrix, 1e-6 * np.eye(3))
+        assert np.array_equal(dense_matrix(desc), 1e-6 * np.eye(3))
 
     def test_too_few_frames_rejected(self):
         with pytest.raises(ValueError, match="at least 2 frames"):
@@ -127,18 +156,21 @@ class TestCovarianceDescriptor:
             covariance_descriptor(feats)
 
     def test_descriptor_validation(self):
+        # the dense oracle takes a matrix, and refuses what no descriptor stands for
         with pytest.raises(ValueError, match="square"):
-            CovarianceDescriptor(np.ones((2, 3)))
+            dense_log_embed(np.ones((2, 3)))
         with pytest.raises(ValueError, match="symmetric"):
-            CovarianceDescriptor(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            dense_log_embed(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestLogEmbed:
     def test_identity_maps_to_zero(self):
-        assert np.abs(log_embed(CovarianceDescriptor(np.eye(3)))).max() == 0.0
+        assert np.abs(log_embed(ridge_only(3))).max() == 0.0
 
     def test_diagonal_hand_value(self):
-        desc = CovarianceDescriptor(np.diag([np.e**2, 1.0]))
+        # frames (±a, 0) with ridge 1 stand for diag(2a² + 1, 1) = diag(e², 1)
+        a = np.sqrt((np.e**2 - 1.0) / 2.0)
+        desc = CovarianceDescriptor(np.array([[a, 0.0], [-a, 0.0]]), 1.0)
         assert np.allclose(log_embed(desc), [2.0, 0.0, 0.0], atol=1e-12)
 
     def test_round_trip_through_expm(self):
@@ -148,8 +180,8 @@ class TestLogEmbed:
             desc = random_descriptor(rng, dim)
             vec = log_embed(desc)
             back = scipy.linalg.expm(half_vec_inverse(vec, dim))
-            rel = np.linalg.norm(back - desc.matrix, "fro") / np.linalg.norm(
-                desc.matrix, "fro"
+            rel = np.linalg.norm(back - dense_matrix(desc), "fro") / np.linalg.norm(
+                dense_matrix(desc), "fro"
             )
             assert rel < 1e-8
 
@@ -161,14 +193,13 @@ class TestLogEmbed:
             d2 = random_descriptor(rng, dim)
             got = np.linalg.norm(log_embed(d1) - log_embed(d2))
             want = np.linalg.norm(
-                scipy.linalg.logm(d1.matrix) - scipy.linalg.logm(d2.matrix), "fro"
+                scipy.linalg.logm(dense_matrix(d1)) - scipy.linalg.logm(dense_matrix(d2)), "fro"
             )
             assert abs(got - want) < 1e-10 * max(want, 1.0)
 
     def test_non_spd_rejected(self):
-        desc = CovarianceDescriptor(np.diag([1.0, -0.5]))
         with pytest.raises(ValueError, match="not positive definite"):
-            log_embed(desc)
+            dense_log_embed(np.diag([1.0, -0.5]))
 
 
 class TestFrameLogEmbed:
@@ -178,7 +209,7 @@ class TestFrameLogEmbed:
 
     @staticmethod
     def dense(desc):
-        return log_embed(CovarianceDescriptor(desc.matrix))
+        return dense_log_embed(dense_matrix(desc))
 
     def assert_matches_dense(self, feats):
         desc = covariance_descriptor(feats)
@@ -225,15 +256,14 @@ class TestFrameLogEmbed:
         want = np.log(desc.ridge) * np.eye(null.shape[1])
         assert np.abs(along - want).max() <= 1e-12 * abs(np.log(desc.ridge))
 
-    def test_matrix_is_formed_only_when_read(self):
+    def test_descriptor_holds_centered_frames_and_ridge(self):
         rng = np.random.default_rng(41)
         feats = rng.standard_normal((20, 6))
-        desc = covariance_descriptor(feats)
-        log_embed(desc)
-        assert desc._matrix is None
+        desc = covariance_descriptor(feats, source_id="park/a.wav")
         centered = feats - feats.mean(axis=0)
+        assert desc.source_id == "park/a.wav"
+        assert np.array_equal(desc.centered, centered)
         cov = centered.T @ centered / 19
-        assert np.allclose(desc.matrix, cov + desc.ridge * np.eye(6), rtol=0, atol=1e-14)
         assert desc.ridge == pytest.approx(1e-3 * np.trace(cov) / 6, rel=1e-14)
 
 
@@ -243,16 +273,14 @@ class TestFitCdl:
         # tight; small samples legitimately tilt the discriminant toward
         # whatever noise correlation the draw happened to contain
         rng = np.random.default_rng(7)
-        descriptors, labels = [], []
+        embeddings, labels = [], []
         for cls, mean_a in enumerate((0.0, 5.0)):
             for _ in range(200):
                 a = mean_a + 0.1 * rng.standard_normal()
                 b = 0.1 * rng.standard_normal()
-                descriptors.append(
-                    CovarianceDescriptor(np.diag([np.exp(a), np.exp(b)]))
-                )
+                embeddings.append(dense_log_embed(np.diag([np.exp(a), np.exp(b)])))
                 labels.append(cls)
-        proj = fit_cdl(embed(descriptors), labels)
+        proj = fit_cdl(embeddings, labels)
         assert proj.d_out == 1
         direction = proj.projection[0] / np.linalg.norm(proj.projection[0])
         # embedding component 0 carries the class separation; the
@@ -279,8 +307,8 @@ class TestFitCdl:
         embeddings = embed(descriptors)
         proj = fit_cdl(embeddings, labels)
         mean_matrix = scipy.linalg.expm(half_vec_inverse(proj.train_mean, 4))
-        query = CovarianceDescriptor(0.5 * (mean_matrix + mean_matrix.T))
-        point = project_embedding(proj, log_embed(query))
+        query = dense_log_embed(0.5 * (mean_matrix + mean_matrix.T))
+        point = project_embedding(proj, query)
         scale = max(np.abs(project_embedding(proj, e)).max() for e in embeddings)
         assert np.abs(point).max() < 1e-8 * scale
 
@@ -343,7 +371,7 @@ class TestFitCdl:
             fit_cdl(embed(descs), [0, 0, 1, 1])
 
     def test_rejects_identical_embeddings(self):
-        desc = CovarianceDescriptor(np.eye(3))
+        desc = ridge_only(3)
         with pytest.raises(ValueError, match="degenerate"):
             fit_cdl(embed([desc, desc, desc, desc]), [0, 0, 1, 1])
 
@@ -457,7 +485,7 @@ class TestClassify:
             train_mean=np.array([0.0]),
             dim=1,
         )
-        scores = classify_cdl(proj, log_embed(CovarianceDescriptor(np.array([[1.0]]))))
+        scores = classify_cdl(proj, log_embed(ridge_only(1)))
         assert scores[0] == scores[1] == -1.0
         assert int(np.argmax(scores)) == 0
 

@@ -493,6 +493,27 @@ class TestClassification:
         with pytest.raises(ValueError, match="one seed per class"):
             fit_gmm_bank([np.ones((5, 2))], 1, seeds=[0, 1])
 
+    def test_bank_from_a_generator(self):
+        rng = np.random.default_rng(12)
+        feats = [rng.standard_normal((200, 3)) + shift for shift in (0.0, 3.0, 6.0)]
+        asked = []
+
+        def one_at_a_time():
+            for c, matrix in enumerate(feats):
+                asked.append(c)
+                yield matrix
+
+        got = fit_gmm_bank(one_at_a_time(), 2, seeds=[4, 5, 6])
+        assert asked == [0, 1, 2]
+        want = fit_gmm_bank(feats, 2, seeds=[4, 5, 6])
+        for a, b in zip(got.models, want.models):
+            assert np.array_equal(a.means, b.means)
+            assert np.array_equal(a.variances, b.variances)
+            assert np.array_equal(a.weights, b.weights)
+        for seeds in ([4, 5], [4, 5, 6, 7]):
+            with pytest.raises(ValueError, match="need one seed per class"):
+                fit_gmm_bank(iter(feats), 2, seeds=seeds)
+
 
 class TestBankFile:
     def build_bank(self):

@@ -1,5 +1,6 @@
 """Config parsing, per-system training glue, and the full run."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,7 @@ from scenefuse.features import (
     extract_selected,
 )
 from scenefuse.fusion import load_score_csv, load_weights_csv
-from scenefuse.gmm import GmmBank
+from scenefuse.gmm import GmmBank, fit_gmm
 from scenefuse.pipeline import (
     ALL_SYSTEMS,
     DEFAULT_FUSED,
@@ -31,6 +32,7 @@ from scenefuse.pipeline import (
     PipelineConfig,
     PipelineError,
     TrainOptions,
+    TrainingEmbeddings,
     clip_features,
     estimate_weights,
     extract_for_manifest,
@@ -251,6 +253,12 @@ def fresh_embedding(values, source_id=""):
     return cdl_mod.log_embed(cdl_mod.covariance_descriptor(values, source_id=source_id))
 
 
+def model_bytes(tmp_path, model):
+    path = tmp_path / "model.sfc"
+    cdl_mod.save_cdl_model(path, model, "cepscom", ["park", "bus"])
+    return path.read_bytes()
+
+
 class TestComputeOnce:
     def test_run_embeds_each_clip_once(self, mini_dataset, tmp_path, monkeypatch):
         embedded = Counter()
@@ -278,35 +286,38 @@ class TestComputeOnce:
     def test_kept_embeddings_fit_the_same_model(self, tmp_path):
         store, train = embedding_store(np.random.default_rng(40))
         opts = TrainOptions()
-        first = fit_system("cepscom-cdl", store, train, opts)
-        # the second fit reads the embeddings the first kept; centring the
-        # stacked copy in place must have left them as they were
-        second = fit_system("cepscom-cdl", store, train, opts)
+        kept = TrainingEmbeddings(store, train)
+        estimate_weights(store, train, ["cepscom-cdl"], opts, folds=2, seed=0, kept=kept)
+        # the final fit centres the matrix the folds filled, in place; the
+        # rows must have been left as the clips' own embeddings
+        final = fit_system("cepscom-cdl", store, train, opts, kept=kept)
+        alone = fit_system("cepscom-cdl", store, train, opts)
         fresh = cdl_mod.fit_cdl(
             [fresh_embedding(clip_features(store, p, "cepscom")) for p, _ in train.entries],
             train.label_indices(),
             n_classes=2,
         )
-        blobs = []
-        for i, model in enumerate((first.model, second.model, fresh)):
-            cdl_mod.save_cdl_model(tmp_path / f"{i}.sfc", model, "cepscom", train.class_names)
-            blobs.append((tmp_path / f"{i}.sfc").read_bytes())
+        blobs = [model_bytes(tmp_path, model) for model in (final.model, alone.model, fresh)]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_replacing_a_record_drops_its_embedding(self):
+    def test_replacing_a_record_drops_its_embedding(self, tmp_path):
         rng = np.random.default_rng(41)
         store, train = embedding_store(rng)
-        model = fit_system("cepscom-cdl", store, train, TrainOptions())
+        opts = TrainOptions()
+        kept = TrainingEmbeddings(store, train)
+        estimate_weights(store, train, ["cepscom-cdl"], opts, folds=2, seed=0, kept=kept)
         path = train.entries[0][0]
-        kept = fresh_embedding(clip_features(store, path, "cepscom"))
-        # replacing one part changes the cepscom the kept embedding was made of
+        old = fresh_embedding(clip_features(store, path, "cepscom"))
+        # replacing one part changes the cepscom the clip's kept row was made of
         store.add(path, "rcgcc", 5.0 * rng.standard_normal((30, 1)))
-        replacement = clip_features(store, path, "cepscom")
+        model = fit_system("cepscom-cdl", store, train, opts, kept=kept)
+        unkept = fit_system("cepscom-cdl", store, train, opts)
+        assert model_bytes(tmp_path, model.model) == model_bytes(tmp_path, unkept.model)
         clip = DatasetManifest(entries=[train.entries[0]], class_names=train.class_names)
         got = score_system(model, store, clip).values[0]
-        want = cdl_mod.classify_cdl(model.model, fresh_embedding(replacement))
-        assert np.array_equal(got, want)
-        assert not np.array_equal(got, cdl_mod.classify_cdl(model.model, kept))
+        new = fresh_embedding(clip_features(store, path, "cepscom"))
+        assert np.array_equal(got, cdl_mod.classify_cdl(model.model, new))
+        assert not np.array_equal(got, cdl_mod.classify_cdl(model.model, old))
 
     def test_scoring_error_names_the_clip(self):
         store, train = embedding_store(np.random.default_rng(42))
@@ -345,6 +356,23 @@ def test_clip_features_derives_deltas_of_the_stored_parts(static_store, name):
         assert np.array_equal(got, want), entry_path
 
 
+@pytest.mark.parametrize("frame_len, hop", [(2048, 1024), (512, 256)])
+def test_joined_cepscom_deltas_equal_the_per_part_derivation(mini_dataset, frame_len, hop):
+    # one derivation over the 80 joined static columns, regrouped per part
+    manifest = load_manifest(mini_dataset).subset(range(0, 24, 4))
+    store = extract_for_manifest(
+        manifest, mini_dataset, ["cepscom"], frame_len=frame_len, hop=hop
+    )
+    for entry_path, _ in manifest.entries:
+        want = np.hstack([
+            append_deltas(FeatureMatrix(store.get(entry_path, part)), DELTA_WINDOW).values
+            for part in CEPSCOM_PARTS
+        ])
+        got = clip_features(store, entry_path, "cepscom")
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), entry_path
+
+
 class TestCepscomRows:
     def test_joined_rows_equal_the_stored_concatenation(self, mini_dataset):
         # the rows equal what version 2 stores held for cepscom: the
@@ -369,6 +397,13 @@ class TestCepscomRows:
         add_cepscom(store, "park/a.wav", np.ones((10, 4)))
         store.add("park/a.wav", "spcc", np.ones((9, 1)))
         with pytest.raises(ValueError, match=r"clip 'park/a.wav'.*\[10, 10, 10, 9\] frames"):
+            clip_features(store, "park/a.wav", "cepscom")
+
+    def test_parts_of_unequal_width_are_named(self):
+        store = FeatureStore()
+        for name, width in zip(CEPSCOM_PARTS, (1, 1, 1, 2)):
+            store.add("park/a.wav", name, np.ones((10, width)))
+        with pytest.raises(ValueError, match=r"clip 'park/a.wav'.*\[1, 1, 1, 2\] columns"):
             clip_features(store, "park/a.wav", "cepscom")
 
 
@@ -398,6 +433,68 @@ def test_unnamed_model_no_system_builds_is_rejected(tmp_path):
 def test_each_system_is_one_family_and_back_end():
     # a model file names its family and back-end, which name its system
     assert len(set(SYSTEMS.values())) == len(SYSTEMS)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``(result, peak)``: what ``fn`` returns, and the most bytes it held
+    at once of what it allocated, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_final_cdl_fit_makes_no_copy_of_the_embeddings(
+        self, mini_dataset, tmp_path, monkeypatch
+    ):
+        # the run's final fit, on all 12 training clips, after the CV folds
+        # (6 clips each) have embedded every one of them
+        original = scenefuse.pipeline.fit_system
+        peaks = []
+
+        def traced(system_id, store, train, *args, **kwargs):
+            if len(train) < 12:
+                return original(system_id, store, train, *args, **kwargs)
+            model, peak = traced_peak(original, system_id, store, train, *args, **kwargs)
+            peaks.append(peak)
+            return model
+
+        monkeypatch.setattr(scenefuse.pipeline, "fit_system", traced)
+        config = PipelineConfig(
+            manifest=mini_dataset,
+            out_dir=tmp_path / "o",
+            train_fraction=0.5,
+            weights_folds=2,
+            systems=("cepscom-cdl",),
+            fused=("cepscom-cdl",),
+        )
+        run_pipeline(config)
+        matrix_bytes = 12 * cdl_mod.half_vec_length(240) * 8
+        assert len(peaks) == 1
+        assert peaks[0] < 0.5 * matrix_bytes
+
+    def test_gmm_fit_holds_one_class_matrix_at_a_time(self, mini_dataset):
+        manifest = load_manifest(mini_dataset)
+        train, _ = split_dataset(manifest, 0.5, seed=1)
+        store = extract_for_manifest(train, mini_dataset, CEPSCOM_PARTS, **FAST)
+        opts = TrainOptions(mixtures_cepstral=4)
+        class_bytes, em_bytes = 0, 0
+        for c, class_name in enumerate(train.class_names):
+            matrix = np.vstack([
+                clip_features(store, entry_path, "cepscom")
+                for entry_path, label in train.entries if label == class_name
+            ])
+            seed = scenefuse.pipeline._gmm_seed(opts.gmm_seed, "cepscom-gmm", c)
+            _, peak = traced_peak(fit_gmm, matrix, opts.mixtures_cepstral, seed)
+            class_bytes, em_bytes = max(class_bytes, matrix.nbytes), max(em_bytes, peak)
+        del matrix
+        # one class's frames, what EM allocates on them, and a small margin
+        # for one clip's rows as they are written in
+        _, peak = traced_peak(fit_system, "cepscom-gmm", store, train, opts)
+        assert peak < class_bytes + em_bytes + class_bytes // 4
 
 
 MINI_SYSTEMS = ("cepscom-gmm", "plp-gmm", "cepscom-cdl")
