@@ -8,7 +8,11 @@ projected space (Wang et al., "Covariance Discriminative Learning", CVPR 2012).
 The discriminant is fitted in kernel form, as in that paper: from the
 n x n matrix of inner products between the training clips' centered
 embeddings, never from a decomposition of the n x dim*(dim+1)/2 stack
-itself (see :func:`fit_cdl`).
+itself (see :func:`fit_cdl`). The stack is centred once, in place, and its
+Gram matrix formed once (:func:`centre_embeddings`); a fit on a subset of
+its rows, as each cross-validation fold is, corrects that Gram matrix to
+the subset's own mean and forms its projection in one product over the
+whole stack, so no row of it is ever copied.
 
 Each clip's logarithm is taken the same way. A clip of n frames has a
 covariance of rank at most n - 1, and its descriptor Σ = CᵀC/(n - 1) + ρI
@@ -194,12 +198,18 @@ def _class_partitions(labels: np.ndarray, n_classes: int) -> list:
 def _gram_eigenpairs(rows: np.ndarray) -> tuple:
     """``(lam, u)``: the eigenpairs of the rows' n x n Gram matrix
     ``rows @ rows.T`` that stand above rounding."""
-    lam, u = np.linalg.eigh(rows @ rows.T)
+    return _span_eigenpairs(rows @ rows.T, max(rows.shape))
+
+
+def _span_eigenpairs(gram: np.ndarray, size: int) -> tuple:
+    """``(lam, u)``: the eigenpairs of the Gram matrix of n rows that stand
+    above rounding, ``size`` being the larger of n and the rows' width."""
+    lam, u = np.linalg.eigh(gram)
     # the rank rule is on λ = σ², with a tolerance linear in ε, not the ε²
     # that squaring a rule on σ would give: a Gram eigenvalue carries an
     # absolute rounding error of about n·ε·λ_max, so anything below
     # max(n, width)·ε·λ_max is rounding
-    keep = lam > lam.max(initial=0.0) * max(rows.shape) * np.finfo(np.float64).eps
+    keep = lam > lam.max(initial=0.0) * size * np.finfo(np.float64).eps
     return lam[keep], u[:, keep]
 
 
@@ -216,13 +226,40 @@ def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
     return lam, np.linalg.solve(lower.T, u)
 
 
-def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
+@dataclass(eq=False)
+class CentredEmbeddings:
+    """Log embeddings centred on their mean, n x d_vec, with that mean and
+    their n x n Gram matrix ``centred @ centred.T``: what :func:`fit_cdl`
+    fits on, whether on all n rows or on a subset of them."""
+
+    centred: np.ndarray
+    mean: np.ndarray
+    gram: np.ndarray
+
+
+def centre_embeddings(embeddings) -> CentredEmbeddings:
+    """Centre the embeddings on their mean and form their Gram matrix.
+
+    Given as an n x d_vec float64 array, the embeddings are centred in
+    place, with no copy made, and the array is left holding the centered
+    embeddings; any other form is stacked into a new array first.
+    """
+    centred = np.asarray(embeddings, dtype=np.float64)
+    mean = centred.mean(axis=0)
+    centred -= mean
+    return CentredEmbeddings(centred, mean, centred @ centred.T)
+
+
+def fit_cdl(
+    embeddings, labels, n_classes: int | None = None, *, rows=None
+) -> CdlProjection:
     """Fisher discriminant over centered log embeddings (see :func:`log_embed`).
 
-    ``embeddings`` holds one embedding per clip. Given as an n x d_vec
-    float64 array, it is centred in place, with no copy made, and is left
-    holding the centered embeddings; any other form is stacked into a new
-    array first.
+    ``embeddings`` holds one embedding per clip, or is
+    :class:`CentredEmbeddings`; any other form is centred by
+    :func:`centre_embeddings`, in place if it is an n x d_vec float64
+    array. The fit is on the clips ``rows`` index, with one label each, or
+    on all of them when ``rows`` is None.
 
     The scatter matrices are never materialized at full size: all
     generalized eigenvectors of interest live in the span of the training
@@ -236,10 +273,30 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     (and leaves the γ·I shrinkage as it is), so the generalized
     eigenvectors absorb it. The projection thus equals the one computed
     through an SVD of X up to rounding and a per-axis sign, and neither
-    changes a centroid distance.
+    changes a centroid distance. With ``T = (U / √Λ) V``, V the top
+    generalized eigenvectors, the projection is ``Tᵀ X``.
+
+    A fit on rows S works in the same kernel form with no copy of those
+    rows. With E the embeddings centred on the mean m of all n, the rows
+    of S centred on their own mean are ``X = E_S - 1 δᵀ``, where
+    ``δ = (1_S / |S|)ᵀ E`` is their mean's offset from m. With
+    ``G = E Eᵀ``, ``r`` the row means of ``G_SS`` and ``q`` the mean of
+    ``r``, their Gram matrix is ``X Xᵀ = G_SS - r 1ᵀ - 1 rᵀ + q``, and the
+    span solution runs on it as above. The projection
+    ``Tᵀ X = (T̃ - 1_S T̄ᵀ)ᵀ E``, with T̃ the coefficients T zero-padded to
+    n rows and T̄ their column means, is one product over the whole
+    stack, which also gives δ, so the model's mean is ``m + δ``. The
+    clips' projections ``X Xᵀ T`` come from the Gram matrix alone. Since
+    E is already centred, the correction subtracts terms of the size of
+    δ, not of m, so a large common offset in the embeddings loses no
+    precision.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if len(embeddings) != labels.shape[0]:
+    if isinstance(embeddings, CentredEmbeddings):
+        total, widths = embeddings.centred.shape[0], {embeddings.centred.shape[1]}
+    else:
+        total, widths = len(embeddings), {len(e) for e in embeddings}
+    if (total if rows is None else len(rows)) != labels.shape[0]:
         raise ValueError("need one label per embedding")
     if n_classes is None:
         n_classes = int(labels.max()) + 1 if labels.size else 0
@@ -251,17 +308,28 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     for c, idx in enumerate(parts):
         if idx.size < 2:
             raise ValueError(f"class {c} has {idx.size} embeddings, need at least 2")
-    dims = {half_vec_dim(len(e)) for e in embeddings}
+    dims = {half_vec_dim(width) for width in widths}
     if len(dims) != 1:
         raise ValueError(f"embeddings disagree on dim: {sorted(dims)}")
     dim = dims.pop()
 
-    centered = np.asarray(embeddings, dtype=np.float64)
-    d_vec = centered.shape[1]
-    train_mean = centered.mean(axis=0)
-    centered -= train_mean
+    data = embeddings
+    if not isinstance(data, CentredEmbeddings):
+        data = centre_embeddings(data)
+    centred = data.centred
+    n, d_vec = centred.shape
+    if rows is None:
+        gram = data.gram
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        # the Gram matrix of the rows centred on their own mean
+        gram = data.gram[np.ix_(rows, rows)]
+        row_means = gram.mean(axis=1)
+        gram -= row_means[:, None]
+        gram -= row_means[None, :]
+        gram += row_means.mean()
 
-    lam, u = _gram_eigenpairs(centered)
+    lam, u = _span_eigenpairs(gram, max(gram.shape[0], d_vec))
     root = np.sqrt(lam)
     rank = root.size
     if rank == 0:
@@ -284,9 +352,22 @@ def fit_cdl(embeddings, labels, n_classes: int | None = None) -> CdlProjection:
     _, eigvecs = _generalized_eigh(scatter_b, scatter_w + gamma * np.eye(rank))
     d_out = min(n_classes - 1, rank)
     top = eigvecs[:, ::-1][:, :d_out]
-    projection = ((u / root) @ top).T @ centered
+    coef = (u / root) @ top
 
-    projected = centered @ projection.T
+    if rows is None:
+        projection = coef.T @ centred
+        projected = centred @ projection.T
+        train_mean = data.mean
+    else:
+        # (T̃ - 1_S T̄ᵀ) and 1_S / |S| side by side: Tᵀ X and δ in one product;
+        # T̄ is 0 in exact arithmetic (u ⟂ 1, as X Xᵀ 1 = 0), and subtracting
+        # it keeps its rounding, times δ, out of the projection
+        weights = np.zeros((n, d_out + 1))
+        weights[rows, :d_out] = coef - coef.mean(axis=0)
+        weights[rows, d_out] = 1.0 / rows.size
+        product = weights.T @ centred
+        projection, train_mean = product[:d_out], data.mean + product[d_out]
+        projected = gram @ coef
     centroids = np.stack([projected[idx].mean(axis=0) for idx in parts])
     return CdlProjection(
         projection=projection, class_centroids=centroids, train_mean=train_mean, dim=dim

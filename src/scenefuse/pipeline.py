@@ -268,54 +268,59 @@ def _clip_embedding(store: FeatureStore, entry_path: str, family: str) -> np.nda
 class TrainingEmbeddings:
     """The CDL log-embeddings of a training manifest's clips: per feature
     family, one clips x d_vec float64 matrix whose row i is clip i's,
-    embedded into that row when first read.
+    centred in place on the mean of all rows, with its Gram matrix
+    (:class:`cdl.CentredEmbeddings`), made whole when first read.
 
     A run shares one between its weight estimation and its final fits, so
-    each training clip is embedded once per run: the CV folds fit on copies
-    of row subsets, held-out clips are scored from their rows, and the
-    final fit takes the matrix itself (see :meth:`rows`).  A row keeps the
-    store records it was made of, and is embedded again once any of them
-    has been replaced.
+    each training clip is embedded once per run: the CV folds fit on row
+    subsets in kernel form, with no copy of the rows (see
+    :func:`cdl.fit_cdl`), held-out clips are scored from their rows, and
+    the final fit takes the matrix itself (see :meth:`fit_input`).  Once
+    any store record the matrix was made of has been replaced, the whole
+    matrix is made again: a centred row cannot be swapped for a new one
+    without changing the mean every other row was centred on.
     """
 
     def __init__(self, store: FeatureStore, train: DatasetManifest) -> None:
         self.store = store
         self.paths = [entry_path for entry_path, _ in train.entries]
         self._index = {entry_path: i for i, entry_path in enumerate(self.paths)}
-        self._matrices: dict = {}  # family -> clips x d_vec
-        self._made_of: dict = {}  # family -> per row, its records, or None
+        self._held: dict = {}  # family -> (its CentredEmbeddings, the records made of)
 
-    def _fill(self, family: str, idx) -> np.ndarray:
-        made_of = self._made_of.setdefault(family, [None] * len(self.paths))
-        for i in idx:
-            path = self.paths[i]
-            records = [self.store.get(path, name) for name in _stored_parts(family)]
-            if made_of[i] is not None and all(r is m for r, m in zip(records, made_of[i])):
-                continue
-            embedding = _clip_embedding(self.store, path, family)
-            if family not in self._matrices:
-                self._matrices[family] = np.empty((len(self.paths), embedding.size))
-            self._matrices[family][i] = embedding
-            made_of[i] = records
-        return self._matrices[family]
+    def _centred(self, family: str) -> cdl_mod.CentredEmbeddings:
+        records = [self.store.get(path, name)
+                   for path in self.paths for name in _stored_parts(family)]
+        held = self._held.pop(family, None)
+        if held is None or any(r is not m for r, m in zip(records, held[1])):
+            held = None  # a stale matrix goes before its successor is made
+            matrix = None
+            for i, path in enumerate(self.paths):
+                embedding = _clip_embedding(self.store, path, family)
+                if matrix is None:
+                    matrix = np.empty((len(self.paths), embedding.size))
+                matrix[i] = embedding
+            held = (cdl_mod.centre_embeddings(matrix), records)
+        self._held[family] = held
+        return held[0]
 
-    def row(self, family: str, entry_path: str) -> np.ndarray:
-        """A training clip's embedding, a view of its row."""
-        i = self._index[entry_path]
-        return self._fill(family, [i])[i]
+    def embeddings(self, family: str, entry_paths):
+        """Training clips' embeddings, one at a time: each its centred row
+        plus the mean."""
+        data = self._centred(family)
+        for entry_path in entry_paths:
+            yield data.centred[self._index[entry_path]] + data.mean
 
-    def rows(self, family: str, clips: DatasetManifest) -> np.ndarray:
-        """The embeddings of ``clips``, training clips in any order, as a
-        matrix the caller may overwrite: a copy of their rows, or, when
-        ``clips`` is the whole training manifest in its order, the matrix
-        itself, which is then forgotten here."""
+    def fit_input(self, family: str, clips: DatasetManifest) -> tuple:
+        """``(embeddings, rows)`` that fit :func:`cdl.fit_cdl` on ``clips``,
+        training clips in any order: the held matrix and the rows of
+        ``clips``, or, when ``clips`` is the whole training manifest in
+        its order, None for rows, and the matrix is then forgotten here."""
         paths = [entry_path for entry_path, _ in clips.entries]
+        data = self._centred(family)
         if paths != self.paths:
-            idx = [self._index[entry_path] for entry_path in paths]
-            return self._fill(family, idx)[idx]
-        matrix = self._fill(family, range(len(paths)))
-        del self._matrices[family], self._made_of[family]
-        return matrix
+            return data, [self._index[entry_path] for entry_path in paths]
+        del self._held[family]
+        return data, None
 
 
 def _mixtures(extractor: str, opts: TrainOptions) -> int:
@@ -397,8 +402,9 @@ def fit_system(
     if backend == "cdl":
         if kept is None:
             kept = TrainingEmbeddings(store, train)
+        embeddings, rows = kept.fit_input(family, train)
         model = cdl_mod.fit_cdl(
-            kept.rows(family, train), train.label_indices(), n_classes=len(train.class_names)
+            embeddings, train.label_indices(), n_classes=len(train.class_names), rows=rows
         )
     else:
         seeds = [_gmm_seed(opts.gmm_seed, system_id, c) for c in range(len(train.class_names))]
@@ -438,16 +444,14 @@ def _fold_runner(
 
     def run(train_idx, test_idx):
         model = fit_system(system_id, store, train.subset(train_idx), opts, kept=kept)
-        predictions = []
-        for i in test_idx:
-            entry_path = train.entries[i][0]
-            if backend == "cdl":
-                # held out of this fold, but a training clip of the run
-                scores = cdl_mod.classify_cdl(model.model, kept.row(family, entry_path))
-            else:
-                scores = _clip_scores(model, store, entry_path)
-            predictions.append(int(np.argmax(scores)))
-        return predictions
+        paths = [train.entries[i][0] for i in test_idx]
+        if backend == "cdl":
+            # held out of this fold, but training clips of the run
+            scores = (cdl_mod.classify_cdl(model.model, embedding)
+                      for embedding in kept.embeddings(family, paths))
+        else:
+            scores = (_clip_scores(model, store, entry_path) for entry_path in paths)
+        return [int(np.argmax(row)) for row in scores]
 
     return run
 
@@ -607,11 +611,12 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
         save_weights_csv(out / "weights.csv", weights)
 
     with _stage("train"):
-        models = {}
+        # CDL first: its final fit releases the kept matrix before any GMM fit
+        order = sorted(config.systems, key=lambda system_id: SYSTEMS[system_id].backend != "cdl")
+        models = {system_id: fit_system(system_id, store, train, config, kept=kept)
+                  for system_id in order}
         for system_id in config.systems:
-            model = fit_system(system_id, store, train, config, kept=kept)
-            save_system_model(_model_path(out, system_id), model)
-            models[system_id] = model
+            save_system_model(_model_path(out, system_id), models[system_id])
 
     with _stage("classify"):
         (out / "scores").mkdir(exist_ok=True)

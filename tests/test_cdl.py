@@ -8,6 +8,7 @@ from scenefuse import cdl as cdl_mod
 from scenefuse.cdl import (
     CdlProjection,
     CovarianceDescriptor,
+    centre_embeddings,
     classify_cdl,
     covariance_descriptor,
     fit_cdl,
@@ -19,6 +20,7 @@ from scenefuse.cdl import (
     project_embedding,
     save_cdl_model,
 )
+from scenefuse.fusion import stratified_folds
 
 
 def dense_matrix(desc):
@@ -395,8 +397,10 @@ class TestGramSpan:
         assert cdl_mod._gram_eigenpairs(centered)[0].size == svd_eigenpairs(centered)[0].size
         gram = fit_cdl(embeddings, labels)
         with monkeypatch.context() as patched:
-            patched.setattr(cdl_mod, "_gram_eigenpairs", svd_eigenpairs)
+            # the span step from an SVD of the stack the fit centres
+            patched.setattr(cdl_mod, "_span_eigenpairs", lambda *_: svd_eigenpairs(centered))
             reference = fit_cdl(embeddings, labels)
+        assert not np.array_equal(gram.projection, reference.projection)
         assert gram.d_out == reference.d_out
         got = np.array([classify_cdl(gram, q) for q in queries])
         want = np.array([classify_cdl(reference, q) for q in queries])
@@ -464,6 +468,43 @@ class TestGeneralizedEigh:
         want_scores = np.array([classify_cdl(reference, q) for q in queries])
         assert np.abs(got_scores - want_scores).max() <= 1e-10 * np.abs(want_scores).max()
         assert np.array_equal(got_scores.argmax(axis=1), want_scores.argmax(axis=1))
+
+
+class TestFoldFit:
+    """A fit on some rows of centred embeddings, in kernel form as each CV
+    fold is, against fit_cdl on a copy of those rows."""
+
+    @pytest.mark.parametrize(
+        "dim, offset",
+        # a large common offset would show cancellation in the Gram correction
+        [(8, 0.0), (8, 1e4), (240, 1e4)],
+    )
+    def test_held_out_scores_match_a_fit_on_the_rows(self, dim, offset):
+        rng = np.random.default_rng(35)
+        embeddings, labels, _ = TestGramSpan().problem(rng, dim, 8, frames=300)
+        embeddings = np.array(embeddings) + offset * rng.standard_normal(len(embeddings[0]))
+        labels = np.array(labels)
+        data = centre_embeddings(embeddings.copy())
+        centred, gram = data.centred.copy(), data.gram.copy()
+        fold_of = stratified_folds(labels, 4, seed=0)
+        for fold in range(4):
+            rows, held = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
+            got_model = fit_cdl(data, labels[rows], 3, rows=rows)
+            want_model = fit_cdl(embeddings[rows], labels[rows], 3)
+            # held-out rows are scored as the pipeline scores them
+            got = np.array([classify_cdl(got_model, data.centred[i] + data.mean) for i in held])
+            want = np.array([classify_cdl(want_model, embeddings[i]) for i in held])
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+            assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+        # the folds leave the centred rows and their Gram matrix as they were
+        assert np.array_equal(data.centred, centred) and np.array_equal(data.gram, gram)
+
+    def test_rows_need_one_label_each(self):
+        rng = np.random.default_rng(37)
+        embeddings, labels, _ = TestGramSpan().problem(rng, 3, 4)
+        data = centre_embeddings(np.array(embeddings))
+        with pytest.raises(ValueError, match="one label per embedding"):
+            fit_cdl(data, labels[:6], rows=np.arange(5))
 
 
 class TestClassify:

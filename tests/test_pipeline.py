@@ -1,6 +1,7 @@
 """Config parsing, per-system training glue, and the full run."""
 
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -23,7 +24,7 @@ from scenefuse.features import (
     expected_dim,
     extract_selected,
 )
-from scenefuse.fusion import load_score_csv, load_weights_csv
+from scenefuse.fusion import load_score_csv, load_weights_csv, stratified_folds
 from scenefuse.gmm import GmmBank, fit_gmm
 from scenefuse.pipeline import (
     ALL_SYSTEMS,
@@ -475,6 +476,62 @@ class TestMemory:
         matrix_bytes = 12 * cdl_mod.half_vec_length(240) * 8
         assert len(peaks) == 1
         assert peaks[0] < 0.5 * matrix_bytes
+
+    def test_cdl_fold_fit_makes_no_copy_of_the_rows(self):
+        rng = np.random.default_rng(44)
+        store = FeatureStore()
+        entries = []
+        for label, scale in (("park", 1.0), ("bus", 3.0)):
+            for j in range(20):
+                path = f"{label}/{j}.wav"
+                for name in CEPSCOM_PARTS:  # 240 dims, as cepscom has
+                    store.add(path, name, scale * rng.standard_normal((30, 20)))
+                entries.append((path, label))
+        train = DatasetManifest(entries=entries, class_names=["park", "bus"])
+        fold_of = stratified_folds(train.label_indices(), 4, seed=0)
+        opts = TrainOptions()
+        kept = TrainingEmbeddings(store, train)
+        # the first fold's fit embeds every clip; the second's is traced
+        fit_system("cepscom-cdl", store, train.subset(np.flatnonzero(fold_of != 0)), opts,
+                   kept=kept)
+        fold = train.subset(np.flatnonzero(fold_of != 1))
+        _, peak = traced_peak(fit_system, "cepscom-cdl", store, fold, opts, kept=kept)
+        d_vec = cdl_mod.half_vec_length(240)
+        assert peak < len(fold) * d_vec * 8 // 4
+
+    def test_no_final_gmm_fit_runs_beside_the_kept_matrix(
+        self, mini_dataset, tmp_path, monkeypatch
+    ):
+        matrices, gmm_fits = [], []
+        centre = cdl_mod.centre_embeddings
+
+        def remembered(embeddings):
+            data = centre(embeddings)
+            matrices.append(weakref.ref(data.centred))
+            return data
+
+        original = scenefuse.pipeline.fit_system
+
+        def spy(system_id, store, train, *args, **kwargs):
+            if len(train) == 12 and SYSTEMS[system_id].backend == "gmm":
+                gmm_fits.append([ref() is not None for ref in matrices])
+            return original(system_id, store, train, *args, **kwargs)
+
+        monkeypatch.setattr(cdl_mod, "centre_embeddings", remembered)
+        monkeypatch.setattr(scenefuse.pipeline, "fit_system", spy)
+        run_pipeline(PipelineConfig(
+            manifest=mini_dataset,
+            out_dir=tmp_path / "o",
+            train_fraction=0.5,
+            weights_folds=2,
+            mixtures_cepstral=4,
+            mixtures_plp=2,
+            systems=MINI_SYSTEMS,
+            fused=MINI_SYSTEMS,
+        ))
+        # the CV made the matrix once, and no final GMM fit saw it alive
+        assert len(matrices) == 1
+        assert gmm_fits == [[False], [False]]
 
     def test_gmm_fit_holds_one_class_matrix_at_a_time(self, mini_dataset):
         manifest = load_manifest(mini_dataset)
