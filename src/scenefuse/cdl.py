@@ -9,10 +9,10 @@ The discriminant is fitted in kernel form, as in that paper: from the
 n x n matrix of inner products between the training clips' centered
 embeddings, never from a decomposition of the n x dim*(dim+1)/2 stack
 itself (see :func:`fit_cdl`). The stack is centred once, in place, and its
-Gram matrix formed once (:func:`centre_embeddings`); a fit on a subset of
-its rows, as each cross-validation fold is, corrects that Gram matrix to
-the subset's own mean and forms its projection in one product over the
-whole stack, so no row of it is ever copied.
+Gram matrix formed once (:func:`centre_embeddings`); every fit, the final
+one on all rows as each cross-validation fold on a subset of them,
+corrects that Gram matrix to its rows' own mean and forms its projection
+in one product over the whole stack, so no row of it is ever copied.
 
 Each clip's logarithm is taken the same way. A clip of n frames has a
 covariance of rank at most n - 1, and its descriptor Σ = CᵀC/(n - 1) + ρI
@@ -230,7 +230,7 @@ def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
 class CentredEmbeddings:
     """Log embeddings centred on their mean, n x d_vec, with that mean and
     their n x n Gram matrix ``centred @ centred.T``: what :func:`fit_cdl`
-    fits on, whether on all n rows or on a subset of them."""
+    fits on, on all n rows or on a subset of them."""
 
     centred: np.ndarray
     mean: np.ndarray
@@ -258,45 +258,39 @@ def fit_cdl(
     ``embeddings`` holds one embedding per clip, or is
     :class:`CentredEmbeddings`; any other form is centred by
     :func:`centre_embeddings`, in place if it is an n x d_vec float64
-    array. The fit is on the clips ``rows`` index, with one label each, or
-    on all of them when ``rows`` is None.
+    array. The fit is on the clips ``rows`` index (None: all of them), with
+    one label each.
 
-    The scatter matrices are never materialized at full size: all
-    generalized eigenvectors of interest live in the span of the training
-    embeddings, so the problem is solved in that span and mapped back.
+    The fit works in kernel form, with no copy of the rows and no scatter
+    matrix at full size. With E the embeddings centred on the mean m of all
+    n, the rows S centred on their own mean are ``X = E_S - 1 δᵀ``, where
+    ``δ = (1_S / |S|)ᵀ E`` is their mean's offset from m. With ``G = E Eᵀ``,
+    ``r`` the row means of ``G_SS`` and ``q`` the mean of ``r``, their Gram
+    matrix is ``X Xᵀ = G_SS - r 1ᵀ - 1 rᵀ + q``. Since E is already
+    centred, the correction subtracts terms of the size of δ, not of m, so
+    a large common offset in the embeddings loses no precision.
 
-    The span comes from the Gram matrix ``G = X Xᵀ`` of the centered
-    embeddings X (n x d_vec), whose eigenpairs ``G = U Λ Uᵀ`` give the
-    clips' coordinates ``U √Λ`` in an orthonormal basis ``(U / √Λ)ᵀ X`` of
-    that span. This is the same basis as the right singular vectors of X,
-    up to a rotation, and a rotation of the basis rotates both scatters
-    (and leaves the γ·I shrinkage as it is), so the generalized
-    eigenvectors absorb it. The projection thus equals the one computed
-    through an SVD of X up to rounding and a per-axis sign, and neither
-    changes a centroid distance. With ``T = (U / √Λ) V``, V the top
-    generalized eigenvectors, the projection is ``Tᵀ X``.
-
-    A fit on rows S works in the same kernel form with no copy of those
-    rows. With E the embeddings centred on the mean m of all n, the rows
-    of S centred on their own mean are ``X = E_S - 1 δᵀ``, where
-    ``δ = (1_S / |S|)ᵀ E`` is their mean's offset from m. With
-    ``G = E Eᵀ``, ``r`` the row means of ``G_SS`` and ``q`` the mean of
-    ``r``, their Gram matrix is ``X Xᵀ = G_SS - r 1ᵀ - 1 rᵀ + q``, and the
-    span solution runs on it as above. The projection
-    ``Tᵀ X = (T̃ - 1_S T̄ᵀ)ᵀ E``, with T̃ the coefficients T zero-padded to
-    n rows and T̄ their column means, is one product over the whole
-    stack, which also gives δ, so the model's mean is ``m + δ``. The
-    clips' projections ``X Xᵀ T`` come from the Gram matrix alone. Since
-    E is already centred, the correction subtracts terms of the size of
-    δ, not of m, so a large common offset in the embeddings loses no
-    precision.
+    All generalized eigenvectors of interest live in the span of the rows
+    of X, so the problem is solved in that span and mapped back. The
+    eigenpairs ``X Xᵀ = U Λ Uᵀ`` give the clips' coordinates ``U √Λ`` in an
+    orthonormal basis ``(U / √Λ)ᵀ X`` of the span. That is the basis of the
+    right singular vectors of X up to a rotation, which rotates both
+    scatters (and leaves the γ·I shrinkage as it is), so the generalized
+    eigenvectors absorb it: the projection equals the one an SVD of X gives
+    up to rounding and a per-axis sign, and neither changes a centroid
+    distance. With ``T = (U / √Λ) V``, V the top generalized eigenvectors,
+    the projection ``Tᵀ X = (T̃ - 1_S T̄ᵀ)ᵀ E``, with T̃ the coefficients T
+    zero-padded to n rows and T̄ their column means, is one product over
+    the whole stack, which also gives δ, so the model's mean is ``m + δ``.
+    The clips' projections ``X Xᵀ T`` come from the Gram matrix alone.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if isinstance(embeddings, CentredEmbeddings):
         total, widths = embeddings.centred.shape[0], {embeddings.centred.shape[1]}
     else:
         total, widths = len(embeddings), {len(e) for e in embeddings}
-    if (total if rows is None else len(rows)) != labels.shape[0]:
+    rows = np.arange(total) if rows is None else np.asarray(rows, dtype=np.intp)
+    if rows.size != labels.shape[0]:
         raise ValueError("need one label per embedding")
     if n_classes is None:
         n_classes = int(labels.max()) + 1 if labels.size else 0
@@ -318,16 +312,13 @@ def fit_cdl(
         data = centre_embeddings(data)
     centred = data.centred
     n, d_vec = centred.shape
-    if rows is None:
-        gram = data.gram
-    else:
-        rows = np.asarray(rows, dtype=np.intp)
-        # the Gram matrix of the rows centred on their own mean
-        gram = data.gram[np.ix_(rows, rows)]
-        row_means = gram.mean(axis=1)
-        gram -= row_means[:, None]
-        gram -= row_means[None, :]
-        gram += row_means.mean()
+
+    # the Gram matrix of the rows centred on their own mean
+    gram = data.gram[np.ix_(rows, rows)]
+    row_means = gram.mean(axis=1)
+    gram -= row_means[:, None]
+    gram -= row_means[None, :]
+    gram += row_means.mean()
 
     lam, u = _span_eigenpairs(gram, max(gram.shape[0], d_vec))
     root = np.sqrt(lam)
@@ -354,23 +345,20 @@ def fit_cdl(
     top = eigvecs[:, ::-1][:, :d_out]
     coef = (u / root) @ top
 
-    if rows is None:
-        projection = coef.T @ centred
-        projected = centred @ projection.T
-        train_mean = data.mean
-    else:
-        # (T̃ - 1_S T̄ᵀ) and 1_S / |S| side by side: Tᵀ X and δ in one product;
-        # T̄ is 0 in exact arithmetic (u ⟂ 1, as X Xᵀ 1 = 0), and subtracting
-        # it keeps its rounding, times δ, out of the projection
-        weights = np.zeros((n, d_out + 1))
-        weights[rows, :d_out] = coef - coef.mean(axis=0)
-        weights[rows, d_out] = 1.0 / rows.size
-        product = weights.T @ centred
-        projection, train_mean = product[:d_out], data.mean + product[d_out]
-        projected = gram @ coef
+    # (T̃ - 1_S T̄ᵀ) and 1_S / |S| side by side: Tᵀ X and δ in one product;
+    # T̄ is 0 in exact arithmetic (u ⟂ 1, as X Xᵀ 1 = 0), and subtracting
+    # it keeps its rounding, times δ, out of the projection
+    weights = np.zeros((n, d_out + 1))
+    weights[rows, :d_out] = coef - coef.mean(axis=0)
+    weights[rows, d_out] = 1.0 / rows.size
+    product = weights.T @ centred
+    projected = gram @ coef
     centroids = np.stack([projected[idx].mean(axis=0) for idx in parts])
     return CdlProjection(
-        projection=projection, class_centroids=centroids, train_mean=train_mean, dim=dim
+        projection=product[:d_out],
+        class_centroids=centroids,
+        train_mean=data.mean + product[d_out],
+        dim=dim,
     )
 
 

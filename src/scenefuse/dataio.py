@@ -51,7 +51,8 @@ _FNV_PRIME_LOW = _FNV_PRIME & 0xFF
 
 class FeatureStoreError(ValueError):
     """Malformed, truncated, or incompatible feature/model file, a feature
-    record the store does not hold, or one a feature file cannot hold."""
+    record the store does not hold or already holds, or one a feature file
+    cannot hold."""
 
 
 class ChecksumError(FeatureStoreError):
@@ -401,12 +402,20 @@ def split_dataset(
 @dataclass
 class FeatureStore:
     """In-memory map from (source_id, family name) to a clip's static
-    feature columns, frames x static width, one width per family."""
+    feature columns, frames x static width, one width per family.
+
+    Write-once: a record, once added, is never replaced, so whatever is
+    derived from it stays valid for the store's life."""
 
     records: dict[tuple[str, str], np.ndarray] = field(default_factory=dict, init=False)
     _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, source_id: str, extractor: str, values: np.ndarray) -> None:
+        if (source_id, extractor) in self.records:
+            raise FeatureStoreError(
+                f"the feature store already holds {extractor!r} features for clip "
+                f"{source_id!r}; a record is never replaced"
+            )
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("feature matrix must be 2-D (frames x dims)")

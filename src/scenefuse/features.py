@@ -125,14 +125,12 @@ def equal_loudness(freqs_hz) -> np.ndarray:
 def levinson_durbin(autocorr: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve the normal equations for prediction filter A(z) = 1 + sum a_k z^-k.
 
-    Accepts a single autocorrelation sequence or a batch (one per row) and
-    returns (lpc, residual_energy) with lpc holding a_1..a_order.  A row whose
-    lag-0 value is not positive yields all-zero coefficients and zero energy.
+    Takes a batch of autocorrelation sequences, one per row, and returns
+    (lpc, residual_energy) with each row of lpc holding a_1..a_order.  A row
+    whose lag-0 value is not positive yields all-zero coefficients and zero
+    energy.
     """
     r = np.asarray(autocorr, dtype=np.float64)
-    single = r.ndim == 1
-    if single:
-        r = r[None, :]
     if r.shape[1] < order + 1:
         raise ValueError(f"need {order + 1} autocorrelation lags, got {r.shape[1]}")
     dead = r[:, 0] <= 0.0
@@ -151,26 +149,20 @@ def levinson_durbin(autocorr: np.ndarray, order: int) -> tuple[np.ndarray, np.nd
         a[:, : m + 1] = prev + k[:, None] * prev[:, ::-1]
         err = np.maximum(err * (1.0 - k * k), 0.0)
     err[dead] = 0.0
-    lpc = a[:, 1:]
-    if single:
-        return lpc[0], err[0]
-    return lpc, err
+    return a[:, 1:], err
 
 
-def lpc_to_cepstrum(lpc: np.ndarray, n_ceps: int) -> np.ndarray:
-    """Cepstra c_1..c_n of the all-pole model 1/A(z), batched over rows."""
-    a = np.atleast_2d(np.asarray(lpc, dtype=np.float64))
-    if n_ceps > a.shape[1]:
-        pad = np.zeros((a.shape[0], n_ceps - a.shape[1]))
-        a = np.hstack([a, pad])
-    ceps = np.zeros((a.shape[0], n_ceps))
+def lpc_to_cepstrum(lpc: np.ndarray) -> np.ndarray:
+    """Cepstra c_1..c_p of the all-pole model 1/A(z), one row per row of
+    prediction coefficients a_1..a_p."""
+    a = np.asarray(lpc, dtype=np.float64)
+    n_ceps = a.shape[1]
+    ceps = np.zeros_like(a)
     for m in range(1, n_ceps + 1):
         acc = a[:, m - 1].copy()
         for k in range(1, m):
             acc += (k / m) * ceps[:, k - 1] * a[:, m - k - 1]
         ceps[:, m - 1] = -acc
-    if np.asarray(lpc).ndim == 1:
-        return ceps[0]
     return ceps
 
 
@@ -182,7 +174,7 @@ def _plp(frames: FrameSequence, spec: Spectrogram) -> FeatureMatrix:
     # [0, pi]; its even extension transforms back to an autocorrelation
     autocorr = np.fft.irfft(compressed, axis=1)[:, : PLP_MODEL_ORDER + 1]
     lpc, _ = levinson_durbin(autocorr, PLP_MODEL_ORDER)
-    ceps = lpc_to_cepstrum(lpc, PLP_MODEL_ORDER)
+    ceps = lpc_to_cepstrum(lpc)
     # summed a block of frames at a time: each row's sum has the same bits,
     # without a frames-sized array of squares
     energy = np.empty(frames.n_frames)
@@ -206,8 +198,6 @@ class PnccStages(NamedTuple):
 def medium_time_power(subband: np.ndarray, window: int) -> np.ndarray:
     """Mean of each channel over frames t-window..t+window, clamped at edges."""
     values = np.asarray(subband, dtype=np.float64)
-    if window == 0:
-        return values.copy()
     n = values.shape[0]
     csum = np.vstack([np.zeros((1, values.shape[1])), np.cumsum(values, axis=0)])
     t = np.arange(n)

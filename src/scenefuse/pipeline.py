@@ -272,36 +272,29 @@ class TrainingEmbeddings:
     (:class:`cdl.CentredEmbeddings`), made whole when first read.
 
     A run shares one between its weight estimation and its final fits, so
-    each training clip is embedded once per run: the CV folds fit on row
-    subsets in kernel form, with no copy of the rows (see
+    each training clip is embedded once per run: every fit is on rows of
+    the matrix in kernel form, with no copy of them (see
     :func:`cdl.fit_cdl`), held-out clips are scored from their rows, and
-    the final fit takes the matrix itself (see :meth:`fit_input`).  Once
-    any store record the matrix was made of has been replaced, the whole
-    matrix is made again: a centred row cannot be swapped for a new one
-    without changing the mean every other row was centred on.
+    the final fit releases the matrix (see :meth:`fit_input`).  The store
+    is write-once, so a row never goes stale.
     """
 
     def __init__(self, store: FeatureStore, train: DatasetManifest) -> None:
         self.store = store
         self.paths = [entry_path for entry_path, _ in train.entries]
         self._index = {entry_path: i for i, entry_path in enumerate(self.paths)}
-        self._held: dict = {}  # family -> (its CentredEmbeddings, the records made of)
+        self._held: dict = {}  # family -> its CentredEmbeddings
 
     def _centred(self, family: str) -> cdl_mod.CentredEmbeddings:
-        records = [self.store.get(path, name)
-                   for path in self.paths for name in _stored_parts(family)]
-        held = self._held.pop(family, None)
-        if held is None or any(r is not m for r, m in zip(records, held[1])):
-            held = None  # a stale matrix goes before its successor is made
+        if family not in self._held:
             matrix = None
             for i, path in enumerate(self.paths):
                 embedding = _clip_embedding(self.store, path, family)
                 if matrix is None:
                     matrix = np.empty((len(self.paths), embedding.size))
                 matrix[i] = embedding
-            held = (cdl_mod.centre_embeddings(matrix), records)
-        self._held[family] = held
-        return held[0]
+            self._held[family] = cdl_mod.centre_embeddings(matrix)
+        return self._held[family]
 
     def embeddings(self, family: str, entry_paths):
         """Training clips' embeddings, one at a time: each its centred row
@@ -313,14 +306,13 @@ class TrainingEmbeddings:
     def fit_input(self, family: str, clips: DatasetManifest) -> tuple:
         """``(embeddings, rows)`` that fit :func:`cdl.fit_cdl` on ``clips``,
         training clips in any order: the held matrix and the rows of
-        ``clips``, or, when ``clips`` is the whole training manifest in
-        its order, None for rows, and the matrix is then forgotten here."""
+        ``clips``.  When ``clips`` is the whole training manifest in its
+        order, the final fit, the matrix is then forgotten here."""
         paths = [entry_path for entry_path, _ in clips.entries]
         data = self._centred(family)
-        if paths != self.paths:
-            return data, [self._index[entry_path] for entry_path in paths]
-        del self._held[family]
-        return data, None
+        if paths == self.paths:
+            del self._held[family]
+        return data, [self._index[entry_path] for entry_path in paths]
 
 
 def _mixtures(extractor: str, opts: TrainOptions) -> int:

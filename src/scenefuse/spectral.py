@@ -183,31 +183,20 @@ def _scale_funcs(kind: str):
     raise ValueError(f"unknown filterbank kind {kind!r}; expected one of {FILTERBANK_KINDS}")
 
 
-def make_filterbank(
-    kind: str,
-    n_channels: int,
-    n_fft: int,
-    sample_rate: int,
-    f_lo: float = 0.0,
-    f_hi: float | None = None,
-) -> FilterbankMatrix:
+def make_filterbank(kind: str, n_channels: int, n_fft: int, sample_rate: int) -> FilterbankMatrix:
     """Build an auditory filterbank over the one-sided FFT bins.
 
     Channel centres are spaced uniformly on the kind's frequency scale
-    between ``f_lo`` and ``f_hi``.  Shapes: triangles (mel), flat-top
-    trapezoids with steep skirts on the bark scale, or 4th-order gammatone
-    magnitude-squared envelopes on ERB-rate centres.  Every row is
-    normalized to unit peak.
+    between 0 Hz and the Nyquist frequency.  Shapes: triangles (mel),
+    flat-top trapezoids with steep skirts on the bark scale, or 4th-order
+    gammatone magnitude-squared envelopes on ERB-rate centres.  Every row
+    is normalized to unit peak.
     """
-    if f_hi is None:
-        f_hi = sample_rate / 2.0
-    if not (0.0 <= f_lo < f_hi <= sample_rate / 2.0):
-        raise ValueError(f"invalid frequency range [{f_lo}, {f_hi}] at rate {sample_rate}")
     if n_channels < 2:
         raise ValueError(f"need at least 2 channels, got {n_channels}")
 
     fwd, inv = _scale_funcs(kind)
-    points = np.linspace(fwd(f_lo), fwd(f_hi), n_channels + 2)
+    points = np.linspace(fwd(0.0), fwd(sample_rate / 2.0), n_channels + 2)
     centers = inv(points[1:-1])
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
 

@@ -499,6 +499,18 @@ class TestFoldFit:
         # the folds leave the centred rows and their Gram matrix as they were
         assert np.array_equal(data.centred, centred) and np.array_equal(data.gram, gram)
 
+    def test_the_default_fit_is_the_fit_on_every_row(self, tmp_path):
+        # one algorithm: the final fit is the fold fit with S = all rows
+        rng = np.random.default_rng(38)
+        embeddings, labels, _ = TestGramSpan().problem(rng, 8, 8, frames=300)
+        data = centre_embeddings(np.array(embeddings) + 1e4)
+        blobs = []
+        for rows in (None, np.arange(len(labels))):
+            path = tmp_path / "model.sfc"
+            save_cdl_model(path, fit_cdl(data, labels, 3, rows=rows), "cepscom", ["a", "b", "c"])
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_rows_need_one_label_each(self):
         rng = np.random.default_rng(37)
         embeddings, labels, _ = TestGramSpan().problem(rng, 3, 4)

@@ -488,6 +488,19 @@ class TestFeatureStore:
         ):
             store.get("c1", "plp")
 
+    def test_a_record_is_never_replaced(self):
+        store = FeatureStore()
+        first = np.zeros((2, 4))
+        store.add("c1", "mfcc", first)
+        with pytest.raises(
+            FeatureStoreError, match="already holds 'mfcc' features for clip 'c1'"
+        ):
+            store.add("c1", "mfcc", np.ones((2, 4)))
+        assert store.get("c1", "mfcc") is first
+        # another family of the clip, or the family of another clip, is a new record
+        store.add("c1", "pncc", np.ones((2, 4)))
+        store.add("c2", "mfcc", np.ones((2, 4)))
+
     def test_insertion_order(self):
         store = FeatureStore()
         store.add("b", "mfcc", np.zeros((1, 2)))

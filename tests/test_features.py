@@ -264,7 +264,8 @@ class TestLevinsonDurbin:
         for _ in range(25):
             order = int(rng.integers(1, 13))
             r = self.random_autocorr(rng, order + 1)
-            lpc, err = levinson_durbin(r, order)
+            lpcs, errs = levinson_durbin(r[None, :], order)
+            lpc, err = lpcs[0], errs[0]
             want = solve_toeplitz(r[:order], -r[1 : order + 1]) if order > 1 else np.array(
                 [-r[1] / r[0]]
             )
@@ -282,17 +283,17 @@ class TestLevinsonDurbin:
         for i in range(2, 20000):
             x[i] = phi1 * x[i - 1] + phi2 * x[i - 2] + e[i]
         r = np.array([x[: 20000 - k] @ x[k:] / 20000 for k in range(3)])
-        lpc, _ = levinson_durbin(r, 2)
-        assert np.abs(lpc - np.array([-phi1, -phi2])).max() < 5e-2
+        lpc, _ = levinson_durbin(r[None, :], 2)
+        assert np.abs(lpc[0] - np.array([-phi1, -phi2])).max() < 5e-2
 
     def test_batch_equals_per_row(self):
         rng = np.random.default_rng(14)
         rows = np.stack([self.random_autocorr(rng, 13) for _ in range(6)])
         batch_lpc, batch_err = levinson_durbin(rows, 12)
         for t in range(6):
-            lpc, err = levinson_durbin(rows[t], 12)
-            assert np.array_equal(batch_lpc[t], lpc)
-            assert batch_err[t] == err
+            lpc, err = levinson_durbin(rows[t : t + 1], 12)
+            assert np.array_equal(batch_lpc[t], lpc[0])
+            assert batch_err[t] == err[0]
 
     def test_dead_row_is_zero(self):
         rng = np.random.default_rng(15)
@@ -304,29 +305,31 @@ class TestLevinsonDurbin:
 
     def test_too_few_lags_rejected(self):
         with pytest.raises(ValueError, match="lags"):
-            levinson_durbin(np.ones(5), 5)
+            levinson_durbin(np.ones((1, 5)), 5)
 
 
 class TestLpcToCepstrum:
     def test_single_pole_series(self):
         rho = 0.8
-        ceps = lpc_to_cepstrum(np.array([-rho]), 8)
+        # one pole, its coefficients zero-padded to 8
+        lpc = np.zeros((1, 8))
+        lpc[0, 0] = -rho
         want = np.array([rho**n / n for n in range(1, 9)])
-        assert np.allclose(ceps, want, atol=1e-12)
+        assert np.allclose(lpc_to_cepstrum(lpc)[0], want, atol=1e-12)
 
     def test_pole_power_sums(self):
         poles = np.array([0.9, -0.5, 0.6 * np.exp(1j * np.pi / 3), 0.6 * np.exp(-1j * np.pi / 3)])
-        lpc = np.poly(poles).real[1:]
-        ceps = lpc_to_cepstrum(lpc, 10)
+        lpc = np.zeros((1, 10))
+        lpc[0, :4] = np.poly(poles).real[1:]
         want = np.array([(poles**n).sum().real / n for n in range(1, 11)])
-        assert np.allclose(ceps, want, atol=1e-9)
+        assert np.allclose(lpc_to_cepstrum(lpc)[0], want, atol=1e-9)
 
     def test_batched(self):
         rng = np.random.default_rng(16)
         lpc = rng.uniform(-0.4, 0.4, size=(4, 6))
-        batch = lpc_to_cepstrum(lpc, 6)
+        batch = lpc_to_cepstrum(lpc)
         for t in range(4):
-            assert np.allclose(batch[t], lpc_to_cepstrum(lpc[t], 6))
+            assert np.array_equal(batch[t], lpc_to_cepstrum(lpc[t : t + 1])[0])
 
 
 class TestPlp:
@@ -373,10 +376,6 @@ class TestPncc:
         for t in range(9):
             lo, hi = max(t - 2, 0), min(t + 2, 8)
             assert np.allclose(got[t], sub[lo : hi + 1].mean(axis=0))
-
-    def test_medium_window_zero_is_identity(self):
-        sub = np.random.default_rng(22).uniform(0.1, 1.0, size=(5, 2))
-        assert np.array_equal(medium_time_power(sub, 0), sub)
 
     def test_stationary_input_fully_subtracted(self):
         sub = np.full((30, 4), 3.0)

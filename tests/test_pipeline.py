@@ -12,6 +12,7 @@ from scenefuse import cdl as cdl_mod
 from scenefuse.dataio import (
     DatasetManifest,
     FeatureStore,
+    FeatureStoreError,
     load_manifest,
     read_wav,
     resolve_clip_path,
@@ -301,24 +302,26 @@ class TestComputeOnce:
         blobs = [model_bytes(tmp_path, model) for model in (final.model, alone.model, fresh)]
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_replacing_a_record_drops_its_embedding(self, tmp_path):
+    def test_the_kept_matrix_cannot_go_stale(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(41)
         store, train = embedding_store(rng)
         opts = TrainOptions()
         kept = TrainingEmbeddings(store, train)
         estimate_weights(store, train, ["cepscom-cdl"], opts, folds=2, seed=0, kept=kept)
         path = train.entries[0][0]
-        old = fresh_embedding(clip_features(store, path, "cepscom"))
-        # replacing one part changes the cepscom the clip's kept row was made of
-        store.add(path, "rcgcc", 5.0 * rng.standard_normal((30, 1)))
+        # the store refuses to replace a part the clip's kept row was made of
+        with pytest.raises(FeatureStoreError, match=f"'rcgcc' features for clip '{path}'"):
+            store.add(path, "rcgcc", 5.0 * rng.standard_normal((30, 1)))
+        # so the final fit takes the matrix the folds made, embedding nothing again
+        embedded = []
+        original = cdl_mod.log_embed
+        monkeypatch.setattr(
+            cdl_mod, "log_embed", lambda desc: embedded.append(desc) or original(desc)
+        )
         model = fit_system("cepscom-cdl", store, train, opts, kept=kept)
+        assert embedded == []
         unkept = fit_system("cepscom-cdl", store, train, opts)
         assert model_bytes(tmp_path, model.model) == model_bytes(tmp_path, unkept.model)
-        clip = DatasetManifest(entries=[train.entries[0]], class_names=train.class_names)
-        got = score_system(model, store, clip).values[0]
-        new = fresh_embedding(clip_features(store, path, "cepscom"))
-        assert np.array_equal(got, cdl_mod.classify_cdl(model.model, new))
-        assert not np.array_equal(got, cdl_mod.classify_cdl(model.model, old))
 
     def test_scoring_error_names_the_clip(self):
         store, train = embedding_store(np.random.default_rng(42))
@@ -395,8 +398,8 @@ class TestCepscomRows:
 
     def test_parts_of_unequal_length_are_named(self):
         store = FeatureStore()
-        add_cepscom(store, "park/a.wav", np.ones((10, 4)))
-        store.add("park/a.wav", "spcc", np.ones((9, 1)))
+        for name, frames in zip(CEPSCOM_PARTS, (10, 10, 10, 9)):
+            store.add("park/a.wav", name, np.ones((frames, 1)))
         with pytest.raises(ValueError, match=r"clip 'park/a.wav'.*\[10, 10, 10, 9\] frames"):
             clip_features(store, "park/a.wav", "cepscom")
 
