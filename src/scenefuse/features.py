@@ -322,25 +322,40 @@ def stored_families(names) -> list:
     return [name for name in EXTRACTOR_NAMES if name in wanted and name != "cepscom"]
 
 
+def frame_clip(
+    clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
+) -> FrameSequence:
+    """The clip's frames for extracting the named families, or
+    ``ValueError`` naming the clip if they cannot be extracted from it:
+    every family needs one full frame, and spcc, so cepscom too, at least
+    2, since its subspace projection estimates a covariance over frames.
+
+    The frames are a view of the clip's samples, so a caller that only
+    checks a clip keeps nothing of it."""
+    wanted = stored_families(names)
+    frames = frame_signal(clip, frame_len, hop)
+    if "spcc" in wanted and frames.n_frames < 2:
+        raise ValueError(
+            f"clip {clip.source_id!r} has {len(clip)} samples, which frame to "
+            f"{frames.n_frames} frame; spcc and cepscom need at least 2 frames "
+            f"({frame_len + hop} samples)"
+        )
+    return frames
+
+
 def extract_selected(
     clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
 ) -> dict[str, FeatureMatrix]:
-    """Requested families only, all from one shared framing and spectrum,
-    with each filterbank product computed once.
+    """Requested families only, all from one shared framing
+    (:func:`frame_clip`) and spectrum, with each filterbank product
+    computed once.
 
     Each family's matrix holds its static columns only.  A request for
     ``cepscom`` yields its parts (``CEPSCOM_PARTS``), not a concatenated
     copy.  The result follows ``EXTRACTOR_NAMES`` order.
     """
     wanted = set(stored_families(names))
-    frames = frame_signal(clip, frame_len, hop)
-    if "spcc" in wanted and frames.n_frames < 2:
-        # the subspace projection estimates a covariance over frames
-        raise ValueError(
-            f"clip {clip.source_id!r} has {len(clip)} samples, which frame to "
-            f"{frames.n_frames} frame; spcc and cepscom need at least 2 frames "
-            f"({frame_len + hop} samples)"
-        )
+    frames = frame_clip(clip, wanted, frame_len=frame_len, hop=hop)
     spec = power_spectrum(frames)
     if wanted & {"mfcc", "spcc"}:
         logmel = np.log(np.maximum(_subband(spec, "mel-triangular"), LOG_FLOOR))

@@ -17,6 +17,7 @@ import numpy as np
 from . import cdl as cdl_mod
 from . import gmm as gmm_mod
 from .dataio import (
+    AudioClip,
     DatasetManifest,
     FeatureStore,
     load_manifest,
@@ -32,6 +33,7 @@ from .features import (
     FRAME_LEN,
     HOP,
     extract_selected,
+    frame_clip,
     stored_families,
 )
 from .fusion import (
@@ -204,6 +206,11 @@ def required_extractors(system_ids) -> list:
     return stored_families(SYSTEMS[s].family for s in system_ids)
 
 
+def _read_clip(manifest_path: str | Path, entry_path: str) -> AudioClip:
+    """A manifest entry's clip, decoded and named by its entry path."""
+    return replace(read_wav(resolve_clip_path(manifest_path, entry_path)), source_id=entry_path)
+
+
 def extract_for_manifest(
     manifest: DatasetManifest,
     manifest_path: str | Path,
@@ -215,11 +222,22 @@ def extract_for_manifest(
     """Decode and extract every clip; records are keyed by manifest path."""
     store = FeatureStore()
     for entry_path, _ in manifest.entries:
-        clip = read_wav(resolve_clip_path(manifest_path, entry_path))
-        clip = replace(clip, source_id=entry_path)
+        clip = _read_clip(manifest_path, entry_path)
         for name, mat in extract_selected(clip, extractors, frame_len=frame_len, hop=hop).items():
             store.add(entry_path, name, mat.values)
     return store
+
+
+def _clip_stores(
+    manifest: DatasetManifest, manifest_path: str | Path, extractors, *, frame_len: int, hop: int
+):
+    """Each clip of the manifest in turn, as ``(entry path, store)``: the
+    store, made by :func:`extract_for_manifest`, holds that clip's records
+    alone."""
+    for i, (entry_path, _) in enumerate(manifest.entries):
+        yield entry_path, extract_for_manifest(
+            manifest.subset([i]), manifest_path, extractors, frame_len=frame_len, hop=hop
+        )
 
 
 def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
@@ -413,16 +431,33 @@ def _clip_scores(model: SystemModel, store: FeatureStore, entry_path: str) -> np
     return cdl_mod.classify_cdl(model.model, _clip_embedding(store, entry_path, family))
 
 
+def _score_clips(models, clip_stores) -> list:
+    """Raw per-class scores of each model, one :class:`ScoreMatrix` each,
+    for the clips ``clip_stores`` yields as ``(entry path, store)``, in
+    that order.  Every model scores a clip before the next is read."""
+    clip_ids, rows = [], [[] for _ in models]
+    for entry_path, store in clip_stores:
+        clip_ids.append(entry_path)
+        for model, model_rows in zip(models, rows):
+            model_rows.append(_clip_scores(model, store, entry_path))
+        # let a one-clip store go before the next clip's is made
+        del store
+    return [
+        ScoreMatrix(
+            system_id=model.system_id,
+            clip_ids=list(clip_ids),
+            class_names=list(model.class_names),
+            values=np.vstack(model_rows) if model_rows else np.zeros((0, len(model.class_names))),
+            normalized=False,
+        )
+        for model, model_rows in zip(models, rows)
+    ]
+
+
 def score_system(model: SystemModel, store: FeatureStore, clips: DatasetManifest) -> ScoreMatrix:
     """Raw per-class scores for every clip in the manifest."""
-    rows = [_clip_scores(model, store, entry_path) for entry_path, _ in clips.entries]
-    return ScoreMatrix(
-        system_id=model.system_id,
-        clip_ids=[entry_path for entry_path, _ in clips.entries],
-        class_names=list(model.class_names),
-        values=np.vstack(rows) if rows else np.zeros((0, len(model.class_names))),
-        normalized=False,
-    )
+    (scores,) = _score_clips([model], ((entry_path, store) for entry_path, _ in clips.entries))
+    return scores
 
 
 def _fold_runner(
@@ -567,7 +602,12 @@ def _write_summary(path: Path, result: RunResult, train_count: int, test_count: 
 
 
 def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
-    """Execute the full chain and write all artifacts under ``out_dir``."""
+    """Execute the full chain and write all artifacts under ``out_dir``.
+
+    The feature store holds the training clips only, and lives until the
+    final fits are done.  ``classify`` then decodes, extracts and scores
+    one test clip at a time, with every system, and keeps only its scores.
+    """
     if not isinstance(config, PipelineConfig):
         with _stage("config"):
             config = parse_config(config)
@@ -583,9 +623,13 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
 
     with _stage("extract"):
         extractors = required_extractors(config.systems)
-        store = extract_for_manifest(
-            manifest, config.manifest, extractors, frame_len=config.frame_len, hop=config.hop
-        )
+        framing = {"frame_len": config.frame_len, "hop": config.hop}
+        # classify decodes and extracts the test clips one at a time; each is
+        # decoded and framed here first, keeping nothing, so a bad one fails
+        # before any fit
+        for entry_path, _ in test.entries:
+            frame_clip(_read_clip(config.manifest, entry_path), extractors, **framing)
+        store = extract_for_manifest(train, config.manifest, extractors, **framing)
 
     # the CDL embeddings of the training clips, from the CV folds to the final fit
     kept = TrainingEmbeddings(store, train)
@@ -609,14 +653,18 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
                   for system_id in order}
         for system_id in config.systems:
             save_system_model(_model_path(out, system_id), models[system_id])
+    # no stage after train reads a training clip's records
+    del store, kept
 
     with _stage("classify"):
         (out / "scores").mkdir(exist_ok=True)
         raw_scores = {}
-        for system_id in config.systems:
-            scores = score_system(models[system_id], store, test)
-            save_score_csv(out / "scores" / f"{system_id}.csv", scores)
-            raw_scores[system_id] = scores
+        for scores in _score_clips(
+            [models[system_id] for system_id in config.systems],
+            _clip_stores(test, config.manifest, extractors, **framing),
+        ):
+            save_score_csv(out / "scores" / f"{scores.system_id}.csv", scores)
+            raw_scores[scores.system_id] = scores
 
     with _stage("fuse"):
         fused = fuse(raw_scores.values(), weights)

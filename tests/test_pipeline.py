@@ -1,8 +1,11 @@
 """Config parsing, per-system training glue, and the full run."""
 
+import re
+import shutil
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from scenefuse.dataio import (
     read_wav,
     resolve_clip_path,
     split_dataset,
+    write_wav,
 )
 from scenefuse.features import (
     CEPSCOM_PARTS,
@@ -536,6 +540,69 @@ class TestMemory:
         assert len(matrices) == 1
         assert gmm_fits == [[False], [False]]
 
+    def test_training_stages_see_the_training_clips_only(
+        self, mini_dataset, tmp_path, monkeypatch
+    ):
+        config = mini_config(mini_dataset, tmp_path / "o")
+        train, _ = split_dataset(
+            load_manifest(mini_dataset), config.train_fraction, config.split_seed
+        )
+        seen = []  # (what was called, the clips its store held)
+
+        def spy(name, store_at):
+            original = getattr(scenefuse.pipeline, name)
+
+            def called(*args, **kwargs):
+                seen.append((name, {source_id for source_id, _ in args[store_at].records}))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(scenefuse.pipeline, name, called)
+
+        spy("estimate_weights", 0)
+        spy("fit_system", 1)
+        run_pipeline(config)
+        assert {name for name, _ in seen} == {"estimate_weights", "fit_system"}
+        train_paths = {entry_path for entry_path, _ in train.entries}
+        for _, clips in seen:
+            assert clips == train_paths
+
+    def test_no_more_than_one_test_clip_is_held_at_once(
+        self, mini_dataset, tmp_path, monkeypatch
+    ):
+        config = mini_config(mini_dataset, tmp_path / "o")
+        _, test = split_dataset(load_manifest(mini_dataset), config.train_fraction,
+                                config.split_seed)
+        test_paths = {entry_path for entry_path, _ in test.entries}
+        # every store that was written to, while it lives
+        stores = weakref.WeakValueDictionary()
+        held, scored = [], set()
+
+        def count_held():
+            held.append(len({source_id for store in stores.values()
+                             for source_id, _ in store.records if source_id in test_paths}))
+
+        add = FeatureStore.add
+
+        def counted_add(store, *args, **kwargs):
+            stores[id(store)] = store
+            add(store, *args, **kwargs)
+            count_held()
+
+        clip_scores = scenefuse.pipeline._clip_scores
+
+        def counted_scores(model, store, entry_path):
+            scored.add(entry_path)
+            count_held()
+            return clip_scores(model, store, entry_path)
+
+        monkeypatch.setattr(FeatureStore, "add", counted_add)
+        monkeypatch.setattr(scenefuse.pipeline, "_clip_scores", counted_scores)
+        run_pipeline(config)
+        # every test clip was scored, and at every store write and every
+        # scoring the live stores held the records of one test clip at most
+        assert test_paths <= scored
+        assert max(held) == 1
+
     def test_gmm_fit_holds_one_class_matrix_at_a_time(self, mini_dataset):
         manifest = load_manifest(mini_dataset)
         train, _ = split_dataset(manifest, 0.5, seed=1)
@@ -560,12 +627,11 @@ class TestMemory:
 MINI_SYSTEMS = ("cepscom-gmm", "plp-gmm", "cepscom-cdl")
 
 
-@pytest.fixture(scope="module")
-def mini_run(mini_dataset, tmp_path_factory):
-    root = tmp_path_factory.mktemp("runs")
-    config = PipelineConfig(
-        manifest=mini_dataset,
-        out_dir=root / "run1",
+def mini_config(manifest, out_dir):
+    """A small run of the three default fused systems."""
+    return PipelineConfig(
+        manifest=manifest,
+        out_dir=out_dir,
         train_fraction=0.5,
         weights_folds=2,
         mixtures_cepstral=4,
@@ -573,6 +639,12 @@ def mini_run(mini_dataset, tmp_path_factory):
         systems=MINI_SYSTEMS,
         fused=MINI_SYSTEMS,
     )
+
+
+@pytest.fixture(scope="module")
+def mini_run(mini_dataset, tmp_path_factory):
+    root = tmp_path_factory.mktemp("runs")
+    config = mini_config(mini_dataset, root / "run1")
     return config, run_pipeline(config), root
 
 
@@ -717,4 +789,34 @@ class TestStageTags:
             PipelineError,
             match=r"\[weights\] class 'rumble' has 4 training clips, fewer than 13 folds",
         ):
+            run_pipeline(config)
+
+    @pytest.mark.parametrize("damage", ["truncated", "too short"])
+    def test_a_bad_test_clip_fails_in_extract_before_any_fit(
+        self, damage, mini_dataset, tmp_path, monkeypatch
+    ):
+        # classify extracts the test clips; the extract stage still reads
+        # each of them first
+        data = tmp_path / "data"
+        shutil.copytree(mini_dataset.parent, data)
+        config = mini_config(data / mini_dataset.name, tmp_path / "o")
+        _, test = split_dataset(load_manifest(config.manifest), config.train_fraction,
+                                config.split_seed)
+        entry_path = test.entries[-1][0]
+        wav = resolve_clip_path(config.manifest, entry_path)
+        if damage == "truncated":
+            wav.write_bytes(wav.read_bytes()[:-100])
+            match = rf"\[extract\] .*{re.escape(entry_path)}: .*'data' chunk declares"
+        else:
+            # one frame: enough for mfcc, not for cepscom's spcc
+            clip = read_wav(wav)
+            write_wav(wav, replace(clip, samples=clip.samples[:2048]))
+            match = (rf"\[extract\] clip '{re.escape(entry_path)}' has 2048 samples.*"
+                     r"spcc and cepscom need at least 2 frames")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a system was fitted")
+
+        monkeypatch.setattr(scenefuse.pipeline, "fit_system", no_fit)
+        with pytest.raises(PipelineError, match=match):
             run_pipeline(config)
