@@ -263,12 +263,13 @@ def read_wav(path: str | Path) -> AudioClip:
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     """Write a clip as 16-bit PCM WAV, rounded and clipped to full scale."""
-    data = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    scaled = clip.samples * 32768.0
+    data = np.clip(np.round(scaled, out=scaled), -32768, 32767, out=scaled).astype("<i2")
     rate = clip.sample_rate
     fmt = struct.pack("<HHIIHH", _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16)
-    chunks = b"fmt " + pack_u32(len(fmt)) + fmt + b"data" + pack_u32(len(data))
+    chunks = b"fmt " + pack_u32(len(fmt)) + fmt + b"data" + pack_u32(data.nbytes)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + pack_u32(4 + len(chunks) + len(data)) + b"WAVE" + chunks)
+        fh.write(b"RIFF" + pack_u32(4 + len(chunks) + data.nbytes) + b"WAVE" + chunks)
         fh.write(data)
 
 

@@ -128,26 +128,26 @@ def _clip_channel(profile: SceneProfile, seed: int) -> SceneProfile:
 def _validate_profile(profile: SceneProfile, sample_rate: int) -> None:
     if not profile.name:
         raise ValueError("profile needs a name")
+    where = f"profile {profile.name!r} at rate {sample_rate}:"
     if profile.seed < 0:
-        raise ValueError("profile seed must be nonnegative")
+        raise ValueError(f"{where} profile seed must be nonnegative")
     nyquist = sample_rate / 2.0
     for center, width, _ in profile.emphases:
         if not 0.0 < center < nyquist or width <= 0.0:
-            raise ValueError(f"bad emphasis band ({center}, {width}) at rate {sample_rate}")
+            raise ValueError(f"{where} bad emphasis band ({center}, {width})")
     for burst in profile.tone_bursts:
         if not 0.0 < burst.freq_hz < nyquist:
-            raise ValueError(f"tone frequency {burst.freq_hz} outside (0, {nyquist})")
-        if burst.rate_hz <= 0.0 or burst.duration_s <= 0.0:
-            raise ValueError("tone bursts need positive rate and duration")
+            raise ValueError(f"{where} tone frequency {burst.freq_hz} outside (0, {nyquist})")
     for burst in profile.noise_bursts:
         if not 0.0 < burst.center_hz < nyquist or burst.width_hz <= 0.0:
-            raise ValueError(f"bad noise-burst band ({burst.center_hz}, {burst.width_hz})")
+            raise ValueError(f"{where} bad noise-burst band ({burst.center_hz}, {burst.width_hz})")
+    for burst in profile.tone_bursts + profile.noise_bursts:
         if burst.rate_hz <= 0.0 or burst.duration_s <= 0.0:
-            raise ValueError("noise bursts need positive rate and duration")
+            raise ValueError(f"{where} {type(burst).__name__} needs positive rate and duration")
     if profile.transient_rate_hz < 0.0:
-        raise ValueError("transient rate must be nonnegative")
+        raise ValueError(f"{where} transient rate must be nonnegative")
     if profile.channel_tilt_db < 0.0 or profile.channel_gain_db < 0.0:
-        raise ValueError("channel ranges must be nonnegative")
+        raise ValueError(f"{where} channel ranges must be nonnegative")
 
 
 def envelope_gain_db(profile: SceneProfile, freqs_hz) -> np.ndarray:
@@ -159,19 +159,8 @@ def envelope_gain_db(profile: SceneProfile, freqs_hz) -> np.ndarray:
     return gain
 
 
-def _band_noise(rng: np.random.Generator, n: int, sample_rate: int,
-                center: float, width: float) -> np.ndarray:
-    spectrum = np.fft.rfft(rng.standard_normal(n))
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    shaped = np.fft.irfft(spectrum * np.exp(-0.5 * ((freqs - center) / width) ** 2), n)
-    rms = np.sqrt(np.mean(shaped**2))
-    return shaped / rms if rms > 0.0 else shaped
-
-
-def synth_scene(
-    profile: SceneProfile, duration_s: float, sample_rate: int, seed: int
-) -> AudioClip:
-    """Render one clip of the profile; identical inputs give identical bytes."""
+def _clip_profile(profile: SceneProfile, duration_s: float, sample_rate: int, seed: int):
+    """The profile clip ``seed`` is rendered from, once every check has passed."""
     if duration_s < 1.0:
         raise ValueError(f"duration must be at least 1 s, got {duration_s}")
     if sample_rate < 8000:
@@ -182,44 +171,56 @@ def synth_scene(
     if profile.channel_tilt_db or profile.channel_gain_db:
         profile = _clip_channel(profile, seed)
         _validate_profile(profile, sample_rate)
+    return profile
 
+
+def _bed_gain(profile: SceneProfile, n: int, sample_rate: int) -> np.ndarray:
+    return 10.0 ** (envelope_gain_db(profile, np.fft.rfftfreq(n, 1.0 / sample_rate)) / 20.0)
+
+
+def _tables(profile: SceneProfile, n: int, sample_rate: int) -> tuple:
+    """What every clip of ``profile`` with ``n`` samples shares: the bed's linear
+    gain (None when each clip draws its own channel) and, tones first, each burst
+    with its Hann window times its amplitude and, for noise, its band gain."""
+    bursts = []
+    for burst in profile.tone_bursts + profile.noise_bursts:
+        length = int(round(burst.duration_s * sample_rate))
+        band = None
+        if isinstance(burst, NoiseBurst):
+            freqs = np.fft.rfftfreq(length, d=1.0 / sample_rate)
+            band = np.exp(-0.5 * ((freqs - burst.center_hz) / burst.width_hz) ** 2)
+        bursts.append((burst, 10.0 ** (burst.level_db / 20.0) * np.hanning(length), band))
+    per_clip = profile.channel_tilt_db or profile.channel_gain_db
+    return (None if per_clip else _bed_gain(profile, n, sample_rate)), bursts
+
+
+def _shaped_noise(rng: np.random.Generator, gain: np.ndarray, n: int) -> np.ndarray:
+    noise = rng.standard_normal(n)
+    spectrum = np.fft.rfft(noise)
+    spectrum *= gain
+    shaped = np.fft.irfft(spectrum, n)
+    shaped /= np.sqrt(np.mean(np.square(shaped, out=noise))) or 1.0
+    return shaped
+
+
+def _render(profile, bed, bursts, duration_s, sample_rate, seed) -> AudioClip:
+    """Clip ``seed`` of a checked clip profile, from its base profile's tables."""
     rng = np.random.default_rng([profile.seed, seed])
     n = int(round(duration_s * sample_rate))
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-
-    spectrum = np.fft.rfft(rng.standard_normal(n))
-    bed = np.fft.irfft(spectrum * 10.0 ** (envelope_gain_db(profile, freqs) / 20.0), n)
-    bed /= np.sqrt(np.mean(bed**2))
-    signal = bed
-
-    t_axis = np.arange(n) / sample_rate
-    for burst in profile.tone_bursts:
+    signal = _shaped_noise(rng, _bed_gain(profile, n, sample_rate) if bed is None else bed, n)
+    for burst, window, band in bursts:
         period = 1.0 / burst.rate_hz
-        offset = rng.uniform(0.0, period)
-        length = int(round(burst.duration_s * sample_rate))
-        window = np.hanning(length)
-        amp = 10.0 ** (burst.level_db / 20.0)
-        start = offset
+        start = rng.uniform(0.0, period)
         while start + burst.duration_s <= duration_s:
             i0 = int(round(start * sample_rate))
-            i1 = min(i0 + length, n)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            tone = np.sin(2.0 * np.pi * burst.freq_hz * t_axis[i0:i1] + phase)
-            signal[i0:i1] += amp * window[: i1 - i0] * tone
-            start += period
-
-    for burst in profile.noise_bursts:
-        period = 1.0 / burst.rate_hz
-        offset = rng.uniform(0.0, period)
-        length = int(round(burst.duration_s * sample_rate))
-        window = np.hanning(length)
-        amp = 10.0 ** (burst.level_db / 20.0)
-        start = offset
-        while start + burst.duration_s <= duration_s:
-            i0 = int(round(start * sample_rate))
-            i1 = min(i0 + length, n)
-            chunk = _band_noise(rng, length, sample_rate, burst.center_hz, burst.width_hz)
-            signal[i0:i1] += amp * window[: i1 - i0] * chunk[: i1 - i0]
+            i1 = min(i0 + len(window), n)
+            if band is None:
+                t = np.arange(i0, i1) / sample_rate
+                event = np.sin(2.0 * np.pi * burst.freq_hz * t + rng.uniform(0.0, 2.0 * np.pi))
+            else:
+                event = _shaped_noise(rng, band, len(window))[: i1 - i0]
+            event *= window[: i1 - i0]
+            signal[i0:i1] += event
             start += period
 
     if profile.transient_rate_hz > 0.0:
@@ -234,14 +235,23 @@ def synth_scene(
             if peak > 0.0:
                 signal[i0 : i0 + length] += amp * click / peak
 
-    peak = np.abs(signal).max()
+    peak = max(signal.max(), -signal.min())
     if peak > 0.0:
-        signal = signal * (TARGET_PEAK / peak)
+        signal *= TARGET_PEAK / peak
     return AudioClip(
         samples=signal,
         sample_rate=sample_rate,
         source_id=f"{profile.name}:{seed}",
     )
+
+
+def synth_scene(
+    profile: SceneProfile, duration_s: float, sample_rate: int, seed: int
+) -> AudioClip:
+    """Render one clip of the profile; identical inputs give identical bytes."""
+    clip_profile = _clip_profile(profile, duration_s, sample_rate, seed)
+    tables = _tables(profile, int(round(duration_s * sample_rate)), sample_rate)
+    return _render(clip_profile, *tables, duration_s, sample_rate, seed)
 
 
 def benchmark_profiles() -> list:
@@ -310,18 +320,26 @@ def synthesize_dataset(
     out_dir: str | Path,
     base_seed: int,
 ) -> Path:
-    """Write WAV clips and a manifest.tsv; returns the manifest path."""
+    """Write WAV clips and a manifest.tsv; returns the manifest path.  Every check runs
+    before the directory is made, and each profile's tables are built once; each file
+    has the bytes that ``synth_scene`` and ``write_wav`` give it."""
     if clips_per_class < 1:
         raise ValueError("need at least 1 clip per class")
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise ValueError("profile names must be unique")
+    seeds = range(base_seed, base_seed + clips_per_class)
+    plans = []
+    for profile in profiles:
+        plans.append([_clip_profile(profile, duration_s, sample_rate, s) for s in seeds])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    n = int(round(duration_s * sample_rate))
     entries = []
-    for profile in profiles:
-        for j in range(clips_per_class):
-            clip = synth_scene(profile, duration_s, sample_rate, base_seed + j)
+    for profile, clip_profiles in zip(profiles, plans):
+        tables = _tables(profile, n, sample_rate)
+        for j, (clip_profile, seed) in enumerate(zip(clip_profiles, seeds)):
+            clip = _render(clip_profile, *tables, duration_s, sample_rate, seed)
             filename = f"{profile.name}_{j:03d}.wav"
             write_wav(out_dir / filename, clip)
             entries.append((filename, profile.name))

@@ -1,10 +1,14 @@
 """Scene synthesizer: determinism, spectra, dataset output."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import signal as sps
 
-from scenefuse.dataio import load_manifest, read_wav
+from scenefuse.cli import main
+from scenefuse.dataio import load_manifest, read_wav, write_wav
 from scenefuse.synth import (
     NoiseBurst,
     SceneProfile,
@@ -261,3 +265,58 @@ class TestSynthesizeDataset:
         twins = [plain_profile(name="dup"), plain_profile(name="dup", seed=9)]
         with pytest.raises(ValueError, match="unique"):
             synthesize_dataset(twins, 1, 1.0, 16000, tmp_path, 0)
+
+    @pytest.mark.parametrize("profiles, duration, rate, base_seed, match", [
+        (benchmark_profiles(), 1.0, 16000, 7,
+         r"profile 'hiss' at rate 16000: bad emphasis band \(9000.0, 2500.0\)"),
+        (benchmark_profiles(), 0.5, 44100, 7, "at least 1 s"),
+        (benchmark_profiles(), 1.0, 4000, 7, "at least 8000"),
+        (benchmark_profiles(), 1.0, 44100, -1, "clip seed"),
+        # clips 0-2 draw channel bumps below 4 kHz, clip 3 draws one at 4.3 kHz
+        ([channel(plain_profile(), 1.0, 1.0)], 1.0, 8000, 0,
+         "profile 'test' at rate 8000: bad emphasis band"),
+    ], ids=["hiss-at-16k", "duration", "rate", "seed", "fourth-channel-draw"])
+    def test_fails_before_writing(self, tmp_path, profiles, duration, rate, base_seed, match):
+        with pytest.raises(ValueError, match=match):
+            synthesize_dataset(profiles, 4, duration, rate, tmp_path / "d", base_seed)
+        assert not (tmp_path / "d").exists()
+
+    def test_cli_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--profile", "benchmark", "--count", "3", "--duration", "1.0",
+                     "--sample-rate", "16000", "--out", str(out)]) == 1
+        assert "profile 'hiss' at rate 16000" in capsys.readouterr().err
+        assert not out.exists()
+
+
+#: SHA-256 of PINNED_PROFILES' dataset tree (2 clips x 1.5 s at 44.1 kHz,
+#: base seed 7), file names and bytes in name order.  The C2 and C10
+#: reference accuracies rest on these bytes: a change to the synthesizer
+#: that moves them has to re-record those references too.
+PINNED_TREE_SHA256 = "5ceeb9b5444252eddcbe91e417cdbe6aebbf21deb74f8d96649ad07460887a9c"
+
+PINNED_PROFILES = benchmark_profiles() + [
+    replace(soft(profile_by_name("hiss"), 0.05, -25.0), name="hiss-soft"),
+    replace(channel(soft(profile_by_name("chime"), 1.0, -10.0), 8.0, 12.0),
+            name="chime-channel"),
+]
+
+
+class TestPinnedBytes:
+    @pytest.fixture(scope="class")
+    def tree(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("pinned")
+        synthesize_dataset(PINNED_PROFILES, 2, 1.5, 44100, out, 7)
+        return out
+
+    def test_tree_digest(self, tree):
+        digest = hashlib.sha256()
+        for path in sorted(tree.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == PINNED_TREE_SHA256
+
+    @pytest.mark.parametrize("name", [p.name for p in PINNED_PROFILES])
+    def test_synth_scene_writes_the_dataset_file(self, tree, tmp_path, name):
+        profile = next(p for p in PINNED_PROFILES if p.name == name)
+        write_wav(tmp_path / "one.wav", synth_scene(profile, 1.5, 44100, 8))
+        assert (tmp_path / "one.wav").read_bytes() == (tree / f"{name}_001.wav").read_bytes()

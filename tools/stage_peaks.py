@@ -2,13 +2,19 @@
 
     python3 tools/stage_peaks.py --workload many_short [--seed 7] [--runs 5]
         [--root CHECKOUT] [--work DIR]
+    python3 tools/stage_peaks.py --clips-per-class 117 --seconds 30 [--seed 7] ...
 
-Synthesizes a pipeline workload's inputs with perfbench's own set-up (into
-``--work``, by default ``.perfbench_work/stage-peaks-<workload>-<seed>``
-under the checkout, reused when it already holds them), then runs one
-``pipeline.run_pipeline`` pass per fresh process, ``--runs`` times, importing
-scenefuse from ``--root``'s ``src/`` (default: this checkout), so that two
-checkouts can be compared on the same inputs.
+Synthesizes the inputs with perfbench's own set-up into ``--work`` (by
+default ``.perfbench_work/stage-peaks-<workload>-<seed>`` under the
+checkout), unless it already holds them, and prints how long that took.  By
+default they are a pipeline workload's.  With ``--clips-per-class`` and
+``--seconds`` they are that many clips of that length per built-in
+``benchmark`` profile at 44.1 kHz, with ``--seed`` as the synthesizer's base
+seed, run with the default config; ``<workload>`` in the default directory is
+then ``benchmark-<N>x<S>s``.  It then runs one ``pipeline.run_pipeline`` pass
+per fresh process, ``--runs`` times, importing scenefuse from ``--root``'s
+``src/`` (default: this checkout), so that two checkouts can be compared on
+the same inputs.
 
 In each pass a daemon thread reads ``/proc/self/statm`` every millisecond
 (with the interpreter's switch interval at 0.5 ms) and keeps, per label, the
@@ -99,18 +105,26 @@ def child(root: Path, work: Path) -> dict:
     }
 
 
-def prepare(workload_name: str, seed: int, work: Path) -> None:
-    """Perfbench's set-up of the workload's inputs, unless ``work`` has them."""
+def prepare(workload_name: str, seed: int, work: Path,
+            clips_per_class: int | None = None, seconds: float | None = None) -> float | None:
+    """Perfbench's set-up of the inputs into ``work`` unless it has them (see the
+    module docstring); returns the synthesis time in seconds, or None on reuse."""
     sys.path.insert(0, str(HERE / "src"))
     sys.path.insert(0, str(HERE / "perfbench"))
-    from workloads import WORKLOADS, setup
+    from workloads import WORKLOADS, Workload, setup
 
-    workload = WORKLOADS[workload_name]
-    if workload.kind != "pipeline":
-        raise SystemExit(f"{workload_name} runs no pipeline.run_pipeline pass")
-    if not (work / "run.cfg").is_file():
-        work.mkdir(parents=True, exist_ok=True)
-        setup(workload, seed, work)
+    if clips_per_class is None:
+        workload = WORKLOADS[workload_name]
+        if workload.kind != "pipeline":
+            raise SystemExit(f"{workload_name} runs no pipeline.run_pipeline pass")
+    else:
+        workload = Workload(workload_name, "pipeline", clips_per_class, seconds)
+    if (work / "run.cfg").is_file():
+        return None
+    work.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    setup(workload, seed, work)
+    return time.perf_counter() - started
 
 
 def main() -> None:
@@ -120,14 +134,23 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--root", type=Path, default=HERE)
     parser.add_argument("--work", type=Path)
+    parser.add_argument("--clips-per-class", type=int,
+                        help="benchmark profiles, this many clips each, in place of --workload")
+    parser.add_argument("--seconds", type=float, help="clip length with --clips-per-class")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if (args.clips_per_class is None) != (args.seconds is None):
+        parser.error("--clips-per-class and --seconds go together")
+    if args.clips_per_class is not None:
+        args.workload = f"benchmark-{args.clips_per_class}x{args.seconds:g}s"
     work = (args.work or HERE / ".perfbench_work" /
             f"stage-peaks-{args.workload}-{args.seed}").resolve()
     if args.child:
         print(json.dumps(child(args.root.resolve(), work)))
         return
-    prepare(args.workload, args.seed, work)
+    synth_s = prepare(args.workload, args.seed, work, args.clips_per_class, args.seconds)
+    print(f"inputs in {work}: " + ("reused" if synth_s is None else
+                                   f"synthesized in {synth_s:.2f} s"), flush=True)
     runs = []
     for _ in range(args.runs):
         out = subprocess.run(
@@ -149,6 +172,7 @@ def main() -> None:
         "workload": args.workload,
         "seed": args.seed,
         "root": str(args.root.resolve()),
+        "synth_s": None if synth_s is None else round(synth_s, 2),
         "runs": len(runs),
         "peak_rss_mb_by_label_median": table,
         "peak_label": next(iter(table)),
