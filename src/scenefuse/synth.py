@@ -8,6 +8,7 @@ seed pair.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -312,6 +313,17 @@ def profile_by_name(name: str) -> SceneProfile:
     raise ValueError(f"unknown profile {name!r}; built-in profiles: {known}")
 
 
+def _write_clips(job: tuple) -> None:
+    """Run one job, (profile, clips, duration_s, sample_rate, out_dir): build the
+    profile's tables once, then render each (file name, checked clip profile, seed)
+    of ``clips`` and write it under ``out_dir``."""
+    profile, clips, duration_s, sample_rate, out_dir = job
+    tables = _tables(profile, int(round(duration_s * sample_rate)), sample_rate)
+    for filename, clip_profile, seed in clips:
+        clip = _render(clip_profile, *tables, duration_s, sample_rate, seed)
+        write_wav(out_dir / filename, clip)
+
+
 def synthesize_dataset(
     profiles: list,
     clips_per_class: int,
@@ -321,28 +333,45 @@ def synthesize_dataset(
     base_seed: int,
 ) -> Path:
     """Write WAV clips and a manifest.tsv; returns the manifest path.  Every check runs
-    before the directory is made, and each profile's tables are built once; each file
-    has the bytes that ``synth_scene`` and ``write_wav`` give it."""
+    before the directory is made.  Each profile's clips are dealt into one job per CPU
+    the process may use, and the jobs run in forked worker processes (inline with one
+    CPU, or where fork is not a start method); every worker has ended when this
+    returns or raises.  Each clip draws only from its own (profile seed, clip seed)
+    generator, so each file has the bytes that ``synth_scene`` and ``write_wav`` give
+    it, whatever the worker count."""
     if clips_per_class < 1:
         raise ValueError("need at least 1 clip per class")
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise ValueError("profile names must be unique")
     seeds = range(base_seed, base_seed + clips_per_class)
-    plans = []
-    for profile in profiles:
-        plans.append([_clip_profile(profile, duration_s, sample_rate, s) for s in seeds])
+    plans = [[(f"{p.name}_{j:03d}.wav", _clip_profile(p, duration_s, sample_rate, s), s)
+              for j, s in enumerate(seeds)] for p in profiles]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = int(round(duration_s * sample_rate))
-    entries = []
-    for profile, clip_profiles in zip(profiles, plans):
-        tables = _tables(profile, n, sample_rate)
-        for j, (clip_profile, seed) in enumerate(zip(clip_profiles, seeds)):
-            clip = _render(clip_profile, *tables, duration_s, sample_rate, seed)
-            filename = f"{profile.name}_{j:03d}.wav"
-            write_wav(out_dir / filename, clip)
-            entries.append((filename, profile.name))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = [(profile, plan[k::cpus], duration_s, sample_rate, out_dir)
+            for profile, plan in zip(profiles, plans) for k in range(min(cpus, len(plan)))]
+    workers = min(cpus, len(jobs))
+    # imported here, so that a process that never synthesizes (a pipeline run, a
+    # stepwise command) does not load their 32 modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned pool starts a fresh interpreter per worker (about
+    # 0.35 s a pool), and its workers re-run a calling script that has no __main__
+    # guard.  A job calls no BLAS routine and takes no lock the parent's threads hold.
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            for _ in pool.map(_write_clips, jobs):
+                pass
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        for job in jobs:
+            _write_clips(job)
+    entries = [(filename, p.name) for p, plan in zip(profiles, plans) for filename, _, _ in plan]
     manifest = DatasetManifest(entries=entries, class_names=names)
     manifest_path = out_dir / "manifest.tsv"
     save_manifest(manifest, manifest_path)

@@ -1,12 +1,18 @@
 """Scene synthesizer: determinism, spectra, dataset output."""
 
 import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import signal as sps
 
+import scenefuse
 from scenefuse.cli import main
 from scenefuse.dataio import load_manifest, read_wav, write_wav
 from scenefuse.synth import (
@@ -320,3 +326,70 @@ class TestPinnedBytes:
         profile = next(p for p in PINNED_PROFILES if p.name == name)
         write_wav(tmp_path / "one.wav", synth_scene(profile, 1.5, 44100, 8))
         assert (tmp_path / "one.wav").read_bytes() == (tree / f"{name}_001.wav").read_bytes()
+
+
+def one_cpu(monkeypatch):
+    """Let the process use one CPU, so ``synthesize_dataset`` runs its jobs inline."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+class TestWorkers:
+    def test_worker_count_does_not_change_the_bytes(self, tmp_path, monkeypatch):
+        # clatter-channel draws its bed per clip and carries noise bursts and transients
+        profiles = PINNED_PROFILES + [
+            replace(channel(profile_by_name("clatter"), 8.0, 12.0), name="clatter-channel"),
+        ]
+        synthesize_dataset(profiles, 2, 1.5, 44100, tmp_path / "as-is", 7)
+        one_cpu(monkeypatch)
+        synthesize_dataset(profiles, 2, 1.5, 44100, tmp_path / "inline", 7)
+        names = sorted(path.name for path in (tmp_path / "inline").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "as-is").iterdir())
+        for name in names:
+            assert (tmp_path / "as-is" / name).read_bytes() == (
+                tmp_path / "inline" / name
+            ).read_bytes(), name
+        # and both are the bytes of clip j at seed 7 + j
+        for profile in profiles:
+            for j in range(2):
+                write_wav(tmp_path / "one.wav", synth_scene(profile, 1.5, 44100, 7 + j))
+                assert (tmp_path / "one.wav").read_bytes() == (
+                    tmp_path / "inline" / f"{profile.name}_{j:03d}.wav"
+                ).read_bytes(), (profile.name, j)
+
+    def test_no_worker_outlives_a_normal_return(self, tmp_path):
+        synthesize_dataset(benchmark_profiles()[:2], 3, 1.0, 44100, tmp_path / "d", 7)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "as-is"])
+    def test_a_failed_job_reaches_the_caller(self, tmp_path, monkeypatch, inline):
+        if inline:
+            one_cpu(monkeypatch)
+        out = tmp_path / "d"
+        squatter = out / "hiss_001.wav"
+        squatter.mkdir(parents=True)
+        with pytest.raises(IsADirectoryError, match="hiss_001.wav") as caught:
+            synthesize_dataset(benchmark_profiles()[:2], 3, 1.0, 44100, out, 7)
+        assert caught.value.filename == str(squatter)
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.tsv").exists()
+
+    def test_script_without_main_guard(self, tmp_path):
+        # spawned workers would re-run this script on import and fail; forked workers
+        # that flushed the parent's stdout buffer again would print "start" twice
+        script = tmp_path / "make_data.py"
+        script.write_text(
+            "from scenefuse.synth import benchmark_profiles, synthesize_dataset\n"
+            "print('start')\n"
+            "synthesize_dataset(benchmark_profiles()[:3], 2, 1.0, 44100, "
+            f"{str(tmp_path / 'd')!r}, 7)\n"
+            "print('done')\n",
+            encoding="utf-8",
+        )
+        src = str(Path(scenefuse.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, str(script)], env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "start\ndone\n"
+        assert len(load_manifest(tmp_path / "d" / "manifest.tsv").entries) == 6
