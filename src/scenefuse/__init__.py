@@ -49,7 +49,6 @@ from .gmm import (
     GmmModel,
     classify_gmm,
     fit_gmm,
-    fit_gmm_bank,
     load_gmm_bank,
     save_gmm_bank,
 )

@@ -251,15 +251,13 @@ def centre_embeddings(embeddings) -> CentredEmbeddings:
 
 
 def fit_cdl(
-    embeddings, labels, n_classes: int | None = None, *, rows=None
+    data: CentredEmbeddings, labels, n_classes: int, *, rows=None
 ) -> CdlProjection:
     """Fisher discriminant over centered log embeddings (see :func:`log_embed`).
 
-    ``embeddings`` holds one embedding per clip, or is
-    :class:`CentredEmbeddings`; any other form is centred by
-    :func:`centre_embeddings`, in place if it is an n x d_vec float64
-    array. The fit is on the clips ``rows`` index (None: all of them), with
-    one label each.
+    ``data`` holds one embedding per clip, centred by
+    :func:`centre_embeddings`. The fit is on the clips ``rows`` index
+    (None: all of them), with one label each in ``range(n_classes)``.
 
     The fit works in kernel form, with no copy of the rows and no scatter
     matrix at full size. With E the embeddings centred on the mean m of all
@@ -285,15 +283,12 @@ def fit_cdl(
     The clips' projections ``X Xᵀ T`` come from the Gram matrix alone.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if isinstance(embeddings, CentredEmbeddings):
-        total, widths = embeddings.centred.shape[0], {embeddings.centred.shape[1]}
-    else:
-        total, widths = len(embeddings), {len(e) for e in embeddings}
-    rows = np.arange(total) if rows is None else np.asarray(rows, dtype=np.intp)
+    centred = data.centred
+    n, d_vec = centred.shape
+    dim = half_vec_dim(d_vec)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     if rows.size != labels.shape[0]:
         raise ValueError("need one label per embedding")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1 if labels.size else 0
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
     if np.any(labels < 0) or np.any(labels >= n_classes):
@@ -302,16 +297,6 @@ def fit_cdl(
     for c, idx in enumerate(parts):
         if idx.size < 2:
             raise ValueError(f"class {c} has {idx.size} embeddings, need at least 2")
-    dims = {half_vec_dim(width) for width in widths}
-    if len(dims) != 1:
-        raise ValueError(f"embeddings disagree on dim: {sorted(dims)}")
-    dim = dims.pop()
-
-    data = embeddings
-    if not isinstance(data, CentredEmbeddings):
-        data = centre_embeddings(data)
-    centred = data.centred
-    n, d_vec = centred.shape
 
     # the Gram matrix of the rows centred on their own mean
     gram = data.gram[np.ix_(rows, rows)]

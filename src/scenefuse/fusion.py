@@ -198,19 +198,20 @@ def stratified_folds(labels, n_folds: int, seed: int) -> np.ndarray:
 def cross_validated_confusion(
     labels,
     n_classes: int,
-    n_folds: int,
-    seed: int,
+    fold_of,
     fit_and_classify,
 ) -> ConfusionMatrix:
-    """Pool held-out predictions from a stratified k-fold into one matrix.
+    """Pool held-out predictions from k folds into one matrix.
 
+    ``fold_of`` gives each clip's fold, as :func:`stratified_folds` does;
+    each fold is held out in turn, in fold order.
     ``fit_and_classify(train_idx, test_idx)`` must train on the first index
     set and return predicted class indices for the second.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    fold_of = stratified_folds(labels, n_folds, seed)
+    fold_of = np.asarray(fold_of, dtype=np.int64)
     truths, predictions = [], []
-    for fold in range(n_folds):
+    for fold in np.unique(fold_of):
         test_idx = np.flatnonzero(fold_of == fold)
         train_idx = np.flatnonzero(fold_of != fold)
         predicted = np.asarray(fit_and_classify(train_idx, test_idx), dtype=np.int64)

@@ -285,25 +285,6 @@ def fit_gmm(
     return model
 
 
-def fit_gmm_bank(class_features, n_components: int, seeds) -> GmmBank:
-    """Train one model per class; seeds are index-aligned with classes.
-
-    ``class_features`` may be any iterable of per-class frame matrices, a
-    generator among them: each matrix is let go before the next is asked
-    for, so one built on demand is the only one alive during its EM.
-    """
-    seeds = list(seeds)
-    models = []
-    for features in class_features:
-        if len(models) == len(seeds):
-            raise ValueError("need one seed per class")
-        models.append(fit_gmm(features, n_components, seeds[len(models)]))
-        del features
-    if len(models) != len(seeds):
-        raise ValueError("need one seed per class")
-    return GmmBank(models)
-
-
 def classify_gmm(bank: GmmBank, features: np.ndarray) -> np.ndarray:
     """Raw per-class scores (summed frame log-likelihoods) for one clip,
     from one frames x (classes * components) matrix."""

@@ -188,7 +188,10 @@ def parse_config(path: str | Path) -> PipelineConfig:
     for required in ("manifest", "out_dir"):
         if required not in values:
             raise ValueError(f"{path}: missing required key {required!r}")
-    return PipelineConfig(**values)
+    try:
+        return PipelineConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -245,11 +248,6 @@ def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
     return (base * 1000003 + system_index * 101 + class_index) & 0x7FFFFFFF
 
 
-def _stored_parts(family: str) -> tuple:
-    """The store names a family is read from: cepscom's parts, or itself."""
-    return CEPSCOM_PARTS if family == "cepscom" else (family,)
-
-
 def clip_features(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
     """A clip's frames x dims matrix of one family as a system reads it,
     ``[static | delta | delta-delta]``; cepscom is joined, frame by frame,
@@ -259,7 +257,7 @@ def clip_features(store: FeatureStore, entry_path: str, family: str) -> np.ndarr
     deltas are derived, at ``DELTA_WINDOW``: in one call over the joined
     static columns, since a column's deltas depend on that column alone.
     """
-    parts = [store.get(entry_path, name) for name in _stored_parts(family)]
+    parts = [store.get(entry_path, name) for name in stored_families([family])]
     for what, sizes in (("frames", [p.shape[0] for p in parts]),
                         ("columns", [p.shape[1] for p in parts])):
         if len(set(sizes)) != 1:
@@ -292,9 +290,8 @@ class TrainingEmbeddings:
     A run shares one between its weight estimation and its final fits, so
     each training clip is embedded once per run: every fit is on rows of
     the matrix in kernel form, with no copy of them (see
-    :func:`cdl.fit_cdl`), held-out clips are scored from their rows, and
-    the final fit releases the matrix (see :meth:`fit_input`).  The store
-    is write-once, so a row never goes stale.
+    :func:`cdl.fit_cdl`), and held-out clips are scored from their rows.
+    The store is write-once, so a row never goes stale.
     """
 
     def __init__(self, store: FeatureStore, train: DatasetManifest) -> None:
@@ -324,13 +321,8 @@ class TrainingEmbeddings:
     def fit_input(self, family: str, clips: DatasetManifest) -> tuple:
         """``(embeddings, rows)`` that fit :func:`cdl.fit_cdl` on ``clips``,
         training clips in any order: the held matrix and the rows of
-        ``clips``.  When ``clips`` is the whole training manifest in its
-        order, the final fit, the matrix is then forgotten here."""
-        paths = [entry_path for entry_path, _ in clips.entries]
-        data = self._centred(family)
-        if paths == self.paths:
-            del self._held[family]
-        return data, [self._index[entry_path] for entry_path in paths]
+        ``clips``."""
+        return self._centred(family), [self._index[entry_path] for entry_path, _ in clips.entries]
 
 
 def _mixtures(extractor: str, opts: TrainOptions) -> int:
@@ -361,7 +353,7 @@ def _check_trainable(
         return
     n_components = _mixtures(extractor, opts)
     # a cepscom clip has the frame count of each of its stored parts
-    stored = _stored_parts(extractor)[0]
+    stored = stored_families([extractor])[0]
     frames = np.zeros(n_classes, dtype=np.int64)
     for (entry_path, _), label in zip(train.entries, labels):
         frames[label] += store.get(entry_path, stored).shape[0]
@@ -373,22 +365,18 @@ def _check_trainable(
             )
 
 
-def _class_matrices(store: FeatureStore, train: DatasetManifest, family: str):
-    """Each class's training frames as one matrix, in class order, each
-    built only when asked for: preallocated to the class's frame count,
-    with each clip's rows written into it in turn."""
-    stored = _stored_parts(family)
-    for class_name in train.class_names:
-        matrix = None  # first on resuming: the previous class's matrix goes
-        paths = [entry_path for entry_path, label in train.entries if label == class_name]
-        frames = [store.get(entry_path, stored[0]).shape[0] for entry_path in paths]
-        stops = np.cumsum(frames)
-        # [static | delta | delta-delta] of each stored part
-        width = 3 * sum(store.get(paths[0], name).shape[1] for name in stored)
-        matrix = np.empty((stops[-1], width))
-        for entry_path, start, stop in zip(paths, stops - frames, stops):
-            matrix[start:stop] = clip_features(store, entry_path, family)
-        yield matrix
+def _class_matrix(store: FeatureStore, paths, family: str) -> np.ndarray:
+    """The clips' frames of one family as one matrix, preallocated to their
+    frame count, with each clip's rows written into it in turn."""
+    stored = stored_families([family])
+    frames = [store.get(entry_path, stored[0]).shape[0] for entry_path in paths]
+    stops = np.cumsum(frames)
+    # [static | delta | delta-delta] of each stored part
+    width = 3 * sum(store.get(paths[0], name).shape[1] for name in stored)
+    matrix = np.empty((stops[-1], width))
+    for entry_path, start, stop in zip(paths, stops - frames, stops):
+        matrix[start:stop] = clip_features(store, entry_path, family)
+    return matrix
 
 
 def fit_system(
@@ -404,8 +392,8 @@ def fit_system(
     A CDL system reads its embeddings from ``kept``, those of a training
     manifest that holds ``train``'s clips, when it is given (see
     :class:`TrainingEmbeddings`), and embeds the clips into one matrix
-    otherwise.  A GMM system builds each class's frames just before that
-    class's EM, so only one class's matrix is alive at a time.
+    otherwise.  A GMM system builds each class's frames as the argument of
+    that class's EM, so only one class's matrix is alive at a time.
     """
     _check_trainable(system_id, store, train, opts)
     family, backend = SYSTEMS[system_id]
@@ -417,10 +405,14 @@ def fit_system(
             embeddings, train.label_indices(), n_classes=len(train.class_names), rows=rows
         )
     else:
-        seeds = [_gmm_seed(opts.gmm_seed, system_id, c) for c in range(len(train.class_names))]
-        model = gmm_mod.fit_gmm_bank(
-            _class_matrices(store, train, family), _mixtures(family, opts), seeds
-        )
+        model = gmm_mod.GmmBank([
+            gmm_mod.fit_gmm(
+                _class_matrix(store, [p for p, label in train.entries if label == name], family),
+                _mixtures(family, opts),
+                _gmm_seed(opts.gmm_seed, system_id, c),
+            )
+            for c, name in enumerate(train.class_names)
+        ])
     return SystemModel(system_id, list(train.class_names), model)
 
 
@@ -518,7 +510,7 @@ def estimate_weights(
         kept = TrainingEmbeddings(store, train)
     confusions = [
         cross_validated_confusion(
-            labels, n_classes, folds, seed, _fold_runner(system_id, store, train, opts, kept)
+            labels, n_classes, fold_of, _fold_runner(system_id, store, train, opts, kept)
         )
         for system_id in system_ids
     ]
@@ -647,14 +639,17 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
         save_weights_csv(out / "weights.csv", weights)
 
     with _stage("train"):
-        # CDL first: its final fit releases the kept matrix before any GMM fit
-        order = sorted(config.systems, key=lambda system_id: SYSTEMS[system_id].backend != "cdl")
         models = {system_id: fit_system(system_id, store, train, config, kept=kept)
-                  for system_id in order}
+                  for system_id in config.systems if SYSTEMS[system_id].backend == "cdl"}
+        # the CDL fits were the kept matrix's last use: no GMM fit runs beside it
+        del kept
+        for system_id in config.systems:
+            if SYSTEMS[system_id].backend == "gmm":
+                models[system_id] = fit_system(system_id, store, train, config)
         for system_id in config.systems:
             save_system_model(_model_path(out, system_id), models[system_id])
     # no stage after train reads a training clip's records
-    del store, kept
+    del store
 
     with _stage("classify"):
         (out / "scores").mkdir(exist_ok=True)

@@ -282,7 +282,7 @@ class TestFitCdl:
                 b = 0.1 * rng.standard_normal()
                 embeddings.append(dense_log_embed(np.diag([np.exp(a), np.exp(b)])))
                 labels.append(cls)
-        proj = fit_cdl(embeddings, labels)
+        proj = fit_cdl(centre_embeddings(np.array(embeddings)), labels, 2)
         assert proj.d_out == 1
         direction = proj.projection[0] / np.linalg.norm(proj.projection[0])
         # embedding component 0 carries the class separation; the
@@ -297,7 +297,7 @@ class TestFitCdl:
             for _ in range(3):
                 descriptors.append(random_descriptor(rng, 5))
                 labels.append(cls)
-        proj = fit_cdl(embed(descriptors), labels)
+        proj = fit_cdl(centre_embeddings(np.array(embed(descriptors))), labels, 15)
         assert proj.d_out == 14
         assert proj.class_centroids.shape == (15, 14)
         assert proj.projection.shape == (14, half_vec_length(5))
@@ -307,7 +307,7 @@ class TestFitCdl:
         descriptors = [random_descriptor(rng, 4) for _ in range(8)]
         labels = [0, 0, 0, 0, 1, 1, 1, 1]
         embeddings = embed(descriptors)
-        proj = fit_cdl(embeddings, labels)
+        proj = fit_cdl(centre_embeddings(np.array(embeddings)), labels, 2)
         mean_matrix = scipy.linalg.expm(half_vec_inverse(proj.train_mean, 4))
         query = dense_log_embed(0.5 * (mean_matrix + mean_matrix.T))
         point = project_embedding(proj, query)
@@ -324,7 +324,7 @@ class TestFitCdl:
             train_labels += [cls] * 9
             test_desc += descs[9:]
             test_labels += [cls] * 3
-        proj = fit_cdl(embed(train_desc), train_labels)
+        proj = fit_cdl(centre_embeddings(np.array(embed(train_desc))), train_labels, 3)
         hits = sum(
             int(np.argmax(classify_cdl(proj, log_embed(d))) == want)
             for d, want in zip(test_desc, test_labels)
@@ -339,8 +339,10 @@ class TestFitCdl:
             descriptors += class_descriptors(rng, scales, 4)
             labels += [cls] * 4
         perm = [2, 0, 1]
-        base = fit_cdl(embed(descriptors), labels)
-        swapped = fit_cdl(embed(descriptors), [perm[c] for c in labels])
+        base = fit_cdl(centre_embeddings(np.array(embed(descriptors))), labels, 3)
+        swapped = fit_cdl(
+            centre_embeddings(np.array(embed(descriptors))), [perm[c] for c in labels], 3
+        )
         queries = [class_descriptors(rng, p, 1)[0] for p in patterns]
         for q in queries:
             want = int(np.argmax(classify_cdl(base, log_embed(q))))
@@ -351,31 +353,24 @@ class TestFitCdl:
         rng = np.random.default_rng(12)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
         with pytest.raises(ValueError, match="at least 2 classes"):
-            fit_cdl(embed(descs), [0, 0, 0, 0])
+            fit_cdl(centre_embeddings(np.array(embed(descs))), [0, 0, 0, 0], 1)
 
     def test_rejects_small_class(self):
         rng = np.random.default_rng(13)
         descs = [random_descriptor(rng, 3) for _ in range(3)]
         with pytest.raises(ValueError, match="at least 2"):
-            fit_cdl(embed(descs), [0, 0, 1])
+            fit_cdl(centre_embeddings(np.array(embed(descs))), [0, 0, 1], 2)
 
     def test_rejects_label_count_mismatch(self):
         rng = np.random.default_rng(14)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
         with pytest.raises(ValueError, match="one label per embedding"):
-            fit_cdl(embed(descs), [0, 0, 1])
-
-    def test_rejects_mixed_dims(self):
-        rng = np.random.default_rng(15)
-        descs = [random_descriptor(rng, 3), random_descriptor(rng, 3),
-                 random_descriptor(rng, 4), random_descriptor(rng, 4)]
-        with pytest.raises(ValueError, match="disagree on dim"):
-            fit_cdl(embed(descs), [0, 0, 1, 1])
+            fit_cdl(centre_embeddings(np.array(embed(descs))), [0, 0, 1], 2)
 
     def test_rejects_identical_embeddings(self):
         desc = ridge_only(3)
         with pytest.raises(ValueError, match="degenerate"):
-            fit_cdl(embed([desc, desc, desc, desc]), [0, 0, 1, 1])
+            fit_cdl(centre_embeddings(np.array(embed([desc, desc, desc, desc]))), [0, 0, 1, 1], 2)
 
 
 def svd_eigenpairs(centered):
@@ -394,12 +389,13 @@ class TestGramSpan:
 
     def assert_matches_svd(self, monkeypatch, embeddings, labels, queries):
         centered = np.array(embeddings) - np.mean(embeddings, axis=0)
+        n_classes = len(set(labels))
         assert cdl_mod._gram_eigenpairs(centered)[0].size == svd_eigenpairs(centered)[0].size
-        gram = fit_cdl(embeddings, labels)
+        gram = fit_cdl(centre_embeddings(np.array(embeddings)), labels, n_classes)
         with monkeypatch.context() as patched:
             # the span step from an SVD of the stack the fit centres
             patched.setattr(cdl_mod, "_span_eigenpairs", lambda *_: svd_eigenpairs(centered))
-            reference = fit_cdl(embeddings, labels)
+            reference = fit_cdl(centre_embeddings(np.array(embeddings)), labels, n_classes)
         assert not np.array_equal(gram.projection, reference.projection)
         assert gram.d_out == reference.d_out
         got = np.array([classify_cdl(gram, q) for q in queries])
@@ -461,9 +457,9 @@ class TestGeneralizedEigh:
     def test_fit_cdl_scores_match_scipy_solve(self, monkeypatch):
         rng = np.random.default_rng(34)
         embeddings, labels, queries = TestGramSpan().problem(rng, 8, 6, n_classes=4)
-        got = fit_cdl(embeddings, labels)
+        got = fit_cdl(centre_embeddings(np.array(embeddings)), labels, 4)
         monkeypatch.setattr(cdl_mod, "_generalized_eigh", scipy.linalg.eigh)
-        reference = fit_cdl(embeddings, labels)
+        reference = fit_cdl(centre_embeddings(np.array(embeddings)), labels, 4)
         got_scores = np.array([classify_cdl(got, q) for q in queries])
         want_scores = np.array([classify_cdl(reference, q) for q in queries])
         assert np.abs(got_scores - want_scores).max() <= 1e-10 * np.abs(want_scores).max()
@@ -490,7 +486,7 @@ class TestFoldFit:
         for fold in range(4):
             rows, held = np.flatnonzero(fold_of != fold), np.flatnonzero(fold_of == fold)
             got_model = fit_cdl(data, labels[rows], 3, rows=rows)
-            want_model = fit_cdl(embeddings[rows], labels[rows], 3)
+            want_model = fit_cdl(centre_embeddings(embeddings[rows]), labels[rows], 3)
             # held-out rows are scored as the pipeline scores them
             got = np.array([classify_cdl(got_model, data.centred[i] + data.mean) for i in held])
             want = np.array([classify_cdl(want_model, embeddings[i]) for i in held])
@@ -516,7 +512,7 @@ class TestFoldFit:
         embeddings, labels, _ = TestGramSpan().problem(rng, 3, 4)
         data = centre_embeddings(np.array(embeddings))
         with pytest.raises(ValueError, match="one label per embedding"):
-            fit_cdl(data, labels[:6], rows=np.arange(5))
+            fit_cdl(data, labels[:6], 3, rows=np.arange(5))
 
 
 class TestClassify:
@@ -524,7 +520,7 @@ class TestClassify:
         rng = np.random.default_rng(16)
         shared = random_descriptor(rng, 3)
         descs = [shared, shared, random_descriptor(rng, 3), random_descriptor(rng, 3)]
-        proj = fit_cdl(embed(descs), [0, 0, 1, 1])
+        proj = fit_cdl(centre_embeddings(np.array(embed(descs))), [0, 0, 1, 1], 2)
         scores = classify_cdl(proj, log_embed(shared))
         # the class-0 centroid sits exactly on the query's projection
         assert scores[0] == pytest.approx(0.0, abs=1e-8)
@@ -549,7 +545,7 @@ class TestClassify:
         for cls, scales in enumerate(patterns):
             descriptors += class_descriptors(rng, scales, 3)
             labels += [cls] * 3
-        proj = fit_cdl(embed(descriptors), labels)
+        proj = fit_cdl(centre_embeddings(np.array(embed(descriptors))), labels, 2)
         for _ in range(5):
             q = random_descriptor(rng, 3)
             scores = classify_cdl(proj, log_embed(q))
@@ -559,7 +555,7 @@ class TestClassify:
     def test_dim_mismatch_rejected(self):
         rng = np.random.default_rng(20)
         descs = [random_descriptor(rng, 3) for _ in range(4)]
-        proj = fit_cdl(embed(descs), [0, 0, 1, 1])
+        proj = fit_cdl(centre_embeddings(np.array(embed(descs))), [0, 0, 1, 1], 2)
         with pytest.raises(ValueError, match="does not match model dim"):
             project_embedding(proj, log_embed(random_descriptor(rng, 4)))
 
@@ -572,7 +568,7 @@ class TestModelFile:
         for cls, scales in enumerate(patterns):
             descriptors += class_descriptors(rng, scales, 4)
             labels += [cls] * 4
-        return fit_cdl(embed(descriptors), labels), descriptors
+        return fit_cdl(centre_embeddings(np.array(embed(descriptors))), labels, 3), descriptors
 
     def test_round_trip(self, tmp_path):
         proj, descs = self.build()

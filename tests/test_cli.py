@@ -509,7 +509,7 @@ def test_weights_checks_every_fold_before_any_fit(
     manifest, feats = two_clip_store
     capsys.readouterr()
     monkeypatch.setattr(scenefuse.cdl, "log_embed", _no_work)
-    monkeypatch.setattr(scenefuse.gmm, "fit_gmm_bank", _no_work)
+    monkeypatch.setattr(scenefuse.gmm, "fit_gmm", _no_work)
     out = tmp_path / "weights.csv"
     rc = main(["weights", "--features", str(feats), "--manifest", str(manifest),
                "--systems", system, "--folds", "2", "--out", str(out)])

@@ -10,6 +10,7 @@ from scipy.io import wavfile
 
 from scenefuse import dataio
 from scenefuse.cdl import (
+    centre_embeddings,
     covariance_descriptor,
     fit_cdl,
     load_cdl_model,
@@ -37,7 +38,7 @@ from scenefuse.dataio import (
     write_wav,
 )
 from scenefuse.features import DELTA_WINDOW
-from scenefuse.gmm import fit_gmm_bank, load_gmm_bank, save_gmm_bank
+from scenefuse.gmm import GmmBank, fit_gmm, load_gmm_bank, save_gmm_bank
 from scenefuse.pipeline import extract_for_manifest
 
 
@@ -787,13 +788,13 @@ def _cdl_model():
         log_embed(covariance_descriptor(rng.standard_normal((50, 3)) * scale))
         for scale in ([1, 1, 1], [3, 1, 1]) for _ in range(3)
     ]
-    return fit_cdl(embeddings, [0, 0, 0, 1, 1, 1])
+    return fit_cdl(centre_embeddings(np.array(embeddings)), [0, 0, 0, 1, 1, 1], 2)
 
 
 def _gmm_bank():
     rng = np.random.default_rng(11)
     feats = [rng.standard_normal((100, 4)), rng.standard_normal((100, 4)) + 2]
-    return fit_gmm_bank(feats, 3, seeds=[5, 6])
+    return GmmBank([fit_gmm(f, 3, seed) for f, seed in zip(feats, [5, 6])])
 
 
 def sfs_blocks(blob) -> list:

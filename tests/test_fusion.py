@@ -317,7 +317,7 @@ class TestConfusionProtocols:
                 for t in test_idx
             ]
 
-        cm = cross_validated_confusion(labels, 3, 3, seed=1,
+        cm = cross_validated_confusion(labels, 3, stratified_folds(labels, 3, seed=1),
                                        fit_and_classify=fit_and_classify)
         assert cm.total == 27
         assert np.array_equal(cm.counts, np.diag([9, 9, 9]))
@@ -326,14 +326,16 @@ class TestConfusionProtocols:
         # -1 would index the last column
         with pytest.raises(ValueError, match="prediction index out of range for 2 classes"):
             cross_validated_confusion(
-                [0, 0, 1, 1], 2, 2, seed=0, fit_and_classify=lambda tr, te: [-1] * len(te)
+                [0, 0, 1, 1], 2, stratified_folds([0, 0, 1, 1], 2, seed=0),
+                fit_and_classify=lambda tr, te: [-1] * len(te),
             )
 
     def test_wrong_length_rejected(self):
         labels = [0] * 4 + [1] * 4
         with pytest.raises(ValueError, match="wrong number"):
             cross_validated_confusion(
-                labels, 2, 2, seed=0, fit_and_classify=lambda tr, te: [0]
+                labels, 2, stratified_folds(labels, 2, seed=0),
+                fit_and_classify=lambda tr, te: [0],
             )
 
 

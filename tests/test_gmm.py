@@ -14,7 +14,6 @@ from scenefuse.gmm import (
     _kmeanspp_centers,
     classify_gmm,
     fit_gmm,
-    fit_gmm_bank,
     load_gmm_bank,
     save_gmm_bank,
 )
@@ -463,7 +462,7 @@ class TestClassification:
     def train_bank(self, rng):
         a = rng.standard_normal((300, 3))
         b = rng.standard_normal((300, 3)) + 4.0
-        return fit_gmm_bank([a, b], 2, seeds=[0, 1])
+        return GmmBank([fit_gmm(a, 2, 0), fit_gmm(b, 2, 1)])
 
     def test_two_class_accuracy(self):
         rng = np.random.default_rng(10)
@@ -489,37 +488,12 @@ class TestClassification:
         with pytest.raises(ValueError, match="empty bank"):
             classify_gmm(GmmBank([]), np.ones((2, 2)))
 
-    def test_bank_needs_one_seed_per_class(self):
-        with pytest.raises(ValueError, match="one seed per class"):
-            fit_gmm_bank([np.ones((5, 2))], 1, seeds=[0, 1])
-
-    def test_bank_from_a_generator(self):
-        rng = np.random.default_rng(12)
-        feats = [rng.standard_normal((200, 3)) + shift for shift in (0.0, 3.0, 6.0)]
-        asked = []
-
-        def one_at_a_time():
-            for c, matrix in enumerate(feats):
-                asked.append(c)
-                yield matrix
-
-        got = fit_gmm_bank(one_at_a_time(), 2, seeds=[4, 5, 6])
-        assert asked == [0, 1, 2]
-        want = fit_gmm_bank(feats, 2, seeds=[4, 5, 6])
-        for a, b in zip(got.models, want.models):
-            assert np.array_equal(a.means, b.means)
-            assert np.array_equal(a.variances, b.variances)
-            assert np.array_equal(a.weights, b.weights)
-        for seeds in ([4, 5], [4, 5, 6, 7]):
-            with pytest.raises(ValueError, match="need one seed per class"):
-                fit_gmm_bank(iter(feats), 2, seeds=seeds)
-
 
 class TestBankFile:
     def build_bank(self):
         rng = np.random.default_rng(11)
         feats = [rng.standard_normal((100, 4)), rng.standard_normal((100, 4)) + 2]
-        return fit_gmm_bank(feats, 3, seeds=[5, 6])
+        return GmmBank([fit_gmm(f, 3, seed) for f, seed in zip(feats, [5, 6])])
 
     def test_round_trip_bit_exact(self, tmp_path):
         bank = self.build_bank()
@@ -547,7 +521,7 @@ class TestBankFile:
     def test_scores_equal_inline_formula_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(13)
         feats = [rng.standard_normal((400, 24)) + shift for shift in (0.0, 0.5, 1.0)]
-        bank = fit_gmm_bank(feats, 8, seeds=[1, 2, 3])
+        bank = GmmBank([fit_gmm(f, 8, seed) for f, seed in zip(feats, [1, 2, 3])])
         path = tmp_path / "bank.sfg"
         save_gmm_bank(path, bank, "cepscom", ["a", "b", "c"])
         _, _, back = load_gmm_bank(path)
@@ -562,8 +536,8 @@ class TestBankFile:
         # each model spans both blobs, so a frame near one blob gives the
         # far component a subnormal exp term
         rng = np.random.default_rng(14)
-        bank = fit_gmm_bank(
-            [two_blobs(rng, separation=22.0)[0] for _ in range(2)], 2, seeds=[1, 2]
+        bank = GmmBank(
+            [fit_gmm(two_blobs(rng, separation=22.0)[0], 2, seed) for seed in [1, 2]]
         )
         clip = two_blobs(rng, separation=22.0, n=30)[0]
         single = GmmBank(bank.models[:1])
@@ -575,7 +549,7 @@ class TestBankFile:
     def test_scores_near_per_model_formula(self):
         rng = np.random.default_rng(16)
         feats = [rng.standard_normal((400, 24)) + shift for shift in (0.0, 0.5, 1.0)]
-        bank = fit_gmm_bank(feats, 8, seeds=[1, 2, 3])
+        bank = GmmBank([fit_gmm(f, 8, seed) for f, seed in zip(feats, [1, 2, 3])])
         for frames in (1, 40, 1290):
             clip = rng.standard_normal((frames, 24)) + 0.5
             want = per_model_scores(bank, clip)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scenefuse.fusion
 import scenefuse.pipeline
 from scenefuse import cdl as cdl_mod
 from scenefuse.dataio import (
@@ -118,6 +119,17 @@ class TestParseConfig:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"manifest = m.tsv\nout_dir = o\n{line}\n")
         with pytest.raises(ValueError, match=rf"bad\.cfg:3: {want}$"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("line, want", [
+        ("weights_folds = 1", "weights_folds must be at least 2"),
+        ("systems = mfcc-svm", "unknown system 'mfcc-svm'"),
+        ("hop = 0", "need 0 < hop <= frame_len, got hop=0"),
+    ])
+    def test_out_of_range_value_names_the_file(self, tmp_path, line, want):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"manifest = m.tsv\nout_dir = o\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{cfg}: {want}')}"):
             parse_config(cfg)
 
 
@@ -299,12 +311,46 @@ class TestComputeOnce:
         final = fit_system("cepscom-cdl", store, train, opts, kept=kept)
         alone = fit_system("cepscom-cdl", store, train, opts)
         fresh = cdl_mod.fit_cdl(
-            [fresh_embedding(clip_features(store, p, "cepscom")) for p, _ in train.entries],
+            cdl_mod.centre_embeddings(np.array(
+                [fresh_embedding(clip_features(store, p, "cepscom")) for p, _ in train.entries]
+            )),
             train.label_indices(),
             n_classes=2,
         )
         blobs = [model_bytes(tmp_path, model) for model in (final.model, alone.model, fresh)]
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_fit_input_embeds_each_clip_once(self, monkeypatch):
+        store, train = embedding_store(np.random.default_rng(43))
+        embedded = Counter()
+        original = cdl_mod.log_embed
+
+        def counting(desc):
+            embedded[desc.source_id] += 1
+            return original(desc)
+
+        monkeypatch.setattr(cdl_mod, "log_embed", counting)
+        kept = TrainingEmbeddings(store, train)
+        # the final fit's input, asked for twice: the matrix stays held
+        first = kept.fit_input("cepscom", train)
+        second = kept.fit_input("cepscom", train)
+        assert embedded == Counter(entry_path for entry_path, _ in train.entries)
+        assert second[0] is first[0] and second[1] == first[1]
+
+    def test_one_fold_assignment_per_estimate(self, monkeypatch):
+        store, train = embedding_store(np.random.default_rng(44))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stratified_folds(*args, **kwargs)
+
+        monkeypatch.setattr(scenefuse.pipeline, "stratified_folds", counted)
+        monkeypatch.setattr(scenefuse.fusion, "stratified_folds", counted)
+        estimate_weights(store, train, ["cepscom-gmm", "cepscom-cdl"],
+                         TrainOptions(mixtures_cepstral=2), folds=2, seed=0)
+        # every system's folds are the one assignment the estimate made
+        assert len(calls) == 1
 
     def test_the_kept_matrix_cannot_go_stale(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(41)
@@ -737,7 +783,8 @@ class TestStageTags:
         cfg.write_text(f"manifest = {mini_dataset}\nout_dir = out\nhop = 0\n")
         with pytest.raises(
             PipelineError,
-            match=r"\[config\] need 0 < hop <= frame_len, got hop=0, frame_len=2048",
+            match=rf"\[config\] {re.escape(str(cfg))}: "
+                  r"need 0 < hop <= frame_len, got hop=0, frame_len=2048",
         ):
             run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
