@@ -14,6 +14,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     TrainOptions,
+    check_names,
     estimate_weights,
     extract_for_manifest,
     fit_system,
@@ -26,18 +27,10 @@ from .pipeline import (
 from .synth import benchmark_profiles, profile_by_name, synthesize_dataset
 
 
-def _parse_names(raw: str, universe, what: str) -> list:
+def _parse_names(raw: str, universe, what: str) -> tuple:
     if raw == "all":
-        return list(universe)
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    if not names:
-        raise ValueError(f"empty {what} list")
-    for i, name in enumerate(names):
-        if name not in universe:
-            raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(universe)}")
-        if name in names[:i]:
-            raise ValueError(f"{what} {name!r} is named more than once")
-    return names
+        return tuple(universe)
+    return check_names((part.strip() for part in raw.split(",") if part.strip()), universe, what)
 
 
 def _mixture_counts(args) -> dict:
@@ -79,7 +72,7 @@ def _cmd_weights(args) -> None:
 def _cmd_classify(args) -> None:
     manifest = load_manifest(args.manifest)
     # the system the model file holds decides which records to read
-    model = load_system_model(args.model, manifest.class_names)
+    model = load_system_model(args.model)
     store = load_features(args.features, required_extractors([model.system_id]))
     scores = score_system(model, store, manifest)
     save_score_csv(args.out, scores)
@@ -173,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True,
-                   help="supplies class names and the clips to score")
+                   help="the clips to score; the model gives the class columns")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_classify)
 

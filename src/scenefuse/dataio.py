@@ -277,8 +277,9 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
 class DatasetManifest:
     """Ordered (clip_path, label) entries plus the canonical class order.
 
-    ``class_names`` fixes the class index used everywhere downstream
-    (scores, confusion matrices, fusion weights).
+    A training manifest's ``class_names`` fixes the class index of all
+    that is derived from it: models, scores, confusion matrices, fusion
+    weights.
     """
 
     entries: list[tuple[str, str]]
@@ -294,9 +295,6 @@ class DatasetManifest:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def class_index(self, label: str) -> int:
-        return self.class_names.index(label)
 
     def label_indices(self) -> np.ndarray:
         """Per-entry class index, in entry order."""

@@ -9,6 +9,7 @@ sized.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +32,25 @@ class EvaluationReport:
 
 
 def evaluate(scores: ScoreMatrix, manifest: DatasetManifest) -> EvaluationReport:
-    """Report one system's argmax labels, a tie to the lowest class index,
-    against the labels the manifest gives its clips.
+    """Report one system's argmax labels, a tie to the first tied score
+    column, against the labels the manifest gives its clips.
 
-    Every class must have a clip among the scores: a class without clips
-    would average in as 0% accuracy.
+    The scores must have one column per class of the manifest, in any
+    order: each clip's label is found by name among the score columns, and
+    the report follows the scores' class order.  Every class must have a
+    clip among the scores: a class without clips would average in as 0%
+    accuracy.
     """
     system_id = scores.system_id
-    if scores.class_names != list(manifest.class_names):
+    in_scores, in_manifest = Counter(scores.class_names), Counter(manifest.class_names)
+    if in_scores != in_manifest:
         raise ValueError(
-            f"scores of system {system_id!r} and the manifest disagree on class names"
+            f"scores of system {system_id!r} and the manifest disagree on class names; "
+            f"only in the manifest: {list((in_manifest - in_scores).elements())}, "
+            f"only in the scores: {list((in_scores - in_manifest).elements())}"
         )
-    label_of = dict(zip((path for path, _ in manifest.entries), manifest.label_indices()))
+    column = {name: j for j, name in enumerate(scores.class_names)}
+    label_of = {path: column[label] for path, label in manifest.entries}
     truths = []
     for clip_id in scores.clip_ids:
         if clip_id not in label_of:
@@ -71,7 +79,7 @@ def evaluate(scores: ScoreMatrix, manifest: DatasetManifest) -> EvaluationReport
 
 
 def render_confusion(report: EvaluationReport) -> str:
-    """Row-normalized percentage table, classes in manifest order."""
+    """Row-normalized percentage table, classes in score-column order."""
     names = report.class_names
     label_w = max(len(n) for n in names)
     col_w = max(6, max(len(n) for n in names))

@@ -177,20 +177,16 @@ def fuse(scores, weights: FusionWeights) -> ScoreMatrix:
 
 
 def stratified_folds(labels, n_folds: int, seed: int) -> np.ndarray:
-    """Per-class shuffled round-robin fold assignment; every class needs
-    at least n_folds members."""
+    """Per-class shuffled round-robin fold assignment.
+
+    The caller checks that there are at least 2 folds and that every class
+    has at least ``n_folds`` members, so that each fold holds every class.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    if n_folds < 2:
-        raise ValueError(f"need at least 2 folds, got {n_folds}")
     rng = np.random.default_rng(seed)
     fold_of = np.empty(labels.shape[0], dtype=np.int64)
     for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        if members.size < n_folds:
-            raise ValueError(
-                f"class {cls} has {members.size} clips, fewer than {n_folds} folds"
-            )
-        order = rng.permutation(members)
+        order = rng.permutation(np.flatnonzero(labels == cls))
         fold_of[order] = np.arange(order.size) % n_folds
     return fold_of
 

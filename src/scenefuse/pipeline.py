@@ -68,6 +68,20 @@ ALL_SYSTEMS = tuple(SYSTEMS)
 DEFAULT_FUSED = ("cepscom-gmm", "cepscom-cdl", "plp-gmm")
 
 
+def check_names(names, universe, what: str) -> tuple:
+    """``names`` as a tuple, if it is a nonempty list of distinct members of
+    ``universe``; ``what`` is what one name is called in the errors."""
+    names = tuple(names)
+    if not names:
+        raise ValueError(f"empty {what} list")
+    for i, name in enumerate(names):
+        if name not in universe:
+            raise ValueError(f"unknown {what} {name!r}; expected one of {tuple(universe)}")
+        if name in names[:i]:
+            raise ValueError(f"{what} {name!r} is named more than once")
+    return names
+
+
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message carries the stage tag."""
 
@@ -118,24 +132,8 @@ class PipelineConfig(TrainOptions):
     def __post_init__(self) -> None:
         self.manifest = Path(self.manifest)
         self.out_dir = Path(self.out_dir)
-        self.systems = tuple(self.systems)
-        self.fused = tuple(self.fused)
-        if not self.systems:
-            raise ValueError("no systems configured")
-        for name in self.systems:
-            if name not in SYSTEMS:
-                raise ValueError(
-                    f"unknown system {name!r}; expected a subset of {ALL_SYSTEMS}"
-                )
-        if len(set(self.systems)) != len(self.systems):
-            raise ValueError("systems list contains duplicates")
-        if not self.fused:
-            raise ValueError("fused list may not be empty")
-        for name in self.fused:
-            if name not in self.systems:
-                raise ValueError(f"fused system {name!r} is not in the systems list")
-        if len(set(self.fused)) != len(self.fused):
-            raise ValueError("fused list contains duplicates")
+        self.systems = check_names(self.systems, ALL_SYSTEMS, "system")
+        self.fused = check_names(self.fused, self.systems, "fused system")
         if self.weights_folds < 2:
             raise ValueError("weights_folds must be at least 2")
         check_framing(self.frame_len, self.hop)
@@ -336,14 +334,19 @@ def _check_trainable(
     opts: TrainOptions,
     context: str = "",
 ) -> None:
-    """Raise ``ValueError`` naming the system and the class if ``train``
-    cannot fit the system: CDL needs 2 clips of each class, a GMM as many
-    frames of each class as it has components.  ``context`` follows the
-    count in the message."""
+    """Raise ``ValueError`` naming the system, and the class at fault, if
+    ``train`` cannot fit the system: CDL needs 2 classes and 2 clips of
+    each, a GMM as many frames of each class as it has components.
+    ``context`` follows the count in the message."""
     extractor, backend = SYSTEMS[system_id]
     labels = train.label_indices()
     n_classes = len(train.class_names)
     if backend == "cdl":
+        if n_classes < 2:
+            raise ValueError(
+                f"{system_id}: the training clips have {n_classes} classes{context}, "
+                "need at least 2"
+            )
         for class_name, count in zip(train.class_names, np.bincount(labels, minlength=n_classes)):
             if count < 2:
                 raise ValueError(
@@ -486,10 +489,13 @@ def estimate_weights(
     kept: TrainingEmbeddings | None = None,
 ) -> FusionWeights:
     """Reliability weights for the given systems from their stratified
-    ``folds``-fold cross-validated confusions on the training clips.
+    ``folds``-fold cross-validated confusions on the training clips: at
+    least 2 folds, and no more than any class has clips.
 
     The CDL folds read ``kept``, :class:`TrainingEmbeddings` of ``train``,
     which a later :func:`fit_system` on ``train`` can then take whole."""
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
     labels = train.label_indices()
     n_classes = len(train.class_names)
     counts = np.bincount(labels, minlength=n_classes)
@@ -540,21 +546,20 @@ def save_system_model(path: str | Path, model: SystemModel) -> None:
     save(path, model.model, family, model.class_names)
 
 
-def load_system_model(path: str | Path, class_names) -> SystemModel:
-    """Read a model written by :func:`save_system_model`, its classes put in
-    ``class_names`` order.
+def load_system_model(path: str | Path) -> SystemModel:
+    """Read a model written by :func:`save_system_model`, its classes in the
+    order it was trained with.
 
     The back-end is read off the file's magic, the feature family and the
     model's class names off its header; the ``SYSTEMS`` entry built from
-    that family and back-end names the model.  The classes are matched by
-    name, so ``class_names`` must hold the model's classes, in any order.
+    that family and back-end names the model.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == gmm_mod.GMM_BANK_MAGIC:
-        backend, (family, model_names, model) = "gmm", gmm_mod.load_gmm_bank(path)
+        backend, (family, class_names, model) = "gmm", gmm_mod.load_gmm_bank(path)
     elif magic == cdl_mod.CDL_MODEL_MAGIC:
-        backend, (family, model_names, model) = "cdl", cdl_mod.load_cdl_model(path)
+        backend, (family, class_names, model) = "cdl", cdl_mod.load_cdl_model(path)
     else:
         raise ValueError(f"{path}: unrecognized model magic {magic!r}")
     spec = SystemSpec(family, backend)
@@ -563,18 +568,6 @@ def load_system_model(path: str | Path, class_names) -> SystemModel:
         raise ValueError(
             f"{path}: no system is built from {family} features with a {backend} back-end"
         )
-    class_names = list(class_names)
-    if set(class_names) != set(model_names):
-        raise ValueError(
-            f"{path}: the model's classes do not match the manifest's; only in the "
-            f"manifest: {[n for n in class_names if n not in model_names]}, only in "
-            f"the model: {[n for n in model_names if n not in class_names]}"
-        )
-    order = [model_names.index(name) for name in class_names]
-    if backend == "gmm":
-        model = gmm_mod.GmmBank([model.models[i] for i in order])
-    else:
-        model = replace(model, class_centroids=model.class_centroids[order])
     return SystemModel(system_id, class_names, model)
 
 

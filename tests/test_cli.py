@@ -173,6 +173,51 @@ def test_stepwise_chain_reproduces_run(mini_dataset, tmp_path):
         assert (step / rel).read_bytes() == (run_dir / rel).read_bytes(), rel
 
 
+def _write_list(path, entries):
+    path.write_text("".join(f"{clip}\t{label}\n" for clip, label in entries))
+
+
+def test_stepwise_chain_takes_a_test_list_in_any_class_order(mini_dataset, tmp_path):
+    # the same test clips, once with their last class first: models, scores
+    # and weights keep the training list's class order, and evaluate finds
+    # each test clip's class by name
+    entries = load_manifest(mini_dataset).entries
+    test = entries[1::2]
+    last = test[-1][1]
+    reordered = [e for e in test if e[1] == last] + [e for e in test if e[1] != last]
+    for name, listed in (("train", entries[::2]), ("test", test), ("reordered", reordered)):
+        _write_list(tmp_path / f"{name}.tsv", listed)
+    assert load_manifest(tmp_path / "reordered.tsv").class_names[0] == last != test[0][1]
+
+    feats, weights = str(tmp_path / "feats.sfs"), str(tmp_path / "weights.csv")
+    train = str(tmp_path / "train.tsv")
+    systems = ("mfcc-gmm", "plp-gmm")
+    chain = [
+        ["extract", "--manifest", str(mini_dataset), "--features", "mfcc,plp", "--out", feats],
+        *(["train", "--features", feats, "--manifest", train, "--system", system,
+           "--mixtures", "2", "--out", str(tmp_path / f"{system}.sfg")] for system in systems),
+        ["weights", "--features", feats, "--manifest", train, "--systems", ",".join(systems),
+         "--folds", "2", "--mixtures", "2", "--out", weights],
+    ]
+    for name in ("test", "reordered"):
+        test_list, out = str(tmp_path / f"{name}.tsv"), tmp_path / name
+        out.mkdir()
+        chain += [
+            *(["classify", "--model", str(tmp_path / f"{system}.sfg"), "--features", feats,
+               "--manifest", test_list, "--out", str(out / f"{system}.csv")]
+              for system in systems),
+            ["fuse", "--weights", weights, "--out", str(out / "fusion.csv"),
+             "--scores", *(str(out / f"{system}.csv") for system in systems)],
+            ["evaluate", "--pred", str(out / "fusion.csv"), "--manifest", test_list,
+             "--report", str(out / "report.txt")],
+        ]
+    for argv in chain:
+        assert main(argv) == 0, argv[0]
+    report = (tmp_path / "test" / "report.txt").read_bytes()
+    assert report == (tmp_path / "reordered" / "report.txt").read_bytes()
+    assert b"clips evaluated: 12" in report
+
+
 def test_classify_names_scores_by_the_system_the_model_holds(work, capsys):
     # whatever the model file is called, its family and back-end name the
     # system, so the weighted fusion finds its scores
@@ -435,15 +480,19 @@ def test_classify_matches_classes_by_name(work, capsys):
     assert accuracies[0] == accuracies[1]
     assert float(accuracies[0]) > 50.0
 
+    # both score files keep the model's columns; only the clips' order differs
     (listed,) = load_score_csv(work / "listed.csv")
     (sorted_,) = load_score_csv(work / "by_label.csv")
-    assert sorted_.class_names == load_manifest(by_label).class_names != listed.class_names
+    model_order = load_manifest(work / "data" / "manifest.tsv").class_names
+    assert sorted_.class_names == listed.class_names == model_order
+    assert load_manifest(by_label).class_names != model_order
     rows = [listed.clip_ids.index(clip) for clip in sorted_.clip_ids]
-    cols = [listed.class_names.index(name) for name in sorted_.class_names]
-    assert np.array_equal(sorted_.values, listed.values[rows][:, cols])
+    assert np.array_equal(sorted_.values, listed.values[rows])
 
 
 def test_classify_names_a_class_the_model_lacks(work, capsys):
+    # classify scores the clips with the model's classes; evaluate then
+    # meets the manifest's and names what differs
     manifest = load_manifest(work / "data" / "manifest.tsv")
     old = manifest.class_names[0]
     renamed = work / "data" / "renamed.tsv"
@@ -451,10 +500,15 @@ def test_classify_names_a_class_the_model_lacks(work, capsys):
         f"{path}\t{'gone-' + label if label == old else label}\n"
         for path, label in manifest.entries
     ))
-    assert _classify(work, renamed, work / "renamed-class.csv") == 1
+    scores, report = work / "renamed-class.csv", work / "renamed-class.txt"
+    assert _classify(work, renamed, scores) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", str(scores), "--manifest", str(renamed),
+                 "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert f"only in the manifest: ['gone-{old}']" in err
-    assert f"only in the model: ['{old}']" in err
+    assert f"only in the scores: ['{old}']" in err
+    assert not report.exists()
 
 
 def test_cli_and_a_run_load_no_scipy(mini_dataset, tmp_path):
@@ -516,6 +570,41 @@ def test_weights_checks_every_fold_before_any_fit(
     assert rc == 1
     first = load_manifest(manifest).class_names[0]
     assert f"error: {system}: class {first!r} {shortfall}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("folds, shortfall", [
+    ("1", "need at least 2 folds, got 1"),
+    ("4", "class {!r} has 3 training clips, fewer than 4 folds"),
+], ids=["one-fold", "small-class"])
+def test_weights_checks_the_folds_before_dealing_them(
+    work, capsys, monkeypatch, tmp_path, folds, shortfall
+):
+    # every class of the manifest has 3 clips
+    monkeypatch.setattr(scenefuse.pipeline, "stratified_folds", _no_work)
+    manifest = work / "data" / "manifest.tsv"
+    out = tmp_path / "weights.csv"
+    rc = main(["weights", "--features", str(work / "feats.sfs"), "--manifest", str(manifest),
+               "--systems", "mfcc-gmm", "--folds", folds, "--mixtures", "2", "--out", str(out)])
+    assert rc == 1
+    first = load_manifest(manifest).class_names[0]
+    assert f"error: {shortfall.format(first)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cdl_train_names_the_system_on_one_class(two_clip_store, capsys, monkeypatch):
+    # refused before any clip is embedded, with the system named
+    manifest, feats = two_clip_store
+    entries = load_manifest(manifest).entries
+    one_class = manifest.parent / "one_class.tsv"
+    _write_list(one_class, [e for e in entries if e[1] == entries[0][1]])
+    monkeypatch.setattr(scenefuse.cdl, "log_embed", _no_work)
+    out = manifest.parent / "one_class.sfc"
+    rc = main(["train", "--features", str(feats), "--manifest", str(one_class),
+               "--system", "cepscom-cdl", "--out", str(out)])
+    assert rc == 1
+    assert ("error: cepscom-cdl: the training clips have 1 classes, need at least 2"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

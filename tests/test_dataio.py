@@ -332,7 +332,6 @@ class TestManifest:
             entries=[("a", "x"), ("b", "y"), ("c", "x")], class_names=["x", "y"]
         )
         assert m.label_indices().tolist() == [0, 1, 0]
-        assert m.class_index("y") == 1
 
     def test_subset_keeps_class_order(self):
         m = DatasetManifest(

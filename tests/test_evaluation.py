@@ -1,5 +1,7 @@
 """Accuracy reports on score matrices, and confusion rendering."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,22 @@ class TestEvaluate:
             evaluate(scores, self.manifest)
 
     def test_class_names_must_match(self):
-        scores = ScoreMatrix("s", ["p.wav"], ["y", "x"], np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="'s' and the manifest disagree on class names"):
-            evaluate(scores, self.manifest)
+        # the manifest's classes in another order: labels are found by name,
+        # and the report keeps the scores' order
+        scores = ScoreMatrix("s", ["p.wav", "q.wav"], ["y", "x"], [[0.0, 1.0], [0.0, 1.0]])
+        report = evaluate(scores, self.manifest)
+        assert report.class_names == ["y", "x"]
+        assert report.per_class_accuracy.tolist() == [0.0, 1.0]
+        assert report.confusion.counts.tolist() == [[0, 1], [0, 1]]
+        # another class set, and a repeated column, are refused
+        for names, only_manifest, only_scores in ((["x", "z"], ["y"], ["z"]),
+                                                  (["x", "y", "x"], [], ["x"])):
+            scores = ScoreMatrix("s", ["p.wav"], names, np.zeros((1, len(names))))
+            with pytest.raises(ValueError, match=re.escape(
+                f"'s' and the manifest disagree on class names; only in the manifest: "
+                f"{only_manifest}, only in the scores: {only_scores}"
+            )):
+                evaluate(scores, self.manifest)
 
     def test_class_without_clips_rejected(self):
         # it would average in as 0%: a perfect classifier of class a alone

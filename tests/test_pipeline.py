@@ -149,19 +149,19 @@ class TestPipelineConfig:
             self.good(systems=("mfcc-svm",))
 
     def test_duplicate_systems(self):
-        with pytest.raises(ValueError, match="duplicates"):
+        with pytest.raises(ValueError, match="system 'plp-gmm' is named more than once"):
             self.good(systems=("plp-gmm", "plp-gmm"), fused=("plp-gmm",))
 
     def test_empty_systems(self):
-        with pytest.raises(ValueError, match="no systems"):
+        with pytest.raises(ValueError, match="empty system list"):
             self.good(systems=())
 
     def test_fused_must_be_subset(self):
-        with pytest.raises(ValueError, match="not in the systems list"):
+        with pytest.raises(ValueError, match="unknown fused system 'mfcc-gmm'"):
             self.good(systems=("plp-gmm",), fused=("mfcc-gmm",))
 
     def test_empty_fused(self):
-        with pytest.raises(ValueError, match="fused list may not be empty"):
+        with pytest.raises(ValueError, match="empty fused system list"):
             self.good(fused=())
 
     def test_bad_weights_method(self, tmp_path):
@@ -463,16 +463,17 @@ class TestCepscomRows:
 
 @pytest.mark.parametrize("system_id", ["cepscom-gmm", "cepscom-cdl"])
 def test_loaded_model_scores_in_the_given_class_order(system_id, tmp_path):
+    # the class order given at training: the loaded model scores as the saved one
     store, train = embedding_store(np.random.default_rng(43))
     model = fit_system(system_id, store, train, TrainOptions(mixtures_cepstral=2))
     path = tmp_path / "model.bin"
     save_system_model(path, model)
-    want = score_system(model, store, train).values
-    for names, cols in ((train.class_names, [0, 1]), (train.class_names[::-1], [1, 0])):
-        back = load_system_model(path, names)
-        # the model is the system its family and back-end build
-        assert (back.system_id, back.class_names) == (system_id, names)
-        assert np.array_equal(score_system(back, store, train).values, want[:, cols])
+    back = load_system_model(path)
+    # the model is the system its family and back-end build
+    assert (back.system_id, back.class_names) == (system_id, train.class_names)
+    assert np.array_equal(
+        score_system(back, store, train).values, score_system(model, store, train).values
+    )
 
 
 def test_unnamed_model_no_system_builds_is_rejected(tmp_path):
@@ -481,7 +482,7 @@ def test_unnamed_model_no_system_builds_is_rejected(tmp_path):
     path = tmp_path / "model.sfc"
     cdl_mod.save_cdl_model(path, model.model, "mfcc", train.class_names)
     with pytest.raises(ValueError, match="no system is built from mfcc features with a cdl"):
-        load_system_model(path, train.class_names)
+        load_system_model(path)
 
 
 def test_each_system_is_one_family_and_back_end():
