@@ -14,6 +14,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     TrainOptions,
+    TrainingSet,
     check_names,
     estimate_weights,
     extract_for_manifest,
@@ -54,7 +55,7 @@ def _cmd_train(args) -> None:
     store = load_features(args.features, required_extractors([args.system]))
     manifest = load_manifest(args.manifest)
     opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
-    model = fit_system(args.system, store, manifest, opts)
+    model = fit_system(args.system, TrainingSet(store, manifest), opts)
     save_system_model(args.out, model)
     print(f"trained {args.system} on {len(manifest)} clips; model written to {args.out}")
 
@@ -64,7 +65,9 @@ def _cmd_weights(args) -> None:
     store = load_features(args.features, required_extractors(systems))
     manifest = load_manifest(args.manifest)
     opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
-    weights = estimate_weights(store, manifest, systems, opts, folds=args.folds, seed=args.seed)
+    weights = estimate_weights(
+        TrainingSet(store, manifest), systems, opts, folds=args.folds, seed=args.seed
+    )
     save_weights_csv(args.out, weights)
     print(f"estimated weights for {len(systems)} systems; written to {args.out}")
 

@@ -614,7 +614,8 @@ def _parse_toc(reader: _Reader) -> dict[str, int]:
 
 def _block_parser(store: FeatureStore, family: str):
     """Parser of the block the table of contents lists as ``family``: each
-    record's static columns, added to the store as they are."""
+    record's static columns, added to the store as they are.  A record with
+    no frames or with a non-finite value is refused, naming the clip."""
 
     def parse(reader: _Reader) -> None:
         found = reader.string()
@@ -634,7 +635,14 @@ def _block_parser(store: FeatureStore, family: str):
             if (source_id, family) in store:
                 raise FeatureStoreError(f"{reader.context}: clip {source_id!r} appears twice")
             rows = reader.u32()
-            store.add(source_id, family, reader.floats(rows * width).reshape(rows, width))
+            if rows == 0:
+                raise FeatureStoreError(f"{reader.context}: clip {source_id!r} has no frames")
+            values = reader.floats(rows * width).reshape(rows, width)
+            if not np.isfinite(values).all():
+                raise FeatureStoreError(
+                    f"{reader.context}: clip {source_id!r} has non-finite feature values"
+                )
+            store.add(source_id, family, values)
 
     return parse
 

@@ -169,7 +169,10 @@ def fuse(scores, weights: FusionWeights) -> ScoreMatrix:
         if matrix.clip_ids != first.clip_ids:
             raise ValueError("systems disagree on clip ids or their order")
         if matrix.class_names != list(weights.class_names):
-            raise ValueError(f"system {matrix.system_id!r} class names do not match weights")
+            raise ValueError(
+                f"system {matrix.system_id!r} class names {matrix.class_names} do not "
+                f"match the weights' {list(weights.class_names)}"
+            )
     fused = np.zeros_like(first.values)
     for row, matrix in zip(weights.values, ordered):
         fused += row[None, :] * matrix.values

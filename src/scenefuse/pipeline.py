@@ -82,6 +82,12 @@ def check_names(names, universe, what: str) -> tuple:
     return names
 
 
+def check_fold_count(folds: int) -> None:
+    """Refuse fewer than 2 cross-validation folds."""
+    if folds < 2:
+        raise ValueError(f"need at least 2 folds, got {folds}")
+
+
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message carries the stage tag."""
 
@@ -134,8 +140,7 @@ class PipelineConfig(TrainOptions):
         self.out_dir = Path(self.out_dir)
         self.systems = check_names(self.systems, ALL_SYSTEMS, "system")
         self.fused = check_names(self.fused, self.systems, "fused system")
-        if self.weights_folds < 2:
-            raise ValueError("weights_folds must be at least 2")
+        check_fold_count(self.weights_folds)
         check_framing(self.frame_len, self.hop)
         super().__post_init__()
 
@@ -279,15 +284,16 @@ def _clip_embedding(store: FeatureStore, entry_path: str, family: str) -> np.nda
     )
 
 
-class TrainingEmbeddings:
-    """The CDL log-embeddings of a training manifest's clips: per feature
-    family, one clips x d_vec float64 matrix whose row i is clip i's,
-    centred in place on the mean of all rows, with its Gram matrix
-    (:class:`cdl.CentredEmbeddings`), made whole when first read.
+class TrainingSet:
+    """The training clips, which every fit reads by row: the feature store,
+    the clips' paths, class names and class indices, and per feature family
+    the clips' CDL log-embeddings as one clips x d_vec float64 matrix whose
+    row i is clip i's, centred in place on the mean of all rows, with its
+    Gram matrix (:class:`cdl.CentredEmbeddings`), made whole when first read.
 
-    A run shares one between its weight estimation and its final fits, so
-    each training clip is embedded once per run: every fit is on rows of
-    the matrix in kernel form, with no copy of them (see
+    A run shares one set between its weight estimation and its final CDL
+    fits, so each training clip is embedded once per run: every fit is on
+    rows of the matrix in kernel form, with no copy of them (see
     :func:`cdl.fit_cdl`), and held-out clips are scored from their rows.
     The store is write-once, so a row never goes stale.
     """
@@ -295,32 +301,21 @@ class TrainingEmbeddings:
     def __init__(self, store: FeatureStore, train: DatasetManifest) -> None:
         self.store = store
         self.paths = [entry_path for entry_path, _ in train.entries]
-        self._index = {entry_path: i for i, entry_path in enumerate(self.paths)}
-        self._held: dict = {}  # family -> its CentredEmbeddings
+        self.class_names = list(train.class_names)
+        self.labels = train.label_indices()
+        self._embeddings: dict = {}  # family -> its CentredEmbeddings
 
-    def _centred(self, family: str) -> cdl_mod.CentredEmbeddings:
-        if family not in self._held:
+    def embeddings(self, family: str) -> cdl_mod.CentredEmbeddings:
+        """The clips' centred log-embeddings of one family, made on first use."""
+        if family not in self._embeddings:
             matrix = None
             for i, path in enumerate(self.paths):
                 embedding = _clip_embedding(self.store, path, family)
                 if matrix is None:
                     matrix = np.empty((len(self.paths), embedding.size))
                 matrix[i] = embedding
-            self._held[family] = cdl_mod.centre_embeddings(matrix)
-        return self._held[family]
-
-    def embeddings(self, family: str, entry_paths):
-        """Training clips' embeddings, one at a time: each its centred row
-        plus the mean."""
-        data = self._centred(family)
-        for entry_path in entry_paths:
-            yield data.centred[self._index[entry_path]] + data.mean
-
-    def fit_input(self, family: str, clips: DatasetManifest) -> tuple:
-        """``(embeddings, rows)`` that fit :func:`cdl.fit_cdl` on ``clips``,
-        training clips in any order: the held matrix and the rows of
-        ``clips``."""
-        return self._centred(family), [self._index[entry_path] for entry_path, _ in clips.entries]
+            self._embeddings[family] = cdl_mod.centre_embeddings(matrix)
+        return self._embeddings[family]
 
 
 def _mixtures(extractor: str, opts: TrainOptions) -> int:
@@ -329,25 +324,25 @@ def _mixtures(extractor: str, opts: TrainOptions) -> int:
 
 def _check_trainable(
     system_id: str,
-    store: FeatureStore,
-    train: DatasetManifest,
+    data: TrainingSet,
+    rows,
     opts: TrainOptions,
     context: str = "",
 ) -> None:
     """Raise ``ValueError`` naming the system, and the class at fault, if
-    ``train`` cannot fit the system: CDL needs 2 classes and 2 clips of
-    each, a GMM as many frames of each class as it has components.
-    ``context`` follows the count in the message."""
+    the clips ``rows`` of ``data`` cannot fit the system: CDL needs 2
+    classes and 2 clips of each, a GMM as many frames of each class as it
+    has components.  ``context`` follows the count in the message."""
     extractor, backend = SYSTEMS[system_id]
-    labels = train.label_indices()
-    n_classes = len(train.class_names)
+    labels = data.labels[rows]
+    n_classes = len(data.class_names)
     if backend == "cdl":
         if n_classes < 2:
             raise ValueError(
                 f"{system_id}: the training clips have {n_classes} classes{context}, "
                 "need at least 2"
             )
-        for class_name, count in zip(train.class_names, np.bincount(labels, minlength=n_classes)):
+        for class_name, count in zip(data.class_names, np.bincount(labels, minlength=n_classes)):
             if count < 2:
                 raise ValueError(
                     f"{system_id}: class {class_name!r} has {count} training clips"
@@ -358,9 +353,9 @@ def _check_trainable(
     # a cepscom clip has the frame count of each of its stored parts
     stored = stored_families([extractor])[0]
     frames = np.zeros(n_classes, dtype=np.int64)
-    for (entry_path, _), label in zip(train.entries, labels):
-        frames[label] += store.get(entry_path, stored).shape[0]
-    for class_name, count in zip(train.class_names, frames):
+    for i, label in zip(rows, labels):
+        frames[label] += data.store.get(data.paths[i], stored).shape[0]
+    for class_name, count in zip(data.class_names, frames):
         if count < n_components:
             raise ValueError(
                 f"{system_id}: class {class_name!r} has {count} frames{context}, "
@@ -382,41 +377,32 @@ def _class_matrix(store: FeatureStore, paths, family: str) -> np.ndarray:
     return matrix
 
 
-def fit_system(
-    system_id: str,
-    store: FeatureStore,
-    train: DatasetManifest,
-    opts: TrainOptions,
-    *,
-    kept: TrainingEmbeddings | None = None,
-) -> SystemModel:
-    """Train one system on the given manifest's clips.
+def fit_system(system_id: str, data: TrainingSet, opts: TrainOptions, rows=None) -> SystemModel:
+    """Train one system on the clips ``rows`` indexes in ``data`` (None:
+    all of them).
 
-    A CDL system reads its embeddings from ``kept``, those of a training
-    manifest that holds ``train``'s clips, when it is given (see
-    :class:`TrainingEmbeddings`), and embeds the clips into one matrix
-    otherwise.  A GMM system builds each class's frames as the argument of
-    that class's EM, so only one class's matrix is alive at a time.
+    A CDL system fits on those rows of the set's embedding matrix.  A GMM
+    system builds each class's frames as the argument of that class's EM,
+    so only one class's matrix is alive at a time.
     """
-    _check_trainable(system_id, store, train, opts)
+    rows = np.arange(len(data.paths)) if rows is None else np.asarray(rows, dtype=np.intp)
+    _check_trainable(system_id, data, rows, opts)
     family, backend = SYSTEMS[system_id]
+    labels = data.labels[rows]
     if backend == "cdl":
-        if kept is None:
-            kept = TrainingEmbeddings(store, train)
-        embeddings, rows = kept.fit_input(family, train)
         model = cdl_mod.fit_cdl(
-            embeddings, train.label_indices(), n_classes=len(train.class_names), rows=rows
+            data.embeddings(family), labels, n_classes=len(data.class_names), rows=rows
         )
     else:
         model = gmm_mod.GmmBank([
             gmm_mod.fit_gmm(
-                _class_matrix(store, [p for p, label in train.entries if label == name], family),
+                _class_matrix(data.store, [data.paths[i] for i in rows[labels == c]], family),
                 _mixtures(family, opts),
                 _gmm_seed(opts.gmm_seed, system_id, c),
             )
-            for c, name in enumerate(train.class_names)
+            for c in range(len(data.class_names))
         ])
-    return SystemModel(system_id, list(train.class_names), model)
+    return SystemModel(system_id, list(data.class_names), model)
 
 
 def _clip_scores(model: SystemModel, store: FeatureStore, entry_path: str) -> np.ndarray:
@@ -455,72 +441,55 @@ def score_system(model: SystemModel, store: FeatureStore, clips: DatasetManifest
     return scores
 
 
-def _fold_runner(
-    system_id: str,
-    store: FeatureStore,
-    train: DatasetManifest,
-    opts: TrainOptions,
-    kept: TrainingEmbeddings,
-):
+def _fold_runner(system_id: str, data: TrainingSet, opts: TrainOptions):
     family, backend = SYSTEMS[system_id]
 
     def run(train_idx, test_idx):
-        model = fit_system(system_id, store, train.subset(train_idx), opts, kept=kept)
-        paths = [train.entries[i][0] for i in test_idx]
+        model = fit_system(system_id, data, opts, train_idx)
         if backend == "cdl":
             # held out of this fold, but training clips of the run
-            scores = (cdl_mod.classify_cdl(model.model, embedding)
-                      for embedding in kept.embeddings(family, paths))
+            embeddings = data.embeddings(family)
+            scores = (cdl_mod.classify_cdl(model.model, embeddings.centred[i] + embeddings.mean)
+                      for i in test_idx)
         else:
-            scores = (_clip_scores(model, store, entry_path) for entry_path in paths)
+            scores = (_clip_scores(model, data.store, data.paths[i]) for i in test_idx)
         return [int(np.argmax(row)) for row in scores]
 
     return run
 
 
 def estimate_weights(
-    store: FeatureStore,
-    train: DatasetManifest,
-    system_ids,
-    opts: TrainOptions,
-    *,
-    folds: int,
-    seed: int,
-    kept: TrainingEmbeddings | None = None,
+    data: TrainingSet, system_ids, opts: TrainOptions, *, folds: int, seed: int
 ) -> FusionWeights:
     """Reliability weights for the given systems from their stratified
     ``folds``-fold cross-validated confusions on the training clips: at
     least 2 folds, and no more than any class has clips.
 
-    The CDL folds read ``kept``, :class:`TrainingEmbeddings` of ``train``,
-    which a later :func:`fit_system` on ``train`` can then take whole."""
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
-    labels = train.label_indices()
-    n_classes = len(train.class_names)
-    counts = np.bincount(labels, minlength=n_classes)
-    for class_name, count in zip(train.class_names, counts):
+    The CDL folds fill ``data``'s embeddings, which a later
+    :func:`fit_system` on ``data`` then takes whole."""
+    check_fold_count(folds)
+    n_classes = len(data.class_names)
+    counts = np.bincount(data.labels, minlength=n_classes)
+    for class_name, count in zip(data.class_names, counts):
         if count < folds:
             raise ValueError(
                 f"class {class_name!r} has {count} training clips, fewer than {folds} folds"
             )
     # every fold's training part must fit every system, checked before any fit
-    fold_of = stratified_folds(labels, folds, seed)
+    fold_of = stratified_folds(data.labels, folds, seed)
     for fold in range(folds):
-        part = train.subset(np.flatnonzero(fold_of != fold))
+        rows = np.flatnonzero(fold_of != fold)
         for system_id in system_ids:
             _check_trainable(
-                system_id, store, part, opts, f" with fold {fold + 1} of {folds} held out"
+                system_id, data, rows, opts, f" with fold {fold + 1} of {folds} held out"
             )
-    if kept is None:
-        kept = TrainingEmbeddings(store, train)
     confusions = [
         cross_validated_confusion(
-            labels, n_classes, fold_of, _fold_runner(system_id, store, train, opts, kept)
+            data.labels, n_classes, fold_of, _fold_runner(system_id, data, opts)
         )
         for system_id in system_ids
     ]
-    return fusion_weights(confusions, list(system_ids), list(train.class_names))
+    return fusion_weights(confusions, list(system_ids), list(data.class_names))
 
 
 @dataclass
@@ -616,33 +585,28 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             frame_clip(_read_clip(config.manifest, entry_path), extractors, **framing)
         store = extract_for_manifest(train, config.manifest, extractors, **framing)
 
-    # the CDL embeddings of the training clips, from the CV folds to the final fit
-    kept = TrainingEmbeddings(store, train)
+    # the training clips with their CDL embeddings, from the CV folds to the final fit
+    data = TrainingSet(store, train)
     with _stage("weights"):
         weights = estimate_weights(
-            store,
-            train,
-            config.fused,
-            config,
-            folds=config.weights_folds,
-            seed=config.weights_seed,
-            kept=kept,
+            data, config.fused, config, folds=config.weights_folds, seed=config.weights_seed
         )
         (out / "models").mkdir(exist_ok=True)
         save_weights_csv(out / "weights.csv", weights)
 
     with _stage("train"):
-        models = {system_id: fit_system(system_id, store, train, config, kept=kept)
+        models = {system_id: fit_system(system_id, data, config)
                   for system_id in config.systems if SYSTEMS[system_id].backend == "cdl"}
-        # the CDL fits were the kept matrix's last use: no GMM fit runs beside it
-        del kept
+        # the CDL fits were the embeddings' last use: no GMM fit runs beside
+        # them, so the GMM fits read a set that holds none
+        data = TrainingSet(store, train)
         for system_id in config.systems:
             if SYSTEMS[system_id].backend == "gmm":
-                models[system_id] = fit_system(system_id, store, train, config)
+                models[system_id] = fit_system(system_id, data, config)
         for system_id in config.systems:
             save_system_model(_model_path(out, system_id), models[system_id])
     # no stage after train reads a training clip's records
-    del store
+    del store, data
 
     with _stage("classify"):
         (out / "scores").mkdir(exist_ok=True)

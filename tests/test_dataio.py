@@ -695,6 +695,23 @@ class TestFeatureFile:
         ):
             load_features(path)
 
+    @pytest.mark.parametrize("values, fault", [
+        (np.zeros((0, 2)), "has no frames"),
+        (np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, np.inf]]), "has non-finite feature values"),
+    ], ids=["no-frames", "non-finite"])
+    def test_a_bad_record_is_refused_naming_file_family_and_clip(self, tmp_path, values, fault):
+        # the writer keeps what the store holds; the load is where a record
+        # enters from outside the program
+        store = feature_store()
+        store.add("three.wav", "mfcc", values)
+        path = tmp_path / "f.sfs"
+        save_features(store, path)
+        with pytest.raises(
+            FeatureStoreError, match=re.escape(f"{path}, 'mfcc' block: clip 'three.wav' {fault}")
+        ):
+            load_features(path)
+        assert list(load_features(path, families=["plp"]).records) == [("one.wav", "plp")]
+
     def test_repeated_family_in_the_table_rejected(self, tmp_path):
         store = FeatureStore()
         store.add("one.wav", "mfcc", np.zeros((2, 1)))

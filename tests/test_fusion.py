@@ -253,6 +253,16 @@ class TestFuse:
         with pytest.raises(ValueError, match="no scores supplied for weighted system 'b'"):
             fuse([a], weights)
 
+    def test_class_order_mismatch_names_both_lists(self):
+        # a model and the weights made from training lists in other orders
+        scores = make_scores([[1.0, 0.0]], "plp-gmm", class_names=["park", "bus"])
+        weights = FusionWeights(["plp-gmm"], ["bus", "park"], np.ones((1, 2)))
+        with pytest.raises(ValueError, match=re.escape(
+            "system 'plp-gmm' class names ['park', 'bus'] do not match "
+            "the weights' ['bus', 'park']"
+        )):
+            fuse([scores], weights)
+
     def test_error_paths(self):
         scores = normalize_scores(make_scores([[0.0, 1.0]]))
         weights = FusionWeights(["sys"], scores.class_names, np.ones((1, 2)))

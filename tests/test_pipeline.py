@@ -38,8 +38,8 @@ from scenefuse.pipeline import (
     SYSTEMS,
     PipelineConfig,
     PipelineError,
+    TrainingSet,
     TrainOptions,
-    TrainingEmbeddings,
     clip_features,
     estimate_weights,
     extract_for_manifest,
@@ -122,7 +122,7 @@ class TestParseConfig:
             parse_config(cfg)
 
     @pytest.mark.parametrize("line, want", [
-        ("weights_folds = 1", "weights_folds must be at least 2"),
+        ("weights_folds = 1", "need at least 2 folds, got 1"),
         ("systems = mfcc-svm", "unknown system 'mfcc-svm'"),
         ("hop = 0", "need 0 < hop <= frame_len, got hop=0"),
     ])
@@ -223,27 +223,29 @@ class TestExtractAndFit:
         manifest, store = small_store
         train, test = split_dataset(manifest, 0.5, seed=1)
         opts = TrainOptions(mixtures_cepstral=2, gmm_seed=5)
-        model = fit_system("mfcc-gmm", store, train, opts)
+        model = fit_system("mfcc-gmm", TrainingSet(store, train), opts)
         assert isinstance(model.model, GmmBank)
         assert model.class_names == manifest.class_names
         scores = score_system(model, store, test)
         assert scores.values.shape == (len(test), 3)
         assert scores.clip_ids == [e[0] for e in test.entries]
         assert not scores.normalized
-        again = score_system(fit_system("mfcc-gmm", store, train, opts), store, test)
+        again = score_system(fit_system("mfcc-gmm", TrainingSet(store, train), opts), store, test)
         assert np.array_equal(scores.values, again.values)
 
     def test_fit_rejects_giant_mixture_count(self, small_store):
         manifest, store = small_store
         train, _ = split_dataset(manifest, 0.5, seed=1)
         with pytest.raises(ValueError, match="fewer than 100000 mixture"):
-            fit_system("mfcc-gmm", store, train, TrainOptions(mixtures_cepstral=100000))
+            fit_system(
+                "mfcc-gmm", TrainingSet(store, train), TrainOptions(mixtures_cepstral=100000)
+            )
 
     def test_estimate_weights_cv(self, small_store):
         manifest, store = small_store
         train, _ = split_dataset(manifest, 0.5, seed=1)
         opts = TrainOptions(mixtures_cepstral=2)
-        weights = estimate_weights(store, train, ["mfcc-gmm"], opts, folds=2, seed=0)
+        weights = estimate_weights(TrainingSet(store, train), ["mfcc-gmm"], opts, folds=2, seed=0)
         assert weights.system_ids == ["mfcc-gmm"]
         assert weights.values.shape == (1, 3)
         assert np.all((weights.values >= 0.0) & (weights.values <= 1.0))
@@ -304,12 +306,12 @@ class TestComputeOnce:
     def test_kept_embeddings_fit_the_same_model(self, tmp_path):
         store, train = embedding_store(np.random.default_rng(40))
         opts = TrainOptions()
-        kept = TrainingEmbeddings(store, train)
-        estimate_weights(store, train, ["cepscom-cdl"], opts, folds=2, seed=0, kept=kept)
+        kept = TrainingSet(store, train)
+        estimate_weights(kept, ["cepscom-cdl"], opts, folds=2, seed=0)
         # the final fit centres the matrix the folds filled, in place; the
         # rows must have been left as the clips' own embeddings
-        final = fit_system("cepscom-cdl", store, train, opts, kept=kept)
-        alone = fit_system("cepscom-cdl", store, train, opts)
+        final = fit_system("cepscom-cdl", kept, opts)
+        alone = fit_system("cepscom-cdl", TrainingSet(store, train), opts)
         fresh = cdl_mod.fit_cdl(
             cdl_mod.centre_embeddings(np.array(
                 [fresh_embedding(clip_features(store, p, "cepscom")) for p, _ in train.entries]
@@ -330,12 +332,12 @@ class TestComputeOnce:
             return original(desc)
 
         monkeypatch.setattr(cdl_mod, "log_embed", counting)
-        kept = TrainingEmbeddings(store, train)
+        kept = TrainingSet(store, train)
         # the final fit's input, asked for twice: the matrix stays held
-        first = kept.fit_input("cepscom", train)
-        second = kept.fit_input("cepscom", train)
+        first = kept.embeddings("cepscom")
+        second = kept.embeddings("cepscom")
         assert embedded == Counter(entry_path for entry_path, _ in train.entries)
-        assert second[0] is first[0] and second[1] == first[1]
+        assert second is first
 
     def test_one_fold_assignment_per_estimate(self, monkeypatch):
         store, train = embedding_store(np.random.default_rng(44))
@@ -347,7 +349,7 @@ class TestComputeOnce:
 
         monkeypatch.setattr(scenefuse.pipeline, "stratified_folds", counted)
         monkeypatch.setattr(scenefuse.fusion, "stratified_folds", counted)
-        estimate_weights(store, train, ["cepscom-gmm", "cepscom-cdl"],
+        estimate_weights(TrainingSet(store, train), ["cepscom-gmm", "cepscom-cdl"],
                          TrainOptions(mixtures_cepstral=2), folds=2, seed=0)
         # every system's folds are the one assignment the estimate made
         assert len(calls) == 1
@@ -356,8 +358,8 @@ class TestComputeOnce:
         rng = np.random.default_rng(41)
         store, train = embedding_store(rng)
         opts = TrainOptions()
-        kept = TrainingEmbeddings(store, train)
-        estimate_weights(store, train, ["cepscom-cdl"], opts, folds=2, seed=0, kept=kept)
+        kept = TrainingSet(store, train)
+        estimate_weights(kept, ["cepscom-cdl"], opts, folds=2, seed=0)
         path = train.entries[0][0]
         # the store refuses to replace a part the clip's kept row was made of
         with pytest.raises(FeatureStoreError, match=f"'rcgcc' features for clip '{path}'"):
@@ -368,20 +370,48 @@ class TestComputeOnce:
         monkeypatch.setattr(
             cdl_mod, "log_embed", lambda desc: embedded.append(desc) or original(desc)
         )
-        model = fit_system("cepscom-cdl", store, train, opts, kept=kept)
+        model = fit_system("cepscom-cdl", kept, opts)
         assert embedded == []
-        unkept = fit_system("cepscom-cdl", store, train, opts)
+        unkept = fit_system("cepscom-cdl", TrainingSet(store, train), opts)
         assert model_bytes(tmp_path, model.model) == model_bytes(tmp_path, unkept.model)
 
     def test_scoring_error_names_the_clip(self):
         store, train = embedding_store(np.random.default_rng(42))
-        model = fit_system("cepscom-cdl", store, train, TrainOptions())
+        model = fit_system("cepscom-cdl", TrainingSet(store, train), TrainOptions())
         bad = np.ones((30, 4))
         bad[3, 1] = np.nan
         add_cepscom(store, "bus/broken.wav", bad)
         clips = DatasetManifest(entries=[("bus/broken.wav", "bus")], class_names=["park", "bus"])
         with pytest.raises(ValueError, match="'bus/broken.wav'.*non-finite"):
             score_system(model, store, clips)
+
+
+def fits_on_rows_and_alone(mini_dataset, system_id):
+    """The system fitted on a fold's rows of the training set, as the CV
+    fits it, and on a training set of the fold's clips alone."""
+    train, _ = split_dataset(load_manifest(mini_dataset), 0.5, seed=1)
+    store = extract_for_manifest(train, mini_dataset, required_extractors([system_id]), **FAST)
+    rows = np.flatnonzero(stratified_folds(train.label_indices(), 2, seed=0) != 0)
+    opts = TrainOptions(mixtures_plp=2)
+    return (fit_system(system_id, TrainingSet(store, train), opts, rows),
+            fit_system(system_id, TrainingSet(store, train.subset(rows)), opts))
+
+
+def test_a_gmm_fit_on_rows_writes_the_model_of_their_clips_alone(mini_dataset, tmp_path):
+    paths = [tmp_path / "rows.sfg", tmp_path / "alone.sfg"]
+    for path, model in zip(paths, fits_on_rows_and_alone(mini_dataset, "plp-gmm")):
+        save_system_model(path, model)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_a_cdl_fit_on_rows_is_the_fit_on_their_clips_alone(mini_dataset):
+    # the rows are centred on the mean of every training clip, the clips
+    # alone on their own mean: the same fit, rounded apart in the last bits
+    on_rows, alone = fits_on_rows_and_alone(mini_dataset, "cepscom-cdl")
+    assert on_rows.class_names == alone.class_names
+    for name in ("projection", "class_centroids", "train_mean"):
+        got, want = getattr(on_rows.model, name), getattr(alone.model, name)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9 * np.abs(want).max()), name
 
 
 @pytest.fixture(scope="module")
@@ -465,7 +495,7 @@ class TestCepscomRows:
 def test_loaded_model_scores_in_the_given_class_order(system_id, tmp_path):
     # the class order given at training: the loaded model scores as the saved one
     store, train = embedding_store(np.random.default_rng(43))
-    model = fit_system(system_id, store, train, TrainOptions(mixtures_cepstral=2))
+    model = fit_system(system_id, TrainingSet(store, train), TrainOptions(mixtures_cepstral=2))
     path = tmp_path / "model.bin"
     save_system_model(path, model)
     back = load_system_model(path)
@@ -478,7 +508,7 @@ def test_loaded_model_scores_in_the_given_class_order(system_id, tmp_path):
 
 def test_unnamed_model_no_system_builds_is_rejected(tmp_path):
     store, train = embedding_store(np.random.default_rng(44))
-    model = fit_system("cepscom-cdl", store, train, TrainOptions())
+    model = fit_system("cepscom-cdl", TrainingSet(store, train), TrainOptions())
     path = tmp_path / "model.sfc"
     cdl_mod.save_cdl_model(path, model.model, "mfcc", train.class_names)
     with pytest.raises(ValueError, match="no system is built from mfcc features with a cdl"):
@@ -510,10 +540,10 @@ class TestMemory:
         original = scenefuse.pipeline.fit_system
         peaks = []
 
-        def traced(system_id, store, train, *args, **kwargs):
-            if len(train) < 12:
-                return original(system_id, store, train, *args, **kwargs)
-            model, peak = traced_peak(original, system_id, store, train, *args, **kwargs)
+        def traced(system_id, data, opts, rows=None):
+            if rows is not None:
+                return original(system_id, data, opts, rows)
+            model, peak = traced_peak(original, system_id, data, opts)
             peaks.append(peak)
             return model
 
@@ -544,12 +574,11 @@ class TestMemory:
         train = DatasetManifest(entries=entries, class_names=["park", "bus"])
         fold_of = stratified_folds(train.label_indices(), 4, seed=0)
         opts = TrainOptions()
-        kept = TrainingEmbeddings(store, train)
+        kept = TrainingSet(store, train)
         # the first fold's fit embeds every clip; the second's is traced
-        fit_system("cepscom-cdl", store, train.subset(np.flatnonzero(fold_of != 0)), opts,
-                   kept=kept)
-        fold = train.subset(np.flatnonzero(fold_of != 1))
-        _, peak = traced_peak(fit_system, "cepscom-cdl", store, fold, opts, kept=kept)
+        fit_system("cepscom-cdl", kept, opts, np.flatnonzero(fold_of != 0))
+        fold = np.flatnonzero(fold_of != 1)
+        _, peak = traced_peak(fit_system, "cepscom-cdl", kept, opts, fold)
         d_vec = cdl_mod.half_vec_length(240)
         assert peak < len(fold) * d_vec * 8 // 4
 
@@ -566,10 +595,10 @@ class TestMemory:
 
         original = scenefuse.pipeline.fit_system
 
-        def spy(system_id, store, train, *args, **kwargs):
-            if len(train) == 12 and SYSTEMS[system_id].backend == "gmm":
+        def spy(system_id, data, opts, rows=None):
+            if rows is None and SYSTEMS[system_id].backend == "gmm":
                 gmm_fits.append([ref() is not None for ref in matrices])
-            return original(system_id, store, train, *args, **kwargs)
+            return original(system_id, data, opts, rows)
 
         monkeypatch.setattr(cdl_mod, "centre_embeddings", remembered)
         monkeypatch.setattr(scenefuse.pipeline, "fit_system", spy)
@@ -596,11 +625,11 @@ class TestMemory:
         )
         seen = []  # (what was called, the clips its store held)
 
-        def spy(name, store_at):
+        def spy(name, data_at):
             original = getattr(scenefuse.pipeline, name)
 
             def called(*args, **kwargs):
-                seen.append((name, {source_id for source_id, _ in args[store_at].records}))
+                seen.append((name, {source_id for source_id, _ in args[data_at].store.records}))
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(scenefuse.pipeline, name, called)
@@ -667,7 +696,7 @@ class TestMemory:
         del matrix
         # one class's frames, what EM allocates on them, and a small margin
         # for one clip's rows as they are written in
-        _, peak = traced_peak(fit_system, "cepscom-gmm", store, train, opts)
+        _, peak = traced_peak(fit_system, "cepscom-gmm", TrainingSet(store, train), opts)
         assert peak < class_bytes + em_bytes + class_bytes // 4
 
 
