@@ -84,21 +84,14 @@ def _cmd_classify(args) -> None:
 
 def _cmd_fuse(args) -> None:
     weights = load_weights_csv(args.weights)
-    scores = [matrix for path in args.scores for matrix in load_score_csv(path)]
-    fused = fuse(scores, weights)
+    fused = fuse([load_score_csv(path) for path in args.scores], weights)
     save_score_csv(args.out, fused)
     print(f"fused {len(weights.system_ids)} systems over {fused.n_clips} clips; "
           f"written to {args.out}")
 
 
 def _cmd_evaluate(args) -> None:
-    matrices = load_score_csv(args.pred)
-    if len(matrices) != 1:
-        raise ValueError(
-            f"{args.pred}: expected scores for exactly one system, found "
-            f"{[m.system_id for m in matrices]}"
-        )
-    report = evaluate(matrices[0], load_manifest(args.manifest))
+    report = evaluate(load_score_csv(args.pred), load_manifest(args.manifest))
     save_report(args.report, report)
     print(f"{report.system_id}: average accuracy "
           f"{100.0 * report.average_accuracy:.2f}% ({report.n_clips} clips); "
@@ -118,8 +111,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_run(args) -> None:
-    result = run_pipeline(args.config)
-    summary = result.artifact_paths["summary"]
+    summary = run_pipeline(args.config).config.out_dir / "summary.txt"
     sys.stdout.write(summary.read_text(encoding="utf-8"))
 
 

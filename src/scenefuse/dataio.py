@@ -410,6 +410,8 @@ class FeatureStore:
     _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, source_id: str, extractor: str, values: np.ndarray) -> None:
+        """Hold one clip's record: frames x width, with at least one frame,
+        finite values and the width of the family's other records."""
         if (source_id, extractor) in self.records:
             raise FeatureStoreError(
                 f"the feature store already holds {extractor!r} features for clip "
@@ -418,10 +420,17 @@ class FeatureStore:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("feature matrix must be 2-D (frames x dims)")
+        if values.shape[0] == 0:
+            raise FeatureStoreError(f"clip {source_id!r} has no frames in its {extractor!r} record")
+        if not np.isfinite(values).all():
+            raise FeatureStoreError(
+                f"clip {source_id!r} has non-finite feature values in its {extractor!r} record"
+            )
         dim = self._dims.setdefault(extractor, values.shape[1])
         if dim != values.shape[1]:
-            raise ValueError(
-                f"extractor {extractor!r} dimension mismatch: {dim} vs {values.shape[1]}"
+            raise FeatureStoreError(
+                f"extractor {extractor!r} dimension mismatch for clip {source_id!r}: "
+                f"{dim} vs {values.shape[1]}"
             )
         self.records[(source_id, extractor)] = values
 
@@ -614,8 +623,8 @@ def _parse_toc(reader: _Reader) -> dict[str, int]:
 
 def _block_parser(store: FeatureStore, family: str):
     """Parser of the block the table of contents lists as ``family``: each
-    record's static columns, added to the store as they are.  A record with
-    no frames or with a non-finite value is refused, naming the clip."""
+    record's static columns, added to the store as they are.  A record the
+    store refuses is refused with the block's context in front."""
 
     def parse(reader: _Reader) -> None:
         found = reader.string()
@@ -632,17 +641,12 @@ def _block_parser(store: FeatureStore, family: str):
             )
         for _ in range(reader.u32()):
             source_id = reader.string()
-            if (source_id, family) in store:
-                raise FeatureStoreError(f"{reader.context}: clip {source_id!r} appears twice")
             rows = reader.u32()
-            if rows == 0:
-                raise FeatureStoreError(f"{reader.context}: clip {source_id!r} has no frames")
             values = reader.floats(rows * width).reshape(rows, width)
-            if not np.isfinite(values).all():
-                raise FeatureStoreError(
-                    f"{reader.context}: clip {source_id!r} has non-finite feature values"
-                )
-            store.add(source_id, family, values)
+            try:
+                store.add(source_id, family, values)
+            except FeatureStoreError as exc:
+                raise FeatureStoreError(f"{reader.context}: {exc}") from None
 
     return parse
 

@@ -1,9 +1,10 @@
 """Score normalization, confusion-derived reliability weights, and fusion.
 
-Per-system scores are min-max normalized per clip, weighted by how often a
-system's output for a class really was that class in a stratified k-fold
-cross-validation on the training clips, and summed by :func:`fuse` into the
-scores of one more system, ``fusion``.  Its argmax, which
+A score file holds one system's raw scores.  :func:`fuse` alone scales
+each clip's scores to [0, 1] with :func:`normalize_scores`, weights them by
+how often a system's output for a class really was that class in a
+stratified k-fold cross-validation on the training clips, and sums them
+into the scores of one more system, ``fusion``.  Its argmax, which
 ``evaluation.evaluate`` takes, is the final label.
 """
 
@@ -17,15 +18,18 @@ import numpy as np
 from .dataio import check_csv_field
 
 
+#: the first line of every score file, which holds one system's raw scores
+SCORE_PREAMBLE = "#normalized=false"
+
+
 @dataclass
 class ScoreMatrix:
-    """Per-clip class scores from one system, raw or normalized."""
+    """Per-clip class scores from one system."""
 
     system_id: str
     clip_ids: list
     class_names: list
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -36,10 +40,6 @@ class ScoreMatrix:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("scores contain non-finite values")
-        if self.normalized and self.values.size:
-            inside = (self.values >= -1e-12) & (self.values <= 1.0 + 1e-12)
-            if not inside.all() or np.any(np.abs(self.values.max(axis=1) - 1.0) > 1e-12):
-                raise ValueError("normalized scores must lie in [0,1] with row max 1")
 
     @property
     def n_clips(self) -> int:
@@ -100,7 +100,7 @@ def normalize_scores(raw: ScoreMatrix) -> ScoreMatrix:
     safe = np.where(span == 0.0, 1.0, span)
     normalized = (values - lo) / safe
     normalized[flat] = 1.0
-    return replace(raw, values=normalized, normalized=True)
+    return replace(raw, values=normalized)
 
 
 def tally_confusion(truths, predictions, n_classes: int) -> ConfusionMatrix:
@@ -117,7 +117,7 @@ def tally_confusion(truths, predictions, n_classes: int) -> ConfusionMatrix:
 
 
 def confusion_weights(confusion: ConfusionMatrix) -> np.ndarray:
-    """Column-normalized diagonal: the chance an output of class c was right."""
+    """Per class c, the diagonal over its column: the chance an output of c was right."""
     counts = confusion.counts.astype(np.float64)
     col_sums = counts.sum(axis=0)
     diag = np.diag(counts)
@@ -148,8 +148,9 @@ def fuse(scores, weights: FusionWeights) -> ScoreMatrix:
     weighted systems' scores, found by system id among ``scores``.
 
     Scores of systems without weights are ignored; a system given twice, or
-    a weighted system given none, is an error.  Raw scores are min-max
-    normalized first.  The sum runs in the weights' system order.
+    a weighted system given none, is an error.  Each system's scores pass
+    through :func:`normalize_scores` first.  The sum runs in the weights'
+    system order.
     """
     by_system: dict = {}
     for matrix in scores:
@@ -160,8 +161,7 @@ def fuse(scores, weights: FusionWeights) -> ScoreMatrix:
     for system_id in weights.system_ids:
         if system_id not in by_system:
             raise ValueError(f"no scores supplied for weighted system {system_id!r}")
-        matrix = by_system[system_id]
-        ordered.append(matrix if matrix.normalized else normalize_scores(matrix))
+        ordered.append(normalize_scores(by_system[system_id]))
     if not ordered:
         raise ValueError("nothing to fuse")
     first = ordered[0]
@@ -249,62 +249,63 @@ def _csv_numbers(path, lineno: int, fields) -> list:
 
 
 def save_score_csv(path, scores: ScoreMatrix) -> None:
-    """One row per clip: clip_id, system_id, then per-class scores."""
+    """``SCORE_PREAMBLE``, a header, then one row per clip: clip_id,
+    system_id, then per-class scores."""
+    if not scores.clip_ids:
+        raise ValueError(f"scores of system {scores.system_id!r} have no clips to write")
     check_csv_field(scores.system_id, "system id")
     for name in scores.class_names:
         check_csv_field(name, "class name")
     for clip_id in scores.clip_ids:
         check_csv_field(clip_id, "clip id")
     with open(path, "w", newline="") as fh:
-        fh.write(f"#normalized={'true' if scores.normalized else 'false'}\n")
+        fh.write(SCORE_PREAMBLE + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["clip_id", "system_id"] + list(scores.class_names))
         for clip_id, row in zip(scores.clip_ids, scores.values):
             writer.writerow([clip_id, scores.system_id] + [repr(float(v)) for v in row])
 
 
-def load_score_csv(path) -> list:
-    """Read score matrices grouped by system id, preserving row order."""
+def load_score_csv(path) -> ScoreMatrix:
+    """Read the one system's scores a score file holds, in row order."""
     records = _csv_records(path)
     preamble = records[0][1] if records else []
-    if len(preamble) != 1 or not preamble[0].startswith("#normalized="):
-        raise ValueError(f"{path}: missing #normalized preamble")
-    flag = preamble[0].split("=", 1)[1]
-    if flag not in ("true", "false"):
-        raise ValueError(f"{path}: bad #normalized value {flag!r}")
-    normalized = flag == "true"
+    key = SCORE_PREAMBLE.split("=")[0]
+    if len(preamble) != 1 or not preamble[0].startswith(key + "="):
+        raise ValueError(f"{path}: missing {key} preamble")
+    if preamble[0] != SCORE_PREAMBLE:
+        raise ValueError(
+            f"{path}: bad {key} value {preamble[0].split('=', 1)[1]!r}; a score "
+            f"file holds raw scores and opens with {SCORE_PREAMBLE!r}"
+        )
     if len(records) < 2 or records[1][1][:2] != ["clip_id", "system_id"]:
         raise ValueError(f"{path}: bad or missing header")
     header_line, header = records[1]
     class_names = [check_csv_field(c, "class name", f"{path}:{header_line}: ") for c in header[2:]]
     if not class_names:
         raise ValueError(f"{path}: no class columns")
-    by_system: dict = {}
-    seen: dict = {}
+    if len(records) < 3:
+        raise ValueError(f"{path}: no score rows")
+    system_id, first_line, values = None, {}, []
     for lineno, row in records[2:]:
         if len(row) != 2 + len(class_names):
             raise ValueError(f"{path}:{lineno}: expected {2 + len(class_names)} fields")
         clip_id = check_csv_field(row[0], "clip id", f"{path}:{lineno}: ")
-        system_id = check_csv_field(row[1], "system id", f"{path}:{lineno}: ")
-        first = seen.setdefault((system_id, clip_id), lineno)
+        if system_id is None:
+            system_id = check_csv_field(row[1], "system id", f"{path}:{lineno}: ")
+        elif row[1] != system_id:
+            raise ValueError(
+                f"{path}:{lineno}: system {row[1]!r}, but line {records[2][0]} "
+                f"has {system_id!r}; a score file holds one system"
+            )
+        first = first_line.setdefault(clip_id, lineno)
         if first != lineno:
             raise ValueError(
                 f"{path}:{lineno}: clip {clip_id!r} of system {system_id!r} "
                 f"repeats line {first}"
             )
-        entry = by_system.setdefault(system_id, ([], []))
-        entry[0].append(clip_id)
-        entry[1].append(_csv_numbers(path, lineno, row[2:]))
-    return [
-        ScoreMatrix(
-            system_id=system_id,
-            clip_ids=clip_ids,
-            class_names=list(class_names),
-            values=np.array(values, dtype=np.float64),
-            normalized=normalized,
-        )
-        for system_id, (clip_ids, values) in by_system.items()
-    ]
+        values.append(_csv_numbers(path, lineno, row[2:]))
+    return ScoreMatrix(system_id, list(first_line), class_names, np.array(values, dtype=np.float64))
 
 
 def save_weights_csv(path, weights: FusionWeights) -> None:

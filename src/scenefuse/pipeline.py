@@ -8,7 +8,7 @@ seeds, so a rerun reproduces all artifacts byte for byte.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -429,7 +429,6 @@ def _score_clips(models, clip_stores) -> list:
             clip_ids=list(clip_ids),
             class_names=list(model.class_names),
             values=np.vstack(model_rows) if model_rows else np.zeros((0, len(model.class_names))),
-            normalized=False,
         )
         for model, model_rows in zip(models, rows)
     ]
@@ -494,14 +493,13 @@ def estimate_weights(
 
 @dataclass
 class RunResult:
-    """Everything a run produced, with the paths it was written to."""
+    """Everything a run produced; its files are under ``config.out_dir``."""
 
     config: PipelineConfig
     class_names: list
     reports: dict
     fusion_report: EvaluationReport
     weights: FusionWeights
-    artifact_paths: dict = field(default_factory=dict)
 
 
 def _model_path(out_dir: Path, system_id: str) -> Path:
@@ -638,11 +636,6 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
             reports=reports,
             fusion_report=fusion_report,
             weights=weights,
-            artifact_paths={
-                "out_dir": out,
-                "weights": out / "weights.csv",
-                "summary": out / "summary.txt",
-            },
         )
         _write_summary(out / "summary.txt", result, len(train), len(test))
     return result

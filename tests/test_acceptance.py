@@ -453,9 +453,7 @@ def test_c9_fusion_rescues_unanimous_second_choice():
                 row = [0.05, 0.05, 0.05, 0.9]
                 row[(k + i) % 3] = 1.0
                 rows.append(row)
-            blocks.append(
-                ScoreMatrix(f"s{k}", clip_ids, names, np.array(rows), normalized=True)
-            )
+            blocks.append(ScoreMatrix(f"s{k}", clip_ids, names, np.array(rows)))
         weights = FusionWeights([f"s{k}" for k in range(3)], names, np.ones((3, 4)))
         no_single_winner = all(
             int(np.argmax(block.values[i])) != 3

@@ -73,7 +73,7 @@ def test_full_chain(work, capsys):
     ])
     assert rc == 0
     assert "scored 15 clips with mfcc-gmm" in capsys.readouterr().out
-    (scores,) = load_score_csv(work / "scores.csv")
+    scores = load_score_csv(work / "scores.csv")
     assert scores.system_id == "mfcc-gmm"
     assert scores.values.shape == (15, 5)
 
@@ -84,7 +84,7 @@ def test_full_chain(work, capsys):
     ])
     assert rc == 0
     capsys.readouterr()
-    (fused,) = load_score_csv(work / "fused.csv")
+    fused = load_score_csv(work / "fused.csv")
     assert fused.system_id == "fusion"
     assert fused.values.shape == (15, 5)
 
@@ -234,8 +234,8 @@ def test_classify_names_scores_by_the_system_the_model_holds(work, capsys):
     ):
         assert main(argv) == 0, argv[0]
     assert "scored 15 clips with mfcc-gmm" in capsys.readouterr().out
-    assert load_score_csv(scores)[0].system_id == "mfcc-gmm"
-    assert load_score_csv(fused)[0].values.shape == (15, 5)
+    assert load_score_csv(scores).system_id == "mfcc-gmm"
+    assert load_score_csv(fused).values.shape == (15, 5)
 
 
 def test_error_exit_codes(work, capsys, tmp_path):
@@ -267,7 +267,7 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
     argv = ["fuse", "--scores", str(scores), "--weights", str(weights),
             "--out", str(tmp_path / "fused.csv")]
-    header = "#normalized=true\nclip_id,system_id,a,b\n"
+    header = "#normalized=false\nclip_id,system_id,a,b\n"
     scores.write_text(header + "c1.wav,x,1.0,0.0\nc2.wav,x,0.0,1.0\n")
     weights.write_text("system_id,a,b\nx,1.0,1.0\nx,0.5,0.5\n")
     assert main(argv) == 1
@@ -280,10 +280,28 @@ def test_fuse_rejects_repeated_rows(capsys, tmp_path):
     assert not (tmp_path / "fused.csv").exists()
 
 
+def test_fuse_and_evaluate_take_one_system_per_file(capsys, tmp_path):
+    scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
+    manifest = tmp_path / "test.tsv"
+    scores.write_text("#normalized=false\nclip_id,system_id,a,b\n"
+                      "c1.wav,x,1.0,0.0\nc1.wav,y,0.0,1.0\n")
+    weights.write_text("system_id,a,b\nx,1.0,1.0\ny,1.0,1.0\n")
+    manifest.write_text("c1.wav\ta\n")
+    for argv in (["fuse", "--scores", str(scores), "--weights", str(weights),
+                  "--out", str(tmp_path / "fused.csv")],
+                 ["evaluate", "--pred", str(scores), "--manifest", str(manifest),
+                  "--report", str(tmp_path / "report.txt")]):
+        assert main(argv) == 1
+        assert ("scores.csv:4: system 'y', but line 3 has 'x'; a score file holds one system"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "fused.csv").exists()
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_fuse_rejects_a_field_it_could_not_write(capsys, tmp_path):
     # a quoted comma used to load, then fail the fused file part-way through
     scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
-    scores.write_text('#normalized=true\nclip_id,system_id,a,b\n'
+    scores.write_text('#normalized=false\nclip_id,system_id,a,b\n'
                       'a.wav,x,1.0,0.0\n"b,c.wav",x,0.0,1.0\n')
     weights.write_text("system_id,a,b\nx,1.0,1.0\n")
     fused = tmp_path / "fused.csv"
@@ -299,7 +317,7 @@ def test_evaluate_rejects_scores_that_leave_a_class_out(capsys, tmp_path):
     # its 100% on 'b' averaged with 0% for the 'a' it was never shown
     manifest, pred = tmp_path / "test.tsv", tmp_path / "pred.csv"
     manifest.write_text("a/1.wav\ta\na/2.wav\ta\nb/1.wav\tb\nb/2.wav\tb\n")
-    pred.write_text("#normalized=true\nclip_id,system_id,a,b\n"
+    pred.write_text("#normalized=false\nclip_id,system_id,a,b\n"
                     "b/1.wav,fusion,0.0,1.0\nb/2.wav,fusion,0.0,1.0\n")
     report = tmp_path / "report.txt"
     argv = ["evaluate", "--pred", str(pred), "--manifest", str(manifest),
@@ -367,7 +385,7 @@ def test_cdl_train_names_a_class_with_one_clip(work, capsys, monkeypatch):
 
 def test_fuse_rejects_a_blank_weights_line(capsys, tmp_path):
     scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
-    scores.write_text("#normalized=true\nclip_id,system_id,a,b\nc1.wav,plp-gmm,1.0,0.0\n")
+    scores.write_text("#normalized=false\nclip_id,system_id,a,b\nc1.wav,plp-gmm,1.0,0.0\n")
     weights.write_text("system_id,a,b\nplp-gmm,0.5,0.5\n\n")
     argv = ["fuse", "--scores", str(scores), "--weights", str(weights),
             "--out", str(tmp_path / "fused.csv")]
@@ -378,7 +396,7 @@ def test_fuse_rejects_a_blank_weights_line(capsys, tmp_path):
 
 def test_fuse_rejects_a_weight_that_is_not_a_number(capsys, tmp_path):
     scores, weights = tmp_path / "scores.csv", tmp_path / "weights.csv"
-    scores.write_text("#normalized=true\nclip_id,system_id,a,b\nc1.wav,x,1.0,0.0\n")
+    scores.write_text("#normalized=false\nclip_id,system_id,a,b\nc1.wav,x,1.0,0.0\n")
     weights.write_text("system_id,a,b\nx,nan,0.5\n")
     argv = ["fuse", "--scores", str(scores), "--weights", str(weights),
             "--out", str(tmp_path / "fused.csv")]
@@ -481,8 +499,8 @@ def test_classify_matches_classes_by_name(work, capsys):
     assert float(accuracies[0]) > 50.0
 
     # both score files keep the model's columns; only the clips' order differs
-    (listed,) = load_score_csv(work / "listed.csv")
-    (sorted_,) = load_score_csv(work / "by_label.csv")
+    listed = load_score_csv(work / "listed.csv")
+    sorted_ = load_score_csv(work / "by_label.csv")
     model_order = load_manifest(work / "data" / "manifest.tsv").class_names
     assert sorted_.class_names == listed.class_names == model_order
     assert load_manifest(by_label).class_names != model_order

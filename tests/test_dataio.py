@@ -18,6 +18,8 @@ from scenefuse.cdl import (
     save_cdl_model,
 )
 from scenefuse.dataio import (
+    FEATURE_STORE_MAGIC,
+    FEATURE_STORE_VERSION,
     AudioClip,
     ChecksumError,
     DatasetManifest,
@@ -35,6 +37,7 @@ from scenefuse.dataio import (
     save_features,
     save_manifest,
     split_dataset,
+    write_container,
     write_wav,
 )
 from scenefuse.features import DELTA_WINDOW
@@ -474,10 +477,28 @@ class TestFeatureStore:
     def test_rejects_dim_mismatch_per_extractor(self):
         store = FeatureStore()
         store.add("c1", "mfcc", np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(
+            FeatureStoreError, match="'mfcc' dimension mismatch for clip 'c2': 4 vs 5"
+        ):
             store.add("c2", "mfcc", np.zeros((2, 5)))
         # a different extractor may use its own width
         store.add("c1", "plp", np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("values, fault", [
+        (np.zeros((0, 2)), "has no frames"),
+        (np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, np.inf]]), "has non-finite feature values"),
+    ], ids=["no-frames", "non-finite"])
+    def test_refuses_a_record_no_feature_file_holds(self, tmp_path, values, fault):
+        store = FeatureStore()
+        with pytest.raises(
+            FeatureStoreError, match=re.escape(f"clip 'c1' {fault} in its 'mfcc' record")
+        ):
+            store.add("c1", "mfcc", values)
+        # nothing of the record is kept, so save_features cannot write it
+        assert len(store) == 0
+        store.add("c1", "mfcc", np.zeros((1, 3)))
+        save_features(store, tmp_path / "f.sfs")
+        assert list(load_features(tmp_path / "f.sfs").records) == [("c1", "mfcc")]
 
     def test_missing_record_names_clip_and_families(self):
         store = FeatureStore()
@@ -690,9 +711,10 @@ class TestFeatureFile:
         blob = path.read_bytes()
         assert blob.count(pack_str("two.wav")) == 1
         path.write_bytes(reframe("sfs", blob.replace(pack_str("two.wav"), pack_str("one.wav"))))
-        with pytest.raises(
-            FeatureStoreError, match=f"{path}, 'mfcc' block: clip 'one.wav' appears twice"
-        ):
+        with pytest.raises(FeatureStoreError, match=re.escape(
+            f"{path}, 'mfcc' block: the feature store already holds 'mfcc' features "
+            "for clip 'one.wav'"
+        )):
             load_features(path)
 
     @pytest.mark.parametrize("values, fault", [
@@ -700,12 +722,16 @@ class TestFeatureFile:
         (np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, np.inf]]), "has non-finite feature values"),
     ], ids=["no-frames", "non-finite"])
     def test_a_bad_record_is_refused_naming_file_family_and_clip(self, tmp_path, values, fault):
-        # the writer keeps what the store holds; the load is where a record
-        # enters from outside the program
-        store = feature_store()
-        store.add("three.wav", "mfcc", values)
+        # FeatureStore.add refuses the record, so the file is packed without one
+        blocks = {}
+        for (source_id, family), good in feature_store().records.items():
+            blocks.setdefault(family, []).append((source_id, good))
         path = tmp_path / "f.sfs"
-        save_features(store, path)
+        write_sfs(path, blocks)
+        save_features(feature_store(), tmp_path / "saved.sfs")
+        assert path.read_bytes() == (tmp_path / "saved.sfs").read_bytes()
+        blocks["mfcc"].append(("three.wav", values))
+        write_sfs(path, blocks)
         with pytest.raises(
             FeatureStoreError, match=re.escape(f"{path}, 'mfcc' block: clip 'three.wav' {fault}")
         ):
@@ -811,6 +837,29 @@ def _gmm_bank():
     rng = np.random.default_rng(11)
     feats = [rng.standard_normal((100, 4)), rng.standard_normal((100, 4)) + 2]
     return GmmBank([fit_gmm(f, 3, seed) for f, seed in zip(feats, [5, 6])])
+
+
+def write_sfs(path, blocks) -> None:
+    """An ``.sfs`` of ``{family: [(clip, static columns), ...]}``, packed
+    record by record as ``save_features`` packs a store, but with no
+    ``FeatureStore`` to check the records."""
+    payloads = {
+        family: [pack_str(family), pack_u32(records[0][1].shape[1]), pack_u32(DELTA_WINDOW),
+                 pack_u32(len(records))]
+        + [part for clip, values in records
+           for part in (pack_str(clip), pack_u32(len(values)), values.astype("<f8").tobytes())]
+        for family, records in blocks.items()
+    }
+    # a container adds 16 bytes to its payload: magic, version and checksum
+    entries = b"".join(
+        pack_str(family) + pack_u64(16 + sum(len(part) for part in parts))
+        for family, parts in payloads.items()
+    )
+    with open(path, "wb") as fh:
+        write_container(fh, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION,
+                        [pack_u32(16 + 8 + len(entries)), pack_u32(len(payloads)), entries])
+        for parts in payloads.values():
+            write_container(fh, FEATURE_STORE_MAGIC, FEATURE_STORE_VERSION, parts)
 
 
 def sfs_blocks(blob) -> list:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scenefuse.fusion import (
+    SCORE_PREAMBLE,
     ConfusionMatrix,
     FusionWeights,
     ScoreMatrix,
@@ -23,11 +24,11 @@ from scenefuse.fusion import (
 )
 
 
-def make_scores(values, system_id="sys", normalized=False, class_names=None):
+def make_scores(values, system_id="sys", class_names=None):
     values = np.asarray(values, dtype=np.float64)
     class_names = class_names or [f"c{j}" for j in range(values.shape[1])]
     clip_ids = [f"clip{i}" for i in range(values.shape[0])]
-    return ScoreMatrix(system_id, clip_ids, class_names, values, normalized)
+    return ScoreMatrix(system_id, clip_ids, class_names, values)
 
 
 def oracle_fuse(weight_rows, value_blocks):
@@ -51,19 +52,11 @@ class TestScoreMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             make_scores([[0.0, np.nan]])
 
-    def test_normalized_flag_enforced(self):
-        with pytest.raises(ValueError, match="row max 1"):
-            make_scores([[0.2, 0.9]], normalized=True)
-        with pytest.raises(ValueError, match="row max 1"):
-            make_scores([[1.5, 1.0]], normalized=True)
-        make_scores([[0.0, 1.0]], normalized=True)  # fine
-
 
 class TestNormalize:
     def test_hand_values(self):
         out = normalize_scores(make_scores([[-10.0, -5.0, 0.0]]))
         assert np.array_equal(out.values, [[0.0, 0.5, 1.0]])
-        assert out.normalized
 
     def test_constant_row_becomes_ones(self):
         out = normalize_scores(make_scores([[3.0, 3.0, 3.0], [0.0, 1.0, 2.0]]))
@@ -207,7 +200,7 @@ class TestFuse:
 
     def test_tie_breaks_to_lowest_index(self):
         # the fused row ties exactly, so the argmax takes the lowest index
-        scores = make_scores([[1.0, 0.2, 1.0]], normalized=True)
+        scores = make_scores([[1.0, 0.2, 1.0]])
         weights = FusionWeights(["sys"], scores.class_names, np.full((1, 3), 0.5))
         fused = fuse([scores], weights)
         assert fused.values[0, 0] == fused.values[0, 2]
@@ -220,9 +213,7 @@ class TestFuse:
         for k in range(3):
             row = [0.1, 0.1, 0.1, 0.9]
             row[k] = 1.0
-            blocks.append(
-                ScoreMatrix(f"s{k}", ["clip"], names, np.array([row]), normalized=True)
-            )
+            blocks.append(ScoreMatrix(f"s{k}", ["clip"], names, np.array([row])))
         weights = FusionWeights([f"s{k}" for k in range(3)], names, np.ones((3, 4)))
         for block in blocks:
             assert int(np.argmax(block.values)) != 3
@@ -231,14 +222,11 @@ class TestFuse:
     def test_finds_systems_by_id_and_normalizes_raw_scores(self):
         weights = FusionWeights(["a", "b"], ["x", "y"], [[1.0, 0.5], [0.25, 1.0]])
         raw_a = make_scores([[3.0, 1.0], [0.0, 4.0]], "a", class_names=["x", "y"])
-        norm_b = make_scores(
-            [[0.0, 1.0], [1.0, 0.0]], "b", normalized=True, class_names=["x", "y"]
-        )
+        raw_b = make_scores([[-2.0, 5.0], [7.0, 3.0]], "b", class_names=["x", "y"])
         unweighted = make_scores([[9.0, 0.0], [9.0, 0.0]], "c", class_names=["x", "y"])
-        fused = fuse([unweighted, norm_b, raw_a], weights)
-        # a min-max normalizes to [[1, 0], [0, 1]]; b is used as given
+        fused = fuse([unweighted, raw_b, raw_a], weights)
+        # a min-max normalizes to [[1, 0], [0, 1]], b to [[0, 1], [1, 0]]
         assert np.array_equal(fused.values, [[1.0, 1.0], [0.25, 0.5]])
-        assert not fused.normalized
 
     def test_repeated_system_rejected(self):
         a = make_scores([[1.0, 0.0]], "a")
@@ -268,15 +256,13 @@ class TestFuse:
         weights = FusionWeights(["sys"], scores.class_names, np.ones((1, 2)))
         with pytest.raises(ValueError, match="nothing to fuse"):
             fuse([scores], FusionWeights([], scores.class_names, np.zeros((0, 2))))
-        moved = ScoreMatrix("other", ["elsewhere"], scores.class_names,
-                            scores.values, normalized=True)
+        moved = ScoreMatrix("other", ["elsewhere"], scores.class_names, scores.values)
         pair_weights = FusionWeights(
             ["sys", "other"], scores.class_names, np.ones((2, 2))
         )
         with pytest.raises(ValueError, match="clip ids"):
             fuse([scores, moved], pair_weights)
-        renamed = ScoreMatrix("sys", scores.clip_ids, ["p", "q"],
-                              scores.values, normalized=True)
+        renamed = ScoreMatrix("sys", scores.clip_ids, ["p", "q"], scores.values)
         with pytest.raises(ValueError, match="class names"):
             fuse([renamed], weights)
 
@@ -347,11 +333,10 @@ class TestScoreCsv:
         scores = normalize_scores(make_scores(rng.normal(size=(7, 4)), system_id="mfcc-gmm"))
         path = tmp_path / "scores.csv"
         save_score_csv(path, scores)
-        (back,) = load_score_csv(path)
+        back = load_score_csv(path)
         assert back.system_id == "mfcc-gmm"
         assert back.clip_ids == scores.clip_ids
         assert back.class_names == scores.class_names
-        assert back.normalized
         # repr round-trips doubles exactly
         assert np.array_equal(back.values, scores.values)
 
@@ -359,26 +344,42 @@ class TestScoreCsv:
         scores = make_scores([[(2.0 / 3.0), -1e-17]])
         path = tmp_path / "raw.csv"
         save_score_csv(path, scores)
-        (back,) = load_score_csv(path)
-        assert not back.normalized
+        assert path.read_text().startswith(SCORE_PREAMBLE + "\n")
+        back = load_score_csv(path)
         assert np.array_equal(back.values, scores.values)
 
-    def test_multiple_systems_grouped(self, tmp_path):
+    def test_a_second_system_is_refused_naming_the_line(self, tmp_path):
         path = tmp_path / "both.csv"
         path.write_text(
-            "#normalized=true\n"
+            "#normalized=false\n"
             "clip_id,system_id,x,y\n"
             "c0,alpha,1.0,0.0\n"
-            "c0,beta,0.5,1.0\n"
             "c1,alpha,0.0,1.0\n"
-            "c1,beta,1.0,0.25\n"
+            "c0,beta,0.5,1.0\n"
         )
-        loaded = load_score_csv(path)
-        assert [s.system_id for s in loaded] == ["alpha", "beta"]
-        alpha, beta = loaded
-        assert alpha.clip_ids == ["c0", "c1"]
-        assert np.array_equal(alpha.values, [[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(beta.values, [[0.5, 1.0], [1.0, 0.25]])
+        with pytest.raises(ValueError, match=re.escape(
+            "both.csv:5: system 'beta', but line 3 has 'alpha'; a score file holds one system"
+        )):
+            load_score_csv(path)
+
+    def test_normalized_scores_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "normed.csv"
+        path.write_text("#normalized=true\nclip_id,system_id,x,y\nc0,s,1.0,0.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: bad #normalized value 'true'; a score file holds raw scores "
+            "and opens with '#normalized=false'"
+        )):
+            load_score_csv(path)
+
+    def test_no_rows_refused(self, tmp_path):
+        # the file would not say whose scores it holds
+        path = tmp_path / "empty.csv"
+        with pytest.raises(ValueError, match="scores of system 's' have no clips to write"):
+            save_score_csv(path, ScoreMatrix("s", [], ["x", "y"], np.zeros((0, 2))))
+        assert not path.exists()
+        path.write_text("#normalized=false\nclip_id,system_id,x,y\n")
+        with pytest.raises(ValueError, match="empty.csv: no score rows"):
+            load_score_csv(path)
 
     def test_missing_preamble(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -421,10 +422,10 @@ class TestScoreCsv:
     def test_repeated_clip_of_a_system_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(
-            "#normalized=true\n"
+            "#normalized=false\n"
             "clip_id,system_id,x,y\n"
             "c1.wav,alpha,1.0,0.0\n"
-            "c1.wav,beta,1.0,0.0\n"
+            "c2.wav,alpha,1.0,0.0\n"
             "c1.wav,alpha,0.0,1.0\n"
         )
         with pytest.raises(

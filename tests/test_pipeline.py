@@ -229,7 +229,6 @@ class TestExtractAndFit:
         scores = score_system(model, store, test)
         assert scores.values.shape == (len(test), 3)
         assert scores.clip_ids == [e[0] for e in test.entries]
-        assert not scores.normalized
         again = score_system(fit_system("mfcc-gmm", TrainingSet(store, train), opts), store, test)
         assert np.array_equal(scores.values, again.values)
 
@@ -378,11 +377,10 @@ class TestComputeOnce:
     def test_scoring_error_names_the_clip(self):
         store, train = embedding_store(np.random.default_rng(42))
         model = fit_system("cepscom-cdl", TrainingSet(store, train), TrainOptions())
-        bad = np.ones((30, 4))
-        bad[3, 1] = np.nan
-        add_cepscom(store, "bus/broken.wav", bad)
+        # the store refuses a non-finite record, so the fault is one frame
+        add_cepscom(store, "bus/broken.wav", np.ones((1, 4)))
         clips = DatasetManifest(entries=[("bus/broken.wav", "bus")], class_names=["park", "bus"])
-        with pytest.raises(ValueError, match="'bus/broken.wav'.*non-finite"):
+        with pytest.raises(ValueError, match="'bus/broken.wav'.*at least 2 frames"):
             score_system(model, store, clips)
 
 
@@ -735,7 +733,7 @@ class TestRunPipeline:
         assert result.fusion_report.average_accuracy >= 0.5
 
     def test_artifact_tree(self, mini_run):
-        config, result, _ = mini_run
+        config, _, _ = mini_run
         out = config.out_dir
         expected = [
             "train_manifest.tsv",
@@ -756,7 +754,6 @@ class TestRunPipeline:
         ]
         for rel in expected:
             assert (out / rel).is_file(), rel
-        assert result.artifact_paths["out_dir"] == out
 
     def test_artifacts_parse_back(self, mini_run):
         config, result, _ = mini_run
@@ -764,7 +761,7 @@ class TestRunPipeline:
         weights = load_weights_csv(out / "weights.csv")
         assert weights.system_ids == list(MINI_SYSTEMS)
         assert np.array_equal(weights.values, result.weights.values)
-        (scores,) = load_score_csv(out / "scores" / "plp-gmm.csv")
+        scores = load_score_csv(out / "scores" / "plp-gmm.csv")
         assert scores.values.shape == (12, 3)
         train = load_manifest(out / "train_manifest.tsv")
         test = load_manifest(out / "test_manifest.tsv")
