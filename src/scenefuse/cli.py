@@ -7,7 +7,7 @@ import sys
 
 from .dataio import load_features, load_manifest, save_features
 from .evaluation import evaluate, save_report
-from .features import EXTRACTOR_NAMES, FRAME_LEN, HOP
+from .features import EXTRACTOR_NAMES
 from .fusion import fuse, load_score_csv, load_weights_csv, save_score_csv, save_weights_csv
 from .pipeline import (
     ALL_SYSTEMS,
@@ -44,9 +44,7 @@ def _mixture_counts(args) -> dict:
 def _cmd_extract(args) -> None:
     manifest = load_manifest(args.manifest)
     names = _parse_names(args.features, EXTRACTOR_NAMES, "extractor")
-    store = extract_for_manifest(
-        manifest, args.manifest, names, frame_len=args.frame_len, hop=args.hop
-    )
+    store = extract_for_manifest(manifest, args.manifest, names)
     save_features(store, args.out)
     print(f"wrote {len(store)} feature matrices for {len(manifest)} clips to {args.out}")
 
@@ -132,8 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="all",
                    help="comma-separated extractor names, or 'all'")
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-len", type=int, default=FRAME_LEN)
-    p.add_argument("--hop", type=int, default=HOP)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("train", help="train one system on a (training) manifest")

@@ -419,7 +419,10 @@ class FeatureStore:
             )
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 2:
-            raise ValueError("feature matrix must be 2-D (frames x dims)")
+            raise FeatureStoreError(
+                f"clip {source_id!r} has a {values.ndim}-D {extractor!r} record; "
+                "a feature matrix is 2-D (frames x dims)"
+            )
         if values.shape[0] == 0:
             raise FeatureStoreError(f"clip {source_id!r} has no frames in its {extractor!r} record")
         if not np.isfinite(values).all():

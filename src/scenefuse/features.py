@@ -51,7 +51,7 @@ EXTRACTOR_NAMES = ("mfcc", "plp", "pncc", "rcgcc", "spcc", "cepscom")
 #: the stored families whose frame-wise concatenation, in this order, is cepscom
 CEPSCOM_PARTS = ("mfcc", "pncc", "rcgcc", "spcc")
 
-#: default analysis frame length and hop, in samples; all families of a clip share one framing
+#: analysis frame length and hop, in samples; every clip is framed at these
 FRAME_LEN = 2048
 HOP = 1024
 
@@ -322,9 +322,7 @@ def stored_families(names) -> list:
     return [name for name in EXTRACTOR_NAMES if name in wanted and name != "cepscom"]
 
 
-def frame_clip(
-    clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
-) -> FrameSequence:
+def frame_clip(clip: AudioClip, names) -> FrameSequence:
     """The clip's frames for extracting the named families, or
     ``ValueError`` naming the clip if they cannot be extracted from it:
     every family needs one full frame, and spcc, so cepscom too, at least
@@ -332,20 +330,17 @@ def frame_clip(
 
     The frames are a view of the clip's samples, so a caller that only
     checks a clip keeps nothing of it."""
-    wanted = stored_families(names)
-    frames = frame_signal(clip, frame_len, hop)
-    if "spcc" in wanted and frames.n_frames < 2:
+    frames = frame_signal(clip, FRAME_LEN, HOP)
+    if frames.n_frames < 2 and not {"spcc", "cepscom"}.isdisjoint(names):
         raise ValueError(
             f"clip {clip.source_id!r} has {len(clip)} samples, which frame to "
             f"{frames.n_frames} frame; spcc and cepscom need at least 2 frames "
-            f"({frame_len + hop} samples)"
+            f"({FRAME_LEN + HOP} samples)"
         )
     return frames
 
 
-def extract_selected(
-    clip: AudioClip, names, *, frame_len: int = FRAME_LEN, hop: int = HOP
-) -> dict[str, FeatureMatrix]:
+def extract_selected(clip: AudioClip, names) -> dict[str, FeatureMatrix]:
     """Requested families only, all from one shared framing
     (:func:`frame_clip`) and spectrum, with each filterbank product
     computed once.
@@ -355,7 +350,7 @@ def extract_selected(
     copy.  The result follows ``EXTRACTOR_NAMES`` order.
     """
     wanted = set(stored_families(names))
-    frames = frame_clip(clip, wanted, frame_len=frame_len, hop=hop)
+    frames = frame_clip(clip, wanted)
     spec = power_spectrum(frames)
     if wanted & {"mfcc", "spcc"}:
         logmel = np.log(np.maximum(_subband(spec, "mel-triangular"), LOG_FLOOR))

@@ -30,8 +30,6 @@ from .evaluation import EvaluationReport, evaluate, save_report
 from .features import (
     CEPSCOM_PARTS,
     DELTA_WINDOW,
-    FRAME_LEN,
-    HOP,
     extract_selected,
     frame_clip,
     stored_families,
@@ -46,7 +44,7 @@ from .fusion import (
     save_weights_csv,
     stratified_folds,
 )
-from .spectral import FeatureMatrix, append_deltas, check_framing
+from .spectral import FeatureMatrix, append_deltas
 
 class SystemSpec(NamedTuple):
     family: str  # the feature family the system consumes
@@ -121,8 +119,8 @@ class TrainOptions:
 
 @dataclass
 class PipelineConfig(TrainOptions):
-    """Run parameters: the training options plus paths, split, weights and
-    framing; paths are resolved by the config parser."""
+    """Run parameters: the training options plus paths, split and weights;
+    paths are resolved by the config parser."""
 
     manifest: Path
     out_dir: Path
@@ -130,8 +128,6 @@ class PipelineConfig(TrainOptions):
     split_seed: int = 17
     weights_folds: int = 4
     weights_seed: int = 29
-    frame_len: int = FRAME_LEN
-    hop: int = HOP
     systems: tuple = ALL_SYSTEMS
     fused: tuple = DEFAULT_FUSED
 
@@ -141,7 +137,6 @@ class PipelineConfig(TrainOptions):
         self.systems = check_names(self.systems, ALL_SYSTEMS, "system")
         self.fused = check_names(self.fused, self.systems, "fused system")
         check_fold_count(self.weights_folds)
-        check_framing(self.frame_len, self.hop)
         super().__post_init__()
 
 
@@ -149,7 +144,7 @@ class PipelineConfig(TrainOptions):
 _CONFIG_NUMBER_KEYS = {
     **dict.fromkeys(
         ("split_seed", "gmm_seed", "weights_folds", "weights_seed",
-         "mixtures_cepstral", "mixtures_plp", "frame_len", "hop"),
+         "mixtures_cepstral", "mixtures_plp"),
         (int, "an integer"),
     ),
     "train_fraction": (float, "a number"),
@@ -218,32 +213,23 @@ def _read_clip(manifest_path: str | Path, entry_path: str) -> AudioClip:
 
 
 def extract_for_manifest(
-    manifest: DatasetManifest,
-    manifest_path: str | Path,
-    extractors,
-    *,
-    frame_len: int = FRAME_LEN,
-    hop: int = HOP,
+    manifest: DatasetManifest, manifest_path: str | Path, extractors
 ) -> FeatureStore:
     """Decode and extract every clip; records are keyed by manifest path."""
     store = FeatureStore()
     for entry_path, _ in manifest.entries:
         clip = _read_clip(manifest_path, entry_path)
-        for name, mat in extract_selected(clip, extractors, frame_len=frame_len, hop=hop).items():
+        for name, mat in extract_selected(clip, extractors).items():
             store.add(entry_path, name, mat.values)
     return store
 
 
-def _clip_stores(
-    manifest: DatasetManifest, manifest_path: str | Path, extractors, *, frame_len: int, hop: int
-):
+def _clip_stores(manifest: DatasetManifest, manifest_path: str | Path, extractors):
     """Each clip of the manifest in turn, as ``(entry path, store)``: the
     store, made by :func:`extract_for_manifest`, holds that clip's records
     alone."""
     for i, (entry_path, _) in enumerate(manifest.entries):
-        yield entry_path, extract_for_manifest(
-            manifest.subset([i]), manifest_path, extractors, frame_len=frame_len, hop=hop
-        )
+        yield entry_path, extract_for_manifest(manifest.subset([i]), manifest_path, extractors)
 
 
 def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
@@ -575,13 +561,12 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
 
     with _stage("extract"):
         extractors = required_extractors(config.systems)
-        framing = {"frame_len": config.frame_len, "hop": config.hop}
         # classify decodes and extracts the test clips one at a time; each is
         # decoded and framed here first, keeping nothing, so a bad one fails
         # before any fit
         for entry_path, _ in test.entries:
-            frame_clip(_read_clip(config.manifest, entry_path), extractors, **framing)
-        store = extract_for_manifest(train, config.manifest, extractors, **framing)
+            frame_clip(_read_clip(config.manifest, entry_path), extractors)
+        store = extract_for_manifest(train, config.manifest, extractors)
 
     # the training clips with their CDL embeddings, from the CV folds to the final fit
     data = TrainingSet(store, train)
@@ -611,7 +596,7 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
         raw_scores = {}
         for scores in _score_clips(
             [models[system_id] for system_id in config.systems],
-            _clip_stores(test, config.manifest, extractors, **framing),
+            _clip_stores(test, config.manifest, extractors),
         ):
             save_score_csv(out / "scores" / f"{scores.system_id}.csv", scores)
             raw_scores[scores.system_id] = scores

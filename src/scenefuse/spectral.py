@@ -2,11 +2,11 @@
 filterbanks, the cepstral DCT, and delta/acceleration appending.
 
 All operations are pure functions over immutable inputs.  Frames are a
-read-only strided view of the clip's samples, not a copy; their default
-length and hop are ``scenefuse.features.FRAME_LEN`` and ``HOP``.  The power
-spectrum windows them with a periodic Hamming window and transforms them a
-block of ``STFT_BLOCK`` frames at a time, so the only full-size array it
-allocates is the power it returns.
+read-only strided view of the clip's samples, not a copy; the package
+extracts every clip at length ``scenefuse.features.FRAME_LEN`` and hop
+``HOP``.  The power spectrum windows them with a periodic Hamming window and
+transforms them a block of ``STFT_BLOCK`` frames at a time, so the only
+full-size array it allocates is the power it returns.
 """
 
 from __future__ import annotations
@@ -94,15 +94,10 @@ def frame_count(signal_len: int, frame_len: int, hop: int) -> int:
     return (signal_len - frame_len) // hop + 1
 
 
-def check_framing(frame_len: int, hop: int) -> None:
-    """Raise ``ValueError`` unless ``0 < hop <= frame_len``."""
-    if not 0 < hop <= frame_len:
-        raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
-
-
 def frame_signal(clip: AudioClip, frame_len: int, hop: int) -> FrameSequence:
     """Cut a clip into overlapping frames without padding, as a read-only view."""
-    check_framing(frame_len, hop)
+    if not 0 < hop <= frame_len:
+        raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
     if len(clip) < frame_len:
         raise ValueError(
             f"clip {clip.source_id!r} has {len(clip)} samples, shorter than frame_len {frame_len}"

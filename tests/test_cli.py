@@ -34,7 +34,7 @@ def test_full_chain(work, capsys):
 
     rc = main([
         "extract", "--manifest", str(manifest_path),
-        "--features", "mfcc", "--frame-len", "512", "--hop", "256",
+        "--features", "mfcc",
         "--out", str(work / "feats.sfs"),
     ])
     assert rc == 0
@@ -371,7 +371,7 @@ def test_cdl_train_names_a_class_with_one_clip(work, capsys, monkeypatch):
     manifest.write_text("\n".join(kept) + "\n")
     feats = work / "cepscom.sfs"
     assert main(["extract", "--manifest", str(manifest), "--features", "mfcc,pncc,rcgcc,spcc",
-                 "--frame-len", "512", "--hop", "256", "--out", str(feats)]) == 0
+                 "--out", str(feats)]) == 0
     capsys.readouterr()
     monkeypatch.setattr(scenefuse.cdl, "log_embed", _no_work)
     out = work / "cepscom-cdl.sfc"
@@ -433,8 +433,7 @@ def test_missing_feature_family_is_named(work, capsys, tmp_path):
     model = tmp_path / "plp-gmm.sfg"
     plp_feats = str(tmp_path / "plp.sfs")
     for argv in (
-        ["extract", "--manifest", manifest, "--features", "plp",
-         "--frame-len", "512", "--hop", "256", "--out", plp_feats],
+        ["extract", "--manifest", manifest, "--features", "plp", "--out", plp_feats],
         ["train", "--features", plp_feats, "--manifest", manifest,
          "--system", "plp-gmm", "--mixtures", "2", "--out", str(model)],
     ):
@@ -454,7 +453,7 @@ def test_each_step_reads_only_the_families_its_system_uses(work, capsys, tmp_pat
     manifest = str(work / "data" / "manifest.tsv")
     feats = tmp_path / "two.sfs"
     assert main(["extract", "--manifest", manifest, "--features", "mfcc,plp",
-                 "--frame-len", "512", "--hop", "256", "--out", str(feats)]) == 0
+                 "--out", str(feats)]) == 0
     # plp's block comes last; break its final payload byte
     blob = bytearray(feats.read_bytes())
     blob[-9] ^= 0x01
@@ -629,6 +628,9 @@ def test_cdl_train_names_the_system_on_one_class(two_clip_store, capsys, monkeyp
 def test_bad_subcommand_arguments_exit_two(capsys):
     for argv in (
         ["train", "--system", "made-up"],
+        # every clip is framed at FRAME_LEN and HOP
+        ["extract", "--manifest", "m.tsv", "--out", "f.sfs", "--hop", "512"],
+        ["extract", "--manifest", "m.tsv", "--out", "f.sfs", "--frame-len", "1024"],
         # one CDL scoring rule, and the model file names its feature family
         ["weights", "--manifest", "m.tsv", "--features", "f.sfs", "--systems", "all",
          "--out", "w.csv", "--cdl-mode", "centroid"],

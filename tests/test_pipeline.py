@@ -52,9 +52,7 @@ from scenefuse.pipeline import (
     score_system,
 )
 from scenefuse.spectral import FeatureMatrix, append_deltas
-
-#: short framing that keeps the pipeline tests fast
-FAST = {"frame_len": 512, "hop": 256}
+from scenefuse.synth import profile_by_name, synthesize_dataset
 
 
 class TestParseConfig:
@@ -84,7 +82,6 @@ class TestParseConfig:
         assert config.fused == ("plp-gmm",)
         # untouched keys keep their defaults
         assert config.mixtures_plp == 4
-        assert config.hop == 1024
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -112,7 +109,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("line, want", [
         ("split_seed = abc", "key 'split_seed' expects an integer, got 'abc'"),
-        ("hop = 2.5", "key 'hop' expects an integer, got '2.5'"),
+        ("gmm_seed = 2.5", "key 'gmm_seed' expects an integer, got '2.5'"),
         ("train_fraction = half", "key 'train_fraction' expects a number, got 'half'"),
     ])
     def test_wrong_type_names_line_key_and_type(self, tmp_path, line, want):
@@ -124,7 +121,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("line, want", [
         ("weights_folds = 1", "need at least 2 folds, got 1"),
         ("systems = mfcc-svm", "unknown system 'mfcc-svm'"),
-        ("hop = 0", "need 0 < hop <= frame_len, got hop=0"),
+        ("mixtures_plp = 0", "mixture counts must be positive"),
     ])
     def test_out_of_range_value_names_the_file(self, tmp_path, line, want):
         cfg = tmp_path / "bad.cfg"
@@ -184,11 +181,13 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="positive"):
             self.good(mixtures_plp=0)
 
-    def test_bad_framing(self):
-        with pytest.raises(ValueError, match="got hop=1024, frame_len=512"):
-            self.good(frame_len=512)
-        with pytest.raises(ValueError, match="got hop=-1, frame_len=2048"):
-            self.good(hop=-1)
+    def test_bad_framing(self, tmp_path):
+        # every clip is framed at FRAME_LEN and HOP: the keys that set them are gone
+        for line, key in (("frame_len = 1024", "frame_len"), ("hop = 512", "hop")):
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(f"manifest = m.tsv\nout_dir = o\n{line}\n")
+            with pytest.raises(ValueError, match=f":3: unknown key '{key}'"):
+                parse_config(cfg)
 
 
 class TestRequiredExtractors:
@@ -207,7 +206,7 @@ class TestRequiredExtractors:
 @pytest.fixture(scope="module")
 def small_store(mini_dataset):
     manifest = load_manifest(mini_dataset)
-    store = extract_for_manifest(manifest, mini_dataset, ["mfcc"], **FAST)
+    store = extract_for_manifest(manifest, mini_dataset, ["mfcc"])
     return manifest, store
 
 
@@ -388,7 +387,7 @@ def fits_on_rows_and_alone(mini_dataset, system_id):
     """The system fitted on a fold's rows of the training set, as the CV
     fits it, and on a training set of the fold's clips alone."""
     train, _ = split_dataset(load_manifest(mini_dataset), 0.5, seed=1)
-    store = extract_for_manifest(train, mini_dataset, required_extractors([system_id]), **FAST)
+    store = extract_for_manifest(train, mini_dataset, required_extractors([system_id]))
     rows = np.flatnonzero(stratified_folds(train.label_indices(), 2, seed=0) != 0)
     opts = TrainOptions(mixtures_plp=2)
     return (fit_system(system_id, TrainingSet(store, train), opts, rows),
@@ -415,7 +414,7 @@ def test_a_cdl_fit_on_rows_is_the_fit_on_their_clips_alone(mini_dataset):
 @pytest.fixture(scope="module")
 def static_store(mini_dataset):
     manifest = load_manifest(mini_dataset).subset(range(0, 24, 8))
-    return manifest, extract_for_manifest(manifest, mini_dataset, EXTRACTOR_NAMES, **FAST)
+    return manifest, extract_for_manifest(manifest, mini_dataset, EXTRACTOR_NAMES)
 
 
 def test_store_holds_static_columns(static_store):
@@ -438,13 +437,10 @@ def test_clip_features_derives_deltas_of_the_stored_parts(static_store, name):
         assert np.array_equal(got, want), entry_path
 
 
-@pytest.mark.parametrize("frame_len, hop", [(2048, 1024), (512, 256)])
-def test_joined_cepscom_deltas_equal_the_per_part_derivation(mini_dataset, frame_len, hop):
+def test_joined_cepscom_deltas_equal_the_per_part_derivation(mini_dataset):
     # one derivation over the 80 joined static columns, regrouped per part
     manifest = load_manifest(mini_dataset).subset(range(0, 24, 4))
-    store = extract_for_manifest(
-        manifest, mini_dataset, ["cepscom"], frame_len=frame_len, hop=hop
-    )
+    store = extract_for_manifest(manifest, mini_dataset, ["cepscom"])
     for entry_path, _ in manifest.entries:
         want = np.hstack([
             append_deltas(FeatureMatrix(store.get(entry_path, part)), DELTA_WINDOW).values
@@ -461,11 +457,11 @@ class TestCepscomRows:
         # extracted [mfcc | pncc | rcgcc | spcc] matrices with their deltas,
         # hstacked
         manifest = load_manifest(mini_dataset)
-        store = extract_for_manifest(manifest, mini_dataset, ["cepscom"], **FAST)
+        store = extract_for_manifest(manifest, mini_dataset, ["cepscom"])
         assert store.extractors() == ["mfcc", "pncc", "rcgcc", "spcc"]
         for entry_path, _ in manifest.entries[:3]:
             clip = read_wav(resolve_clip_path(mini_dataset, entry_path))
-            parts = extract_selected(clip, ["mfcc", "pncc", "rcgcc", "spcc"], **FAST)
+            parts = extract_selected(clip, ["mfcc", "pncc", "rcgcc", "spcc"])
             stored = np.hstack([
                 append_deltas(parts[n], DELTA_WINDOW).values
                 for n in ("mfcc", "pncc", "rcgcc", "spcc")
@@ -677,10 +673,13 @@ class TestMemory:
         assert test_paths <= scored
         assert max(held) == 1
 
-    def test_gmm_fit_holds_one_class_matrix_at_a_time(self, mini_dataset):
-        manifest = load_manifest(mini_dataset)
-        train, _ = split_dataset(manifest, 0.5, seed=1)
-        store = extract_for_manifest(train, mini_dataset, CEPSCOM_PARTS, **FAST)
+    def test_gmm_fit_holds_one_class_matrix_at_a_time(self, tmp_path):
+        # four 6 s clips per class, 92 frames each: the class matrices, not
+        # the fit's fixed costs, set the peak
+        profiles = [profile_by_name(n) for n in ("rumble", "chime", "drone")]
+        manifest_path = synthesize_dataset(profiles, 4, 6.0, 16000, tmp_path / "data", 42)
+        train = load_manifest(manifest_path)
+        store = extract_for_manifest(train, manifest_path, CEPSCOM_PARTS)
         opts = TrainOptions(mixtures_cepstral=4)
         class_bytes, em_bytes = 0, 0
         for c, class_name in enumerate(train.class_names):
@@ -804,14 +803,13 @@ class TestStageTags:
         with pytest.raises(PipelineError, match=r"\[config\]"):
             run_pipeline(tmp_path / "missing.cfg")
 
-    def test_bad_framing_fails_before_any_file_is_written(self, mini_dataset, tmp_path):
-        # a manifest that loads and splits, so the framing is all that is wrong
+    def test_a_bad_config_fails_before_any_file_is_written(self, mini_dataset, tmp_path):
+        # a manifest that loads and splits, so the fold count is all that is wrong
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"manifest = {mini_dataset}\nout_dir = out\nhop = 0\n")
+        cfg.write_text(f"manifest = {mini_dataset}\nout_dir = out\nweights_folds = 1\n")
         with pytest.raises(
             PipelineError,
-            match=rf"\[config\] {re.escape(str(cfg))}: "
-                  r"need 0 < hop <= frame_len, got hop=0, frame_len=2048",
+            match=rf"\[config\] {re.escape(str(cfg))}: need at least 2 folds, got 1",
         ):
             run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
