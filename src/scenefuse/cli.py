@@ -52,7 +52,7 @@ def _cmd_extract(args) -> None:
 def _cmd_train(args) -> None:
     store = load_features(args.features, required_extractors([args.system]))
     manifest = load_manifest(args.manifest)
-    opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
+    opts = TrainOptions(**_mixture_counts(args))
     model = fit_system(args.system, TrainingSet(store, manifest), opts)
     save_system_model(args.out, model)
     print(f"trained {args.system} on {len(manifest)} clips; model written to {args.out}")
@@ -62,10 +62,8 @@ def _cmd_weights(args) -> None:
     systems = _parse_names(args.systems, ALL_SYSTEMS, "system")
     store = load_features(args.features, required_extractors(systems))
     manifest = load_manifest(args.manifest)
-    opts = TrainOptions(gmm_seed=args.gmm_seed, **_mixture_counts(args))
-    weights = estimate_weights(
-        TrainingSet(store, manifest), systems, opts, folds=args.folds, seed=args.seed
-    )
+    opts = TrainOptions(**_mixture_counts(args))
+    weights = estimate_weights(TrainingSet(store, manifest), systems, opts, folds=args.folds)
     save_weights_csv(args.out, weights)
     print(f"estimated weights for {len(systems)} systems; written to {args.out}")
 
@@ -138,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True, choices=ALL_SYSTEMS)
     p.add_argument("--out", required=True)
     p.add_argument("--mixtures", type=int, default=None, help=mixtures_help)
-    p.add_argument("--gmm-seed", type=int, default=TrainOptions.gmm_seed)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("weights", help="estimate fusion weights on training data")
@@ -147,10 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", required=True,
                    help="comma-separated system ids, or 'all'")
     p.add_argument("--folds", type=int, default=PipelineConfig.weights_folds)
-    p.add_argument("--seed", type=int, default=PipelineConfig.weights_seed)
     p.add_argument("--out", required=True)
     p.add_argument("--mixtures", type=int, default=None, help=mixtures_help)
-    p.add_argument("--gmm-seed", type=int, default=TrainOptions.gmm_seed)
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("classify", help="score a manifest's clips with one model")

@@ -410,8 +410,9 @@ class FeatureStore:
     _dims: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, source_id: str, extractor: str, values: np.ndarray) -> None:
-        """Hold one clip's record: frames x width, with at least one frame,
-        finite values and the width of the family's other records."""
+        """Hold one clip's record: frames x width, with at least one frame
+        and one column, finite values and the width of the family's other
+        records."""
         if (source_id, extractor) in self.records:
             raise FeatureStoreError(
                 f"the feature store already holds {extractor!r} features for clip "
@@ -423,8 +424,11 @@ class FeatureStore:
                 f"clip {source_id!r} has a {values.ndim}-D {extractor!r} record; "
                 "a feature matrix is 2-D (frames x dims)"
             )
-        if values.shape[0] == 0:
-            raise FeatureStoreError(f"clip {source_id!r} has no frames in its {extractor!r} record")
+        for axis, what in enumerate(("frames", "columns")):
+            if values.shape[axis] == 0:
+                raise FeatureStoreError(
+                    f"clip {source_id!r} has no {what} in its {extractor!r} record"
+                )
         if not np.isfinite(values).all():
             raise FeatureStoreError(
                 f"clip {source_id!r} has non-finite feature values in its {extractor!r} record"

@@ -118,5 +118,5 @@ def render_report(report: EvaluationReport) -> str:
 
 
 def save_report(path, report: EvaluationReport) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_report(report))

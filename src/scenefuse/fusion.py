@@ -228,7 +228,7 @@ def cross_validated_confusion(
 def _csv_records(path) -> list:
     """The file's CSV records as (line number, fields); a record that
     spans lines is numbered by its last."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         return [(reader.line_num, row) for row in reader]
 
@@ -258,7 +258,7 @@ def save_score_csv(path, scores: ScoreMatrix) -> None:
         check_csv_field(name, "class name")
     for clip_id in scores.clip_ids:
         check_csv_field(clip_id, "clip id")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SCORE_PREAMBLE + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["clip_id", "system_id"] + list(scores.class_names))
@@ -313,7 +313,7 @@ def save_weights_csv(path, weights: FusionWeights) -> None:
         check_csv_field(name, "class name")
     for system_id in weights.system_ids:
         check_csv_field(system_id, "system id")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["system_id"] + list(weights.class_names))
         for system_id, row in zip(weights.system_ids, weights.values):

@@ -7,6 +7,7 @@ seeds, so a rerun reproduces all artifacts byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -65,6 +66,12 @@ SYSTEMS = {
 ALL_SYSTEMS = tuple(SYSTEMS)
 DEFAULT_FUSED = ("cepscom-gmm", "cepscom-cdl", "plp-gmm")
 
+#: base seed of every mixture's initialization; each system and class
+#: draws its own seed from it (see :func:`_gmm_seed`)
+GMM_SEED = 23
+#: seed of the cross-validation fold assignment behind the fusion weights
+WEIGHTS_SEED = 29
+
 
 def check_names(names, universe, what: str) -> tuple:
     """``names`` as a tuple, if it is a nonempty list of distinct members of
@@ -110,7 +117,6 @@ class TrainOptions:
 
     mixtures_cepstral: int = 64
     mixtures_plp: int = 4
-    gmm_seed: int = 23
 
     def __post_init__(self) -> None:
         if self.mixtures_cepstral < 1 or self.mixtures_plp < 1:
@@ -127,7 +133,6 @@ class PipelineConfig(TrainOptions):
     train_fraction: float = 0.25
     split_seed: int = 17
     weights_folds: int = 4
-    weights_seed: int = 29
     systems: tuple = ALL_SYSTEMS
     fused: tuple = DEFAULT_FUSED
 
@@ -140,23 +145,25 @@ class PipelineConfig(TrainOptions):
         super().__post_init__()
 
 
-#: numeric keys -> (parser, the type an error names)
-_CONFIG_NUMBER_KEYS = {
-    **dict.fromkeys(
-        ("split_seed", "gmm_seed", "weights_folds", "weights_seed",
-         "mixtures_cepstral", "mixtures_plp"),
-        (int, "an integer"),
-    ),
-    "train_fraction": (float, "a number"),
+#: a config field's annotation -> (how a value is read, given the config
+#: file's directory; the type an error names when it cannot be)
+_CONFIG_VALUE_READERS = {
+    "int": (lambda text, base: int(text), "an integer"),
+    "float": (lambda text, base: float(text), "a number"),
+    "tuple": (lambda text, base: tuple(v.strip() for v in text.split(",") if v.strip()), None),
+    # joined to an absolute path, ``base`` is dropped
+    "Path": (lambda text, base: base / text, None),
 }
-_CONFIG_LIST_KEYS = {"systems", "fused"}
-_CONFIG_PATH_KEYS = {"manifest", "out_dir"}
 
 
 def parse_config(path: str | Path) -> PipelineConfig:
-    """Read ``key = value`` lines; relative paths are config-file relative."""
+    """Read ``key = value`` lines; relative paths are config-file relative.
+
+    The keys are :class:`PipelineConfig`'s fields, each read by its
+    annotation; a field with no default is a required key."""
     path = Path(path)
     base = path.parent
+    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     values: dict = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -168,24 +175,18 @@ def parse_config(path: str | Path) -> PipelineConfig:
         key, value = key.strip(), value.strip()
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key in _CONFIG_NUMBER_KEYS:
-            convert, kind = _CONFIG_NUMBER_KEYS[key]
-            try:
-                values[key] = convert(value)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: key {key!r} expects {kind}, got {value!r}"
-                ) from None
-        elif key in _CONFIG_LIST_KEYS:
-            values[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key in _CONFIG_PATH_KEYS:
-            p = Path(value)
-            values[key] = p if p.is_absolute() else base / p
-        else:
+        if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-    for required in ("manifest", "out_dir"):
-        if required not in values:
-            raise ValueError(f"{path}: missing required key {required!r}")
+        read, kind = _CONFIG_VALUE_READERS[fields[key].type]
+        try:
+            values[key] = read(value, base)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} expects {kind}, got {value!r}"
+            ) from None
+    for name, field in fields.items():
+        if field.default is dataclasses.MISSING and name not in values:
+            raise ValueError(f"{path}: missing required key {name!r}")
     try:
         return PipelineConfig(**values)
     except ValueError as exc:
@@ -232,9 +233,9 @@ def _clip_stores(manifest: DatasetManifest, manifest_path: str | Path, extractor
         yield entry_path, extract_for_manifest(manifest.subset([i]), manifest_path, extractors)
 
 
-def _gmm_seed(base: int, system_id: str, class_index: int) -> int:
+def _gmm_seed(system_id: str, class_index: int) -> int:
     system_index = ALL_SYSTEMS.index(system_id)
-    return (base * 1000003 + system_index * 101 + class_index) & 0x7FFFFFFF
+    return (GMM_SEED * 1000003 + system_index * 101 + class_index) & 0x7FFFFFFF
 
 
 def clip_features(store: FeatureStore, entry_path: str, family: str) -> np.ndarray:
@@ -384,7 +385,7 @@ def fit_system(system_id: str, data: TrainingSet, opts: TrainOptions, rows=None)
             gmm_mod.fit_gmm(
                 _class_matrix(data.store, [data.paths[i] for i in rows[labels == c]], family),
                 _mixtures(family, opts),
-                _gmm_seed(opts.gmm_seed, system_id, c),
+                _gmm_seed(system_id, c),
             )
             for c in range(len(data.class_names))
         ])
@@ -444,7 +445,7 @@ def _fold_runner(system_id: str, data: TrainingSet, opts: TrainOptions):
 
 
 def estimate_weights(
-    data: TrainingSet, system_ids, opts: TrainOptions, *, folds: int, seed: int
+    data: TrainingSet, system_ids, opts: TrainOptions, *, folds: int
 ) -> FusionWeights:
     """Reliability weights for the given systems from their stratified
     ``folds``-fold cross-validated confusions on the training clips: at
@@ -461,7 +462,7 @@ def estimate_weights(
                 f"class {class_name!r} has {count} training clips, fewer than {folds} folds"
             )
     # every fold's training part must fit every system, checked before any fit
-    fold_of = stratified_folds(data.labels, folds, seed)
+    fold_of = stratified_folds(data.labels, folds, WEIGHTS_SEED)
     for fold in range(folds):
         rows = np.flatnonzero(fold_of != fold)
         for system_id in system_ids:
@@ -571,9 +572,7 @@ def run_pipeline(config: PipelineConfig | str | Path) -> RunResult:
     # the training clips with their CDL embeddings, from the CV folds to the final fit
     data = TrainingSet(store, train)
     with _stage("weights"):
-        weights = estimate_weights(
-            data, config.fused, config, folds=config.weights_folds, seed=config.weights_seed
-        )
+        weights = estimate_weights(data, config.fused, config, folds=config.weights_folds)
         (out / "models").mkdir(exist_ok=True)
         save_weights_csv(out / "weights.csv", weights)
 

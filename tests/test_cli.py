@@ -631,6 +631,13 @@ def test_bad_subcommand_arguments_exit_two(capsys):
         # every clip is framed at FRAME_LEN and HOP
         ["extract", "--manifest", "m.tsv", "--out", "f.sfs", "--hop", "512"],
         ["extract", "--manifest", "m.tsv", "--out", "f.sfs", "--frame-len", "1024"],
+        # mixtures start from GMM_SEED and folds are dealt at WEIGHTS_SEED
+        ["train", "--features", "f.sfs", "--manifest", "m.tsv", "--system", "mfcc-gmm",
+         "--out", "m.sfg", "--gmm-seed", "5"],
+        ["weights", "--manifest", "m.tsv", "--features", "f.sfs", "--systems", "all",
+         "--out", "w.csv", "--gmm-seed", "5"],
+        ["weights", "--manifest", "m.tsv", "--features", "f.sfs", "--systems", "all",
+         "--out", "w.csv", "--seed", "3"],
         # one CDL scoring rule, and the model file names its feature family
         ["weights", "--manifest", "m.tsv", "--features", "f.sfs", "--systems", "all",
          "--out", "w.csv", "--cdl-mode", "centroid"],

@@ -488,8 +488,9 @@ class TestFeatureStore:
 
     @pytest.mark.parametrize("values, fault", [
         (np.zeros((0, 2)), "has no frames"),
+        (np.zeros((5, 0)), "has no columns"),
         (np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, np.inf]]), "has non-finite feature values"),
-    ], ids=["no-frames", "non-finite"])
+    ], ids=["no-frames", "no-columns", "non-finite"])
     def test_refuses_a_record_no_feature_file_holds(self, tmp_path, values, fault):
         store = FeatureStore()
         with pytest.raises(
@@ -721,8 +722,9 @@ class TestFeatureFile:
 
     @pytest.mark.parametrize("values, fault", [
         (np.zeros((0, 2)), "has no frames"),
+        (np.zeros((5, 0)), "has no columns"),
         (np.array([[0.0, 1.0], [np.nan, 1.0], [2.0, np.inf]]), "has non-finite feature values"),
-    ], ids=["no-frames", "non-finite"])
+    ], ids=["no-frames", "no-columns", "non-finite"])
     def test_a_bad_record_is_refused_naming_file_family_and_clip(self, tmp_path, values, fault):
         # FeatureStore.add refuses the record, so the file is packed without one
         blocks = {}
@@ -732,7 +734,8 @@ class TestFeatureFile:
         write_sfs(path, blocks)
         save_features(feature_store(), tmp_path / "saved.sfs")
         assert path.read_bytes() == (tmp_path / "saved.sfs").read_bytes()
-        blocks["mfcc"].append(("three.wav", values))
+        # first in its block, so the block's width is the bad record's own
+        blocks["mfcc"].insert(0, ("three.wav", values))
         write_sfs(path, blocks)
         with pytest.raises(
             FeatureStoreError, match=re.escape(f"{path}, 'mfcc' block: clip 'three.wav' {fault}")

@@ -1,10 +1,17 @@
 """Score normalization, reliability weights, fusion, and CV protocol."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenefuse
+from scenefuse.dataio import DatasetManifest
+from scenefuse.evaluation import evaluate, save_report
 from scenefuse.fusion import (
     SCORE_PREAMBLE,
     ConfusionMatrix,
@@ -531,3 +538,35 @@ class TestWeightsCsv:
         path.write_text(f"system_id,x,y\ns0,1.0,1.0\ns1,{bad},0.5\n")
         with pytest.raises(ValueError, match=rf"weights.csv:3: '{bad}' is not a finite number"):
             load_weights_csv(path)
+
+
+def write_text_artifacts(out: Path) -> None:
+    """Write a score file, a weights file and a report whose clip and class
+    names are not ASCII, and read both CSVs back."""
+    classes, clips = ["café", "straße"], ["été.wav", "hütte.wav"]
+    scores = ScoreMatrix("plp-gmm", clips, classes, np.eye(2))
+    save_score_csv(out / "scores.csv", scores)
+    save_weights_csv(out / "weights.csv", FusionWeights(["plp-gmm"], classes, np.ones((1, 2))))
+    manifest = DatasetManifest(entries=list(zip(clips, classes)), class_names=classes)
+    save_report(out / "report.txt", evaluate(scores, manifest))
+    loaded = load_score_csv(out / "scores.csv")
+    assert (loaded.clip_ids, loaded.class_names) == (clips, classes)
+    assert load_weights_csv(out / "weights.csv").class_names == classes
+
+
+def test_text_artifacts_are_utf8_in_any_locale(tmp_path):
+    # the bytes of an artifact must not depend on the machine's locale
+    want, got = tmp_path / "utf8", tmp_path / "ascii"
+    want.mkdir()
+    got.mkdir()
+    write_text_artifacts(want)
+    src = str(Path(scenefuse.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([src, str(Path(__file__).resolve().parent)])}
+    probe = ("import sys, pathlib, test_fusion\n"
+             "test_fusion.write_text_artifacts(pathlib.Path(sys.argv[1]))\n")
+    run = subprocess.run([sys.executable, "-c", probe, str(got)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    for name in ("scores.csv", "weights.csv", "report.txt"):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name

@@ -5,7 +5,8 @@ import shutil
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,10 +107,13 @@ class TestParseConfig:
         cfg.write_text("manifest = m.tsv\n")
         with pytest.raises(ValueError, match="missing required key 'out_dir'"):
             parse_config(cfg)
+        cfg.write_text("out_dir = o\n")
+        with pytest.raises(ValueError, match="missing required key 'manifest'"):
+            parse_config(cfg)
 
     @pytest.mark.parametrize("line, want", [
         ("split_seed = abc", "key 'split_seed' expects an integer, got 'abc'"),
-        ("gmm_seed = 2.5", "key 'gmm_seed' expects an integer, got '2.5'"),
+        ("mixtures_plp = 2.5", "key 'mixtures_plp' expects an integer, got '2.5'"),
         ("train_fraction = half", "key 'train_fraction' expects a number, got 'half'"),
     ])
     def test_wrong_type_names_line_key_and_type(self, tmp_path, line, want):
@@ -117,6 +121,15 @@ class TestParseConfig:
         cfg.write_text(f"manifest = m.tsv\nout_dir = o\n{line}\n")
         with pytest.raises(ValueError, match=rf"bad\.cfg:3: {want}$"):
             parse_config(cfg)
+
+    def test_readme_lists_every_key_in_field_order(self):
+        # a key added or removed on one side only fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("|")]
+        # the rows under the header and its rule
+        keys = [row.split("|")[1].strip() for row in rows[2:]]
+        assert keys == [field.name for field in fields(PipelineConfig)]
 
     @pytest.mark.parametrize("line, want", [
         ("weights_folds = 1", "need at least 2 folds, got 1"),
@@ -189,6 +202,15 @@ class TestPipelineConfig:
             with pytest.raises(ValueError, match=f":3: unknown key '{key}'"):
                 parse_config(cfg)
 
+    def test_bad_seeds(self, tmp_path):
+        # mixtures start from GMM_SEED and folds are dealt at WEIGHTS_SEED:
+        # the keys that set them are gone
+        for line, key in (("gmm_seed = 5", "gmm_seed"), ("weights_seed = 3", "weights_seed")):
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(f"manifest = m.tsv\nout_dir = o\n{line}\n")
+            with pytest.raises(ValueError, match=f":3: unknown key '{key}'"):
+                parse_config(cfg)
+
 
 class TestRequiredExtractors:
     def test_dedupe_and_order(self):
@@ -221,7 +243,7 @@ class TestExtractAndFit:
     def test_fit_and_score_gmm(self, small_store):
         manifest, store = small_store
         train, test = split_dataset(manifest, 0.5, seed=1)
-        opts = TrainOptions(mixtures_cepstral=2, gmm_seed=5)
+        opts = TrainOptions(mixtures_cepstral=2)
         model = fit_system("mfcc-gmm", TrainingSet(store, train), opts)
         assert isinstance(model.model, GmmBank)
         assert model.class_names == manifest.class_names
@@ -243,7 +265,7 @@ class TestExtractAndFit:
         manifest, store = small_store
         train, _ = split_dataset(manifest, 0.5, seed=1)
         opts = TrainOptions(mixtures_cepstral=2)
-        weights = estimate_weights(TrainingSet(store, train), ["mfcc-gmm"], opts, folds=2, seed=0)
+        weights = estimate_weights(TrainingSet(store, train), ["mfcc-gmm"], opts, folds=2)
         assert weights.system_ids == ["mfcc-gmm"]
         assert weights.values.shape == (1, 3)
         assert np.all((weights.values >= 0.0) & (weights.values <= 1.0))
@@ -305,7 +327,7 @@ class TestComputeOnce:
         store, train = embedding_store(np.random.default_rng(40))
         opts = TrainOptions()
         kept = TrainingSet(store, train)
-        estimate_weights(kept, ["cepscom-cdl"], opts, folds=2, seed=0)
+        estimate_weights(kept, ["cepscom-cdl"], opts, folds=2)
         # the final fit centres the matrix the folds filled, in place; the
         # rows must have been left as the clips' own embeddings
         final = fit_system("cepscom-cdl", kept, opts)
@@ -348,7 +370,7 @@ class TestComputeOnce:
         monkeypatch.setattr(scenefuse.pipeline, "stratified_folds", counted)
         monkeypatch.setattr(scenefuse.fusion, "stratified_folds", counted)
         estimate_weights(TrainingSet(store, train), ["cepscom-gmm", "cepscom-cdl"],
-                         TrainOptions(mixtures_cepstral=2), folds=2, seed=0)
+                         TrainOptions(mixtures_cepstral=2), folds=2)
         # every system's folds are the one assignment the estimate made
         assert len(calls) == 1
 
@@ -357,7 +379,7 @@ class TestComputeOnce:
         store, train = embedding_store(rng)
         opts = TrainOptions()
         kept = TrainingSet(store, train)
-        estimate_weights(kept, ["cepscom-cdl"], opts, folds=2, seed=0)
+        estimate_weights(kept, ["cepscom-cdl"], opts, folds=2)
         path = train.entries[0][0]
         # the store refuses to replace a part the clip's kept row was made of
         with pytest.raises(FeatureStoreError, match=f"'rcgcc' features for clip '{path}'"):
@@ -687,7 +709,7 @@ class TestMemory:
                 clip_features(store, entry_path, "cepscom")
                 for entry_path, label in train.entries if label == class_name
             ])
-            seed = scenefuse.pipeline._gmm_seed(opts.gmm_seed, "cepscom-gmm", c)
+            seed = scenefuse.pipeline._gmm_seed("cepscom-gmm", c)
             _, peak = traced_peak(fit_gmm, matrix, opts.mixtures_cepstral, seed)
             class_bytes, em_bytes = max(class_bytes, matrix.nbytes), max(em_bytes, peak)
         del matrix

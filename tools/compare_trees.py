@@ -26,7 +26,7 @@ SCORE_PREAMBLE = b"#normalized="
 def _scores(path: Path) -> tuple:
     """``(labels, scores)`` of a score CSV: the header, then each row's clip
     and system id, in file order; and the clips x classes scores."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh.read().splitlines()[1:])
     labels = [header] + [row[:2] for row in rows]
     return labels, np.array([[float(v) for v in row[2:]] for row in rows]).reshape(len(rows), -1)
